@@ -81,26 +81,23 @@ def sum_blue_degree_products(g: HostGraph, power: int = 1) -> int:
     return total - red_part
 
 
-def count_injections(h: PatternGraph, g: HostGraph) -> int:
-    """Number of injections respecting red->red and blue->blue on constrained
-    pairs; free pairs are unconstrained.  Returns 0 when h has more vertices
-    than g."""
-    if h.h > g.n:
-        return 0
-    n = g.n
-    full = (1 << n) - 1
-    red = g.masks
-    blue = tuple(full ^ m ^ (1 << v) for v, m in enumerate(red))
+def _plan(h: PatternGraph, pinned: tuple[int, ...] = ()):
+    """Vertex order for the backtracking counter: the `pinned` vertices first,
+    then most-constrained-first.
 
+    Returns `cons`, which lists for each position the (earlier position, pair
+    is red) constraints of the vertex placed there, and the position from
+    which no vertex carries any constraint.  Pinned positions are never
+    checked, so their constraints with each other do not count; pinned
+    vertices must share a constraint, which keeps them out of the tail."""
     neighbors: list[set[int]] = [set() for _ in range(h.h)]
     for i, j in h.red_pairs | h.blue_pairs:
         neighbors[i].add(j)
         neighbors[j].add(i)
 
-    # most-constrained-first vertex order
-    order: list[int] = []
-    placed: set[int] = set()
-    remaining = set(range(h.h))
+    order: list[int] = list(pinned)
+    placed: set[int] = set(pinned)
+    remaining = set(range(h.h)) - placed
     while remaining:
         best = max(
             remaining,
@@ -123,9 +120,15 @@ def count_injections(h: PatternGraph, g: HostGraph) -> int:
     tail_start = h.h
     while tail_start > 0 and not neighbors[order[tail_start - 1]]:
         tail_start -= 1
+    return tuple(cons), tail_start
 
-    hh = h.h
-    assign = [0] * hh
+
+def _extend(cons, tail_start: int, red, blue, assign: list[int], pos: int, used: int) -> int:
+    """Number of ways to place positions pos.. of a `_plan` into the host with
+    red/blue masks `red`/`blue`, given assign[:pos] (bitset `used`)."""
+    n = len(red)
+    full = (1 << n) - 1
+    hh = len(cons)
 
     def rec(pos: int, used: int) -> int:
         if pos == tail_start:
@@ -148,7 +151,53 @@ def count_injections(h: PatternGraph, g: HostGraph) -> int:
             total += rec(pos + 1, used | low)
         return total
 
-    return rec(0, 0)
+    return rec(pos, used)
+
+
+def count_injections(h: PatternGraph, g: HostGraph) -> int:
+    """Number of injections respecting red->red and blue->blue on constrained
+    pairs; free pairs are unconstrained.  Returns 0 when h has more vertices
+    than g."""
+    if h.h > g.n:
+        return 0
+    full = (1 << g.n) - 1
+    red = g.masks
+    blue = tuple(full ^ m ^ (1 << v) for v, m in enumerate(red))
+    cons, tail_start = _plan(h)
+    return _extend(cons, tail_start, red, blue, [0] * h.h, 0, 0)
+
+
+def flip_plans(h: PatternGraph) -> tuple:
+    """The counting plans `flip_delta` needs: one per constrained pair {a, b}
+    of h, starting from a and b, tagged with whether {a, b} is red.  Build them
+    once per pattern."""
+    return tuple(
+        (*_plan(h, (a, b)), (a, b) in h.red_pairs)
+        for a, b in sorted(h.red_pairs | h.blue_pairs)
+    )
+
+
+def flip_delta(plans, red: list[int], blue: list[int], u: int, v: int) -> int:
+    """Exact change of count_injections when host pair {u, v} changes colour.
+
+    `plans` comes from flip_plans(h); `red` and `blue` are the host's masks
+    before the flip.  Only copies that map a constrained pattern pair {a, b}
+    onto {u, v} change: those whose {a, b} has the pair's current colour are
+    lost, those of the other colour are gained.  Each term counts the
+    injections that map a and b onto u and v, in either order, and meet every
+    constraint but the one on {a, b}; that number does not depend on the
+    colour of {u, v}.  With a and b pinned, a term costs O(n^(h-2)) instead of
+    the O(n^h) of a full recount."""
+    now_red = bool(red[u] >> v & 1)
+    used = 1 << u | 1 << v
+    delta = 0
+    for cons, tail_start, pair_red in plans:
+        assign = [u, v] + [0] * (len(cons) - 2)
+        copies = _extend(cons, tail_start, red, blue, assign, 2, used)
+        assign[0], assign[1] = v, u
+        copies += _extend(cons, tail_start, red, blue, assign, 2, used)
+        delta += -copies if pair_red == now_red else copies
+    return delta
 
 
 def count_ap4_fast(g: HostGraph) -> int:

@@ -3,7 +3,10 @@
 `exact_max` and `full_profile` walk isomorphism classes (exact up to n = 8);
 `brute_force_profile` is the independent oracle that walks every raw coloring
 (n <= 6).  `hill_climb` generates lower-bound colorings at mid-size n by
-single-pair flips, or red/blue swaps when the density is pinned.
+single-pair flips, or red/blue swaps when the density is pinned.  It scores
+each start in full and each move by its exact change in count (see
+`counting.flip_delta`), which counts only the copies that map a constrained
+pattern pair onto a flipped pair.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .graphs import (
     lex_pairs,
     make_construction,
 )
-from .counting import count_injections, fast_count, classify_pattern
+from .counting import classify_pattern, count_injections, fast_count, flip_delta, flip_plans
 
 MAX_EXACT_N = 8
 MAX_ORACLE_N = 6
@@ -137,7 +140,8 @@ def _adjust_edge_count(masks: list[int], n: int, m_target: int, rng: random.Rand
     prs = lex_pairs(n)
     current = sum(mk.bit_count() for mk in masks) // 2
     red = [t for t, (i, j) in enumerate(prs) if masks[i] >> j & 1]
-    blue = [t for t in range(len(prs)) if t not in set(red)]
+    red_set = set(red)
+    blue = [t for t in range(len(prs)) if t not in red_set]
     rng.shuffle(red)
     rng.shuffle(blue)
     while current > m_target:
@@ -172,12 +176,23 @@ def hill_climb(
     as-is (after pinning the red-pair count when target_density is given),
     and each restart climbs from one of them by single-pair flips, or by
     red/blue swap moves when the density is pinned.  restarts=0 just scores
-    the seeds.  Deterministic for a fixed seed."""
+    the seeds.  Starts are counted in full, moves by their exact change in
+    count.  Deterministic for a fixed seed."""
     if n > MAX_CLIMB_N:
         raise UnsupportedSizeError(f"hill climbing is capped at n <= {MAX_CLIMB_N}")
+    if n < 2:
+        raise ValueError(f"hill climbing needs n >= 2 (got n={n})")
+    if n < h.h:
+        raise ValueError(f"hill climbing needs n >= the pattern's {h.h} vertices (got n={n})")
+    if target_density is not None and not 0 <= target_density <= 1:
+        raise ValueError(f"target density must lie in [0, 1] (got {target_density})")
+    if restarts < 0:
+        raise ValueError(f"restarts must be non-negative (got {restarts})")
     rng = random.Random(seed)
     counter = _make_counter(h)
+    plans = flip_plans(h)
     npairs = comb(n, 2)
+    full = (1 << n) - 1
     m_target = None
     if target_density is not None:
         m_target = round(target_density * npairs)
@@ -193,46 +208,39 @@ def hill_climb(
         for masks in starts:
             _adjust_edge_count(masks, n, m_target, rng)
 
-    def snapshot(masks) -> bytes:
-        host = HostGraph(n, tuple(masks))
-        if n <= 16:
-            return canonical_form(host)
-        return host.to_text().encode()
-
     best = -1
-    best_wit: bytes = b""
+    best_masks: list[int] = []
     for masks in starts:
         c = counter(HostGraph(n, tuple(masks)))
         if c > best:
-            best, best_wit = c, snapshot(masks)
+            best, best_masks = c, list(masks)
 
     budget = move_budget if move_budget is not None else 60 * n
     plateau_cap = 2 * n
     prs = lex_pairs(n)
 
     for r in range(restarts):
-        masks = [x for x in starts[r % len(starts)]]
+        red = list(starts[r % len(starts)])
         if r >= len(starts):
             # perturb repeated starts so restarts explore new basins
             for _ in range(max(1, n // 10)):
                 i, j = prs[rng.randrange(npairs)]
-                _flip(masks, i, j)
+                _flip(red, i, j)
             if m_target is not None:
-                _adjust_edge_count(masks, n, m_target, rng)
-        cur = counter(HostGraph(n, tuple(masks)))
+                _adjust_edge_count(red, n, m_target, rng)
+        cur = counter(HostGraph(n, tuple(red)))
+        blue = [full ^ m ^ (1 << v) for v, m in enumerate(red)]
         plateau = 0
         for _ in range(budget):
             if m_target is None:
-                i, j = prs[rng.randrange(npairs)]
-                _flip(masks, i, j)
-                undo = [(i, j)]
+                moves = [prs[rng.randrange(npairs)]]
             else:
                 # swap one red and one blue pair; rejection sampling keeps
                 # the proposal uniform and the rng stream deterministic
                 pick = None
                 for _ in range(64 * npairs):
                     a, b = prs[rng.randrange(npairs)]
-                    if masks[a] >> b & 1:
+                    if red[a] >> b & 1:
                         pick = (a, b)
                         break
                 if pick is None:
@@ -240,25 +248,30 @@ def hill_climb(
                 pick2 = None
                 for _ in range(64 * npairs):
                     c, d = prs[rng.randrange(npairs)]
-                    if not masks[c] >> d & 1:
+                    if not red[c] >> d & 1:
                         pick2 = (c, d)
                         break
                 if pick2 is None:
                     break
-                _flip(masks, *pick)
-                _flip(masks, *pick2)
-                undo = [pick, pick2]
-            cand = counter(HostGraph(n, tuple(masks)))
+                moves = [pick, pick2]
+            cand = cur
+            for a, b in moves:
+                cand += flip_delta(plans, red, blue, a, b)
+                _flip(red, a, b)
+                _flip(blue, a, b)
             if cand > cur:
                 cur = cand
                 plateau = 0
             elif cand == cur and plateau < plateau_cap:
                 plateau += 1
             else:
-                for a, b in undo:
-                    _flip(masks, a, b)
+                for a, b in moves:
+                    _flip(red, a, b)
+                    _flip(blue, a, b)
                 continue
             if cur > best:
-                best, best_wit = cur, snapshot(masks)
+                best, best_masks = cur, list(red)
 
-    return SearchResult(best, (best_wit,))
+    host = HostGraph(n, tuple(best_masks))
+    witness = canonical_form(host) if n <= 16 else host.to_text().encode()
+    return SearchResult(best, (witness,))

@@ -112,6 +112,31 @@ def test_hill_climb_cli(capsys, cache):
     assert out.startswith("n=20 m=95 ")
 
 
+def test_hill_climb_cli_rejects_beta_out_of_range(capsys, cache):
+    code, out, err = run(
+        capsys, "search", "--pattern", "ac4", "--n", "20", "--hill", "--beta", "1.5",
+    )
+    assert code == 2 and out == ""
+    assert "target density must lie in [0, 1]" in err
+
+
+def test_hill_climb_cli_rejects_small_n(capsys, cache):
+    code, out, err = run(capsys, "search", "--pattern", "ac4", "--n", "3", "--hill")
+    assert code == 2 and out == ""
+    assert "n >= the pattern's 4 vertices" in err
+    code, out, err = run(capsys, "search", "--pattern", "2 R", "--n", "1", "--hill")
+    assert code == 2 and out == ""
+    assert "n >= 2" in err
+
+
+def test_hill_climb_cli_rejects_negative_restarts(capsys, cache):
+    code, out, err = run(
+        capsys, "search", "--pattern", "ac4", "--n", "20", "--hill", "--restarts", "-1",
+    )
+    assert code == 2 and out == ""
+    assert "restarts must be non-negative" in err
+
+
 def test_figures_deterministic(capsys, cache, tmp_path):
     out1 = tmp_path / "f1"
     out2 = tmp_path / "f2"

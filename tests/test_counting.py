@@ -18,6 +18,8 @@ from semind.counting import (
     degree_stats,
     double_star_pattern,
     ds_upper_bound,
+    flip_delta,
+    flip_plans,
     induced_profile,
     normalized_density,
     pattern_automorphism_order,
@@ -38,6 +40,7 @@ from semind.graphs import (
     enumerate_colored_graphs,
     make_construction,
     parse_host,
+    parse_pattern,
     three_part,
 )
 
@@ -219,3 +222,40 @@ def test_complement_color_swap_symmetry():
             assert count_injections(h, g) == count_injections(
                 h.color_swap(), g.complement()
             )
+
+
+def test_flip_delta_matches_recount():
+    patterns = [
+        ap4_pattern(),
+        ac4_pattern(),
+        peenn_pattern(),
+        star_pattern(2, 1),
+        double_star_pattern(2),
+        tree_pattern([(0, 1), (1, 2), (1, 3), (3, 4)]),
+        parse_pattern("4 RFBFRF"),  # free pairs
+        PatternGraph.of(4, red=[(0, 1), (1, 2)], blue=[(0, 2)]),  # vertex 3 isolated
+        PatternGraph.of(2, blue=[(0, 1)]),
+    ]
+    rng = random.Random(29)
+    for h in patterns:
+        plans = flip_plans(h)
+        for n in (h.h, 8):
+            full = (1 << n) - 1
+            for density in (0.0, 0.3, 0.7, 1.0):
+                masks = [0] * n
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        if rng.random() < density:
+                            masks[i] |= 1 << j
+                            masks[j] |= 1 << i
+                before = count_injections(h, HostGraph(n, tuple(masks)))
+                blue = [full ^ m ^ (1 << v) for v, m in enumerate(masks)]
+                for u in range(n):
+                    for v in range(u + 1, n):
+                        flipped = list(masks)
+                        flipped[u] ^= 1 << v
+                        flipped[v] ^= 1 << u
+                        after = count_injections(h, HostGraph(n, tuple(flipped)))
+                        assert flip_delta(plans, masks, blue, u, v) == after - before, (
+                            h.to_text(), n, density, u, v,
+                        )

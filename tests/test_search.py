@@ -1,5 +1,6 @@
 """Exact extremal search, the raw oracle, and hill climbing."""
 
+import hashlib
 from fractions import Fraction
 from math import comb
 
@@ -9,15 +10,19 @@ from semind.counting import (
     ac4_pattern,
     ap4_pattern,
     count_injections,
+    double_star_pattern,
     normalized_density,
+    peenn_pattern,
     star_pattern,
 )
 from semind.graphs import (
     PatternGraph,
     UnsupportedSizeError,
+    clique_plus_isolated,
     disjoint_cliques,
     make_construction,
     parse_host,
+    parse_pattern,
 )
 from semind.profiles import ac4_clique_value
 from semind.search import brute_force_profile, exact_max, full_profile, hill_climb
@@ -157,3 +162,29 @@ def test_hill_climb_determinism():
     b = hill_climb(ac4_pattern(), 26, target_density=0.4, restarts=2, seed=5,
                    seeds=[spec])
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "h, n, beta, restarts, seed, seeds, best, witness_sha",
+    [
+        (ac4_pattern(), 20, 0.4, 2, 5, [disjoint_cliques([0.4387, 0.4387, 0.1225])],
+         11976, "d402197eb3725204"),
+        (star_pattern(2, 1), 24, 0.5, 1, 3, [], 33264, "99d7a8d49c13c94a"),
+        (peenn_pattern(), 17, 0.3, 1, 2, [clique_plus_isolated(0.5477)],
+         61068, "e38d6f34d32d56da"),
+        (ap4_pattern(), 30, None, 1, 4, [], 104466, "3e463595573c63f1"),
+        (double_star_pattern(2), 10, 0.45, 1, 6, [], 6312, "0d0b389cf8bd5145"),
+        # free pairs, and more restarts than starts (perturbed restarts)
+        (parse_pattern("5 RBFFRFBFFR"), 9, None, 3, 8, [], 1100, "65f8b6bf29b87bf3"),
+    ],
+)
+def test_hill_climb_golden(h, n, beta, restarts, seed, seeds, best, witness_sha):
+    # results recorded from the climb that recounted every move in full
+    res = hill_climb(h, n, target_density=beta, restarts=restarts, seed=seed, seeds=seeds)
+    assert res.best_count == best
+    assert res.per_edge_count is None
+    assert len(res.witnesses) == 1
+    assert hashlib.sha256(res.witnesses[0]).hexdigest()[:16] == witness_sha
+    wit = parse_host(res.witnesses[0].decode())
+    assert count_injections(h, wit) == best
+
