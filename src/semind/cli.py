@@ -2,25 +2,31 @@
 
 Subcommands: count, enumerate, search, profile, verify, figure, oracle.
 Configuration comes from an optional key=value file plus flags (flags win);
-the SEMIND_CACHE environment variable selects the cache directory.  Exit
-codes: 0 success / verification PASS, 1 verification FAIL, 2 usage or parse
-errors.
+the SEMIND_CACHE environment variable selects the cache directory, which
+holds enumerated bases (loaded back after validation, see `graphs`) and
+archived verification reports.  Exit codes: 0 success / verification PASS,
+1 verification FAIL, 2 usage or parse errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
+import shlex
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
+from . import __version__
 from .counting import (
     ap4_pattern,
     ac4_pattern,
     blowup_injections,
+    check_profile_size,
     count_injections,
     double_star_pattern,
     fast_count,
@@ -44,6 +50,8 @@ from .graphs import (
     ConstructionError,
     GraphFormatError,
     UnsupportedSizeError,
+    basis_cache,
+    basis_text,
     circulant,
     clique_plus_isolated,
     complement_of,
@@ -67,7 +75,6 @@ class UsageError(ValueError):
 class RunConfig:
     cache_dir: Path
     beta_grid_step: float = 0.001
-    tolerance: float = 1e-10
     threads: int = 1
     seed: int = 0
 
@@ -76,7 +83,6 @@ def load_config(args) -> RunConfig:
     values = {
         "cache_dir": os.environ.get("SEMIND_CACHE", ".semind-cache"),
         "beta_grid_step": 0.001,
-        "tolerance": 1e-10,
         "threads": 1,
         "seed": 0,
     }
@@ -99,7 +105,7 @@ def load_config(args) -> RunConfig:
                 values[key] = int(val)
             else:
                 values[key] = float(val)
-    for key in ("beta_grid_step", "tolerance", "threads", "seed"):
+    for key in ("beta_grid_step", "threads", "seed"):
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -108,14 +114,11 @@ def load_config(args) -> RunConfig:
     cfg = RunConfig(
         cache_dir=Path(values["cache_dir"]),
         beta_grid_step=float(values["beta_grid_step"]),
-        tolerance=float(values["tolerance"]),
         threads=int(values["threads"]),
         seed=int(values["seed"]),
     )
     if not 0 < cfg.beta_grid_step <= 0.1:
         raise UsageError("beta_grid_step must lie in (0, 0.1]")
-    if cfg.tolerance <= 0:
-        raise UsageError("tolerance must be positive")
     return cfg
 
 
@@ -204,6 +207,8 @@ def cmd_count(args, cfg: RunConfig) -> int:
         if not args.n:
             raise UsageError("--construct requires --n")
         spec = construct_from_arg(args.construct)
+        if args.profile_k is not None:
+            check_profile_size(args.n, args.profile_k)
         parts = construction_parts(spec, args.n)
         host_desc = f"{spec.describe()}:n={args.n}"
         if parts is not None:
@@ -233,6 +238,8 @@ def cmd_count(args, cfg: RunConfig) -> int:
         if text.startswith("@"):
             text = Path(text[1:]).read_text()
         host = parse_host(text)
+        if args.profile_k is not None:
+            check_profile_size(host.n, args.profile_k)
         host_desc = host.to_text()
         n = host.n
         beta = host.red_density()
@@ -243,9 +250,9 @@ def cmd_count(args, cfg: RunConfig) -> int:
         raise UsageError("count needs --host or --construct")
     rho = normalized_density(count, n, h.h) if n >= h.h else 0.0
     print(f"pattern={h.to_text()!r} host={host_desc!r} count={count} rho={rho:.12g}")
-    if args.profile_k:
+    if args.profile_k is not None:
         if args.construct:
-            host = make_construction(construct_from_arg(args.construct), args.n)
+            host = make_construction(spec, args.n)
         prof = induced_profile(host, args.profile_k)
         print("class_code,count")
         for code in sorted(prof.counts):
@@ -265,12 +272,9 @@ def cmd_count(args, cfg: RunConfig) -> int:
 def cmd_enumerate(args, cfg: RunConfig) -> int:
     k = args.k
     classes = enumerate_colored_graphs(k)
-    lines = [f"# semind-basis k={k} count={len(classes)}"]
-    lines.extend(g.to_text() for g in classes)
-    body = "\n".join(lines) + "\n"
     out = Path(args.out) if args.out else cfg.cache_dir / f"basis-k{k}.txt"
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(body)
+    out.write_text(basis_text(classes))
     print(f"k={k} count={len(classes)} file={out}")
     return 0
 
@@ -316,6 +320,8 @@ def cmd_profile(args, cfg: RunConfig) -> int:
     cids = [curve(c) for c in args.curve.split("+")]
     lo = args.beta_min
     hi = args.beta_max
+    if not 0 <= lo <= hi <= 1:
+        raise UsageError("need 0 <= --beta-min <= --beta-max <= 1")
     rows = []
     npts = round((hi - lo) / step)
     betas = [min(lo + i * step, hi) for i in range(npts + 1)]
@@ -342,11 +348,34 @@ def cmd_profile(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _archive_report(cfg: RunConfig, cmd: str, text: str) -> None:
+def _report_header(argv) -> list[str]:
+    """Version, command line and reference-table digests of a report."""
+    lines = [f"# semind {__version__}", f"# argv: {shlex.join(argv)}"]
+    data = resources.files("semind").joinpath("data")
+    for entry in sorted(data.iterdir(), key=lambda e: e.name):
+        if entry.name.endswith(".txt"):
+            digest = hashlib.sha256(entry.read_bytes()).hexdigest()
+            lines.append(f"# sha256 data/{entry.name} {digest}")
+    return lines
+
+
+def _archive_report(cfg: RunConfig, argv, cmd: str, text: str) -> None:
+    """Write the report to a new file; a name taken in the same second gets
+    a numeric suffix instead of being overwritten."""
     reports = cfg.cache_dir / "reports"
     reports.mkdir(parents=True, exist_ok=True)
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    (reports / f"{stamp}-{cmd}.txt").write_text(text + "\n")
+    name = f"{time.strftime('%Y%m%d-%H%M%S')}-{cmd}"
+    body = "\n".join(_report_header(argv) + [text]) + "\n"
+    path = reports / f"{name}.txt"
+    suffix = 0
+    while True:
+        try:
+            with open(path, "x") as fh:
+                fh.write(body)
+            return
+        except FileExistsError:
+            suffix += 1
+            path = reports / f"{name}-{suffix}.txt"
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
@@ -384,7 +413,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         raise UsageError(f"unknown certificate {args.which!r}")
     text = "\n".join(r.render() for r in reports)
     print(text)
-    _archive_report(cfg, f"verify-{args.which}", text)
+    _archive_report(cfg, args.argv, f"verify-{args.which}", text)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -418,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", help="cache directory (or SEMIND_CACHE)")
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
     sub = p.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("count", help="count semi-induced pattern copies")
@@ -477,14 +505,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    args.argv = argv
     try:
         cfg = load_config(args)
-        return args.func(args, cfg)
+        with basis_cache(cfg.cache_dir):
+            return args.func(args, cfg)
     except (
         UsageError,
         GraphFormatError,

@@ -261,16 +261,21 @@ def _mask_class_table(k: int) -> tuple[bytes, ...]:
 _PROFILE_BUDGET = 8_000_000
 
 
-def induced_profile(g: HostGraph, k: int) -> InducedProfile:
-    """Exact induced k-profile; k <= 5 and C(n, k) capped at desk scale."""
+def check_profile_size(n: int, k: int) -> None:
+    """Raise unless induced_profile can take the k-profile of an n-vertex host."""
     if not 1 <= k <= 5:
         raise UnsupportedSizeError("profiles support 1 <= k <= 5")
-    if k > g.n:
+    if k > n:
         raise ValueError("k exceeds host size")
-    if comb(g.n, k) > _PROFILE_BUDGET:
+    if comb(n, k) > _PROFILE_BUDGET:
         raise UnsupportedSizeError(
-            f"C({g.n},{k}) subsets exceed the profile budget"
+            f"C({n},{k}) subsets exceed the profile budget"
         )
+
+
+def induced_profile(g: HostGraph, k: int) -> InducedProfile:
+    """Exact induced k-profile; k <= 5 and C(n, k) capped at desk scale."""
+    check_profile_size(g.n, k)
     n, masks = g.n, g.masks
     raw: Counter = Counter()
     if k == 1:

@@ -8,18 +8,43 @@ isomorphism, and the parametric construction families used by the profile and
 search tools.
 
 All values are immutable after construction and safe to share across workers.
+Class lists are memoized per k.  Inside `basis_cache(dir)` a miss first tries
+`<dir>/basis-k<k>.txt` (as written by `semind enumerate`), trusting it only
+when its sha256 equals the digest recorded below for that k and its header
+count equals OEIS A000088(k); any other file is ignored and the classes are
+enumerated.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 
 MAX_CANONICAL_N = 16
 MAX_ENUM_K = 7
 _MAX_INTERNAL_K = 8  # extremal search may stream classes one size past the public cap
+
+# OEIS A000088, indexed by k: colorings of K_k up to isomorphism
+CLASS_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
+
+# sha256 of basis_text(_graph_classes(k)); a cached basis file is loaded only
+# when its bytes hash to the entry for its k
+_BASIS_SHA256 = {
+    1: "e3f300bf7de1ac8f47af4fe7ae9b7d4218a7f8868acb1920dee5c3c4af66b038",
+    2: "36a1a79c54c49abef677b8fb225c3ae8532089a72a7c0fbb54b8b44f9f510445",
+    3: "22e8d1674c11258e20e887f7a1f1f3f9eb7dd881bf596e789bb37d1bf44cd9fc",
+    4: "9076a2fc298413b49ed5542587e614f0665ff8ff3e1880433fcd8ea46c10823d",
+    5: "bc18cbe3df0b3894bc62e47f8a9a9b97844effbe62d1fffd1d33770c38bc0c67",
+    6: "51182d531db2a7d2eceb58ffd243fe6bdf643c5f5f9944fc65f879cc86ab6ea4",
+    7: "ba5ab7eb7d44d6f2d1f9351b5113424289276dc93b20ff7be5c3032e966f2d6b",
+}
+
+_basis_dir: Path | None = None
 
 
 class GraphFormatError(ValueError):
@@ -305,10 +330,52 @@ def _extend(parent: HostGraph, mask: int) -> HostGraph:
     return HostGraph(k, tuple(masks))
 
 
+@contextmanager
+def basis_cache(cache_dir):
+    """Let class lookups load validated basis files from cache_dir while
+    the block runs (see the module docstring)."""
+    global _basis_dir
+    previous, _basis_dir = _basis_dir, Path(cache_dir)
+    try:
+        yield
+    finally:
+        _basis_dir = previous
+
+
+def basis_text(classes) -> str:
+    """Serialized basis file: a header line, then one class per line."""
+    lines = [f"# semind-basis k={classes[0].n} count={len(classes)}"]
+    lines.extend(g.to_text() for g in classes)
+    return "\n".join(lines) + "\n"
+
+
+def _load_basis(k: int) -> tuple[HostGraph, ...] | None:
+    """The k-classes from the cache directory's basis file, or None unless
+    the file passes the digest and count checks."""
+    digest = _BASIS_SHA256.get(k)
+    if _basis_dir is None or digest is None:
+        return None
+    try:
+        data = (_basis_dir / f"basis-k{k}.txt").read_bytes()
+    except OSError:
+        return None
+    if hashlib.sha256(data).hexdigest() != digest:
+        return None
+    header, *lines = data.decode("ascii").splitlines()
+    if header != f"# semind-basis k={k} count={CLASS_COUNTS[k]}" or len(lines) != CLASS_COUNTS[k]:
+        return None
+    return tuple(parse_host(line) for line in lines)
+
+
 @lru_cache(maxsize=None)
 def _graph_classes(k: int) -> tuple[HostGraph, ...]:
     if k < 1 or k > _MAX_INTERNAL_K:
         raise UnsupportedSizeError(f"class enumeration supports 1 <= k <= {_MAX_INTERNAL_K}")
+    loaded = _load_basis(k)
+    return loaded if loaded is not None else _enumerate_classes(k)
+
+
+def _enumerate_classes(k: int) -> tuple[HostGraph, ...]:
     if k == 1:
         return (HostGraph(1, (0,)),)
     found: dict[str, HostGraph] = {}

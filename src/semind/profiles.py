@@ -5,6 +5,9 @@ tolerances; exact rational arithmetic is reserved for the certificate
 verifiers.  Evaluating a curve outside its validity interval returns a
 flagged value instead of clamping, so figures can restrict drawing to the
 valid range.
+
+numpy and scipy are imported inside the optimizers that use them, so
+importing this module (and evaluating closed-form curves) loads neither.
 """
 
 from __future__ import annotations
@@ -13,9 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
-from scipy.optimize import brentq
 
 
 class BracketError(ValueError):
@@ -283,6 +283,8 @@ def opt_structure_max(f, gamma: float, D: float, n: int) -> OptStructure:
     m = floor(D / alpha) and the remainder is D - m*alpha.  The objective is
     located to within 1e-10.
     """
+    import numpy as np
+
     if not 0 < gamma < 1:
         raise CurveSpecError("gamma must lie in (0, 1)")
     if not 0 <= D <= n:
@@ -375,6 +377,8 @@ def opt_structure_max(f, gamma: float, D: float, n: int) -> OptStructure:
 
 
 def _prog_objective(y: np.ndarray, beta: float, a: int, b: int) -> np.ndarray:
+    import numpy as np
+
     x = (beta - y * y) / (2 * y)
     z = 1 - x - y
     val = x * y**a * (1 - y) ** b + y * (x + y) ** a * np.where(z > 0, z, 0.0) ** b
@@ -389,6 +393,8 @@ def solve_prog_s(beta: float, a: int, b: int) -> tuple[float, float, float]:
     y in [1 - sqrt(1-beta), sqrt(beta)] refined by golden section to 1e-12.
     Both boundary constructions (x = 0 and x + y = 1) are inside the scan
     range.  Returns (x, y, value)."""
+    import numpy as np
+
     if beta <= 0:
         return (0.0, 0.0, 0.0)
     if beta >= 1:
@@ -466,6 +472,8 @@ def find_crossover(c1: CurveId, c2: CurveId, lo: float, hi: float) -> float:
 
     The difference is scanned on a grid first, so a degenerate common zero at
     an endpoint does not mask an interior crossing."""
+    import numpy as np
+    from scipy.optimize import brentq
 
     def diff(beta: float) -> float:
         return _raw_value(c1, beta) - _raw_value(c2, beta)

@@ -1,10 +1,16 @@
 """End-to-end command-line behavior: exit codes, determinism, formats."""
 
+import hashlib
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import semind
+from semind import cli, graphs
 from semind.cli import main
 
 
@@ -46,6 +52,20 @@ def test_count_usage_errors(capsys, cache):
     assert code == 2
 
 
+def test_count_rejects_profile_k_before_counting(capsys, cache):
+    cases = (
+        (("--host", "5 RBBRBRRBBR", "--profile-k", "9"), "profiles support 1 <= k <= 5"),
+        (("--host", "5 RBBRBRRBBR", "--profile-k", "0"), "profiles support 1 <= k <= 5"),
+        (("--host", "4 RBBRBR", "--profile-k", "5"), "k exceeds host size"),
+        (("--construct", "cliques:0.5", "--n", "5000", "--profile-k", "5"),
+         "exceed the profile budget"),
+    )
+    for extra, message in cases:
+        code, out, err = run(capsys, "count", "--pattern", "ap4", *extra)
+        assert code == 2 and out == ""
+        assert message in err
+
+
 def test_verify_exit_codes(capsys, cache):
     code, out, _ = run(capsys, "verify", "ap4")
     assert code == 0
@@ -59,11 +79,25 @@ def test_verify_exit_codes(capsys, cache):
     assert code == 0
 
 
-def test_verify_reports_archived(capsys, cache, tmp_path):
-    code, _, _ = run(capsys, "verify", "stability")
-    assert code == 0
-    reports = list((tmp_path / "cache" / "reports").glob("*-verify-stability.txt"))
-    assert reports
+def test_verify_reports_archived(capsys, cache, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20260101-000000")
+    for _ in range(3):  # all within one (pinned) second
+        code, _, _ = run(capsys, "verify", "stability")
+        assert code == 0
+    reports = sorted((tmp_path / "cache" / "reports").iterdir())
+    assert [p.name for p in reports] == [
+        "20260101-000000-verify-stability-1.txt",
+        "20260101-000000-verify-stability-2.txt",
+        "20260101-000000-verify-stability.txt",
+    ]
+    data = Path(semind.__file__).parent / "data"
+    header = [f"# semind {semind.__version__}", "# argv: verify stability"] + [
+        f"# sha256 data/{f.name} {hashlib.sha256(f.read_bytes()).hexdigest()}"
+        for f in sorted(data.glob("*.txt"))
+    ]
+    assert len(header) == 5
+    for report in reports:
+        assert report.read_text().splitlines()[: len(header)] == header
 
 
 def test_enumerate_cache_format(capsys, cache, tmp_path):
@@ -73,6 +107,69 @@ def test_enumerate_cache_format(capsys, cache, tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "# semind-basis k=4 count=11"
     assert len(lines) == 12
+
+
+def test_profile_rejects_bad_beta_range(capsys, cache, tmp_path):
+    out_file = tmp_path / "curves.csv"
+    for lo, hi in (("0.5", "0.2"), ("-0.1", "0.5"), ("0.2", "1.5")):
+        for extra in ((), ("--out", str(out_file))):
+            code, out, err = run(
+                capsys, "profile", "--curve", "ap4", "--beta-min", lo, "--beta-max", hi,
+                *extra,
+            )
+            assert code == 2 and out == ""
+            assert "need 0 <= --beta-min <= --beta-max <= 1" in err
+    assert not out_file.exists()
+
+
+def test_search_loads_enumerated_basis(capsys, cache, monkeypatch):
+    args = ("search", "--pattern", "ap4", "--n", "6", "--profile")
+    code, want, _ = run(capsys, *args)
+    assert code == 0
+    assert run(capsys, "enumerate", "--k", "6")[0] == 0
+
+    def no_enumeration(k):
+        raise RuntimeError(f"enumerated k={k}")
+
+    monkeypatch.setattr(graphs, "_enumerate_classes", no_enumeration)
+    graphs._graph_classes.cache_clear()
+    try:
+        code, out, _ = run(capsys, *args)
+        assert code == 0 and out == want
+        graphs._graph_classes.cache_clear()
+        with pytest.raises(RuntimeError):  # only the CLI registers a cache directory
+            graphs._graph_classes(6)
+    finally:
+        graphs._graph_classes.cache_clear()
+
+
+def test_cli_paths_load_neither_numpy_nor_scipy(tmp_path):
+    script = textwrap.dedent("""
+        import sys
+
+        def heavy():
+            return sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy"))
+
+        import semind.cli
+        assert not heavy(), heavy()
+        for argv in (
+            ["count", "--pattern", "peenn", "--construct", "clique_iso:0.8", "--n", "1000"],
+            ["search", "--pattern", "ap4", "--n", "5", "--profile"],
+        ):
+            assert semind.cli.main(argv) == 0
+            assert not heavy(), (argv, heavy())
+        from semind.profiles import find_crossover, curve
+        find_crossover(curve("cc:2,1"), curve("c:2,1"), 0.5, 1.0)
+        assert "numpy" in heavy() and "scipy" in heavy()  # the probe sees lazy imports
+    """)
+    src = str(Path(semind.__file__).resolve().parent.parent)
+    env = dict(os.environ, SEMIND_CACHE=str(tmp_path / "cache"))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_profile_deterministic_and_threaded(capsys, cache, tmp_path):
@@ -166,6 +263,9 @@ def test_config_file_and_flag_precedence(capsys, cache, tmp_path):
     )
     assert code == 0
     assert len(out.splitlines()) == 12  # flags win over the config file
+    cfg.write_text("tolerance = 1e-10\n")
+    code, _, err = run(capsys, "--config", str(cfg), "profile", "--curve", "ap4")
+    assert code == 2 and "unknown key 'tolerance'" in err
 
 
 def test_count_pattern_file(capsys, cache, tmp_path):

@@ -1,5 +1,6 @@
 """Value types, serialization, canonical forms, enumeration, constructions."""
 
+import hashlib
 import random
 from itertools import permutations
 
@@ -7,13 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semind import graphs
+from semind.counting import ap4_pattern, peenn_pattern
 from semind.graphs import (
+    CLASS_COUNTS,
+    MAX_ENUM_K,
     ConstructionError,
     GraphFormatError,
     HostGraph,
     PatternGraph,
     UnsupportedSizeError,
     apportion,
+    basis_text,
     canonical_form,
     canonical_host,
     circulant,
@@ -29,6 +35,7 @@ from semind.graphs import (
     parse_pattern,
     three_part,
 )
+from semind.search import exact_max, full_profile
 
 
 def random_host(rng: random.Random, n: int, p: float = 0.5) -> HostGraph:
@@ -134,6 +141,76 @@ def test_enumeration_counts_and_determinism():
         assert all(g.to_text().encode() == c for g, c in zip(classes, codes))
     with pytest.raises(UnsupportedSizeError):
         enumerate_colored_graphs(8)
+
+
+def test_basis_digests_match_enumeration():
+    assert sorted(graphs._BASIS_SHA256) == list(range(1, MAX_ENUM_K + 1))
+    for k in range(1, MAX_ENUM_K + 1):
+        classes = graphs._enumerate_classes(k)
+        assert len(classes) == CLASS_COUNTS[k]
+        digest = hashlib.sha256(basis_text(classes).encode()).hexdigest()
+        assert digest == graphs._BASIS_SHA256[k]
+
+
+def _drop_last_class(text: str) -> str:
+    return text[: text.rindex("\n", 0, -1) + 1]
+
+
+def _flip_last_pair(text: str) -> str:
+    return text[:-2] + ("B" if text[-2] == "R" else "R") + "\n"
+
+
+def _foreign_k(text: str) -> str:
+    return basis_text(enumerate_colored_graphs(4))
+
+
+def _wrong_count(text: str) -> str:
+    return text.replace("count=34", "count=35", 1)
+
+
+@pytest.mark.parametrize(
+    "corrupt, forge_digest",
+    [
+        (None, False),
+        (_drop_last_class, False),
+        (_drop_last_class, True),
+        (_flip_last_pair, False),
+        (_foreign_k, False),
+        (_foreign_k, True),
+        (_wrong_count, False),
+        (_wrong_count, True),
+    ],
+)
+def test_basis_file_loaded_only_when_valid(tmp_path, monkeypatch, corrupt, forge_digest):
+    """A basis-k5.txt in the cache directory replaces enumeration only when it
+    passes both checks; forge_digest records the file's own digest, so the
+    count check alone must reject it.  Search results never change."""
+
+    def searches():
+        return exact_max(ap4_pattern(), 5, 6), full_profile(peenn_pattern(), 5)
+
+    graphs._graph_classes.cache_clear()
+    want = searches()
+    text = basis_text(enumerate_colored_graphs(5))
+    data = (corrupt(text) if corrupt else text).encode()
+    (tmp_path / "basis-k5.txt").write_bytes(data)
+    if forge_digest:
+        monkeypatch.setitem(graphs._BASIS_SHA256, 5, hashlib.sha256(data).hexdigest())
+    enumerated = []
+    enumerate_classes = graphs._enumerate_classes
+
+    def spy(k):
+        enumerated.append(k)
+        return enumerate_classes(k)
+
+    monkeypatch.setattr(graphs, "_enumerate_classes", spy)
+    graphs._graph_classes.cache_clear()
+    try:
+        with graphs.basis_cache(tmp_path):
+            assert searches() == want
+    finally:
+        graphs._graph_classes.cache_clear()
+    assert (5 in enumerated) == (corrupt is not None)
 
 
 def test_complement_involution_and_class_bijection():
