@@ -16,16 +16,16 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .counting import ap4_pattern, peenn_pattern
+from .counting import ap4_pattern, is_induced_subgraph, peenn_pattern
 from .exactalg import (
     HALF_SQRT2,
     Poly,
     Q2,
     SQRT2,
-    count_roots_open,
+    isolate_roots,
     poly_eval,
     poly_nonnegative_on,
-    poly_nonpositive_on,
+    sign_and_roots,
 )
 from .flags import (
     GraphCombo,
@@ -38,7 +38,7 @@ from .flags import (
     unit_flag,
     unlabel,
 )
-from .graphs import HostGraph, canonical_host, is_induced_subgraph, lex_pairs
+from .graphs import HostGraph, canonical_host, lex_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +456,8 @@ def verify_peenn_certificate(
             zero_classes.append(code)
             report.lines.append(CertLine(code, "0", "zero"))
             continue
-        ok = poly_nonpositive_on(cs, lo, hi, include_lo, include_hi)
+        ok, n_inside = sign_and_roots(cs, lo, hi, include_lo, include_hi)
         at_lo = poly_eval(cs, lo).sign() == 0
-        n_inside = count_roots_open(cs, lo, hi)
         if at_lo and include_lo:
             lo_zero.append(code)
         if n_inside:
@@ -472,8 +471,6 @@ def verify_peenn_certificate(
                 where.append(f"at a={float(lo):.6f}")
             if include_hi and poly_eval(cs, hi).sign() > 0:
                 where.append(f"at a={float(hi):.6f}")
-            from .exactalg import isolate_roots
-
             for r_lo, r_hi in isolate_roots(cs, lo, hi):
                 where.append(f"near a={float((r_lo + r_hi)) / 2:.6f}")
             report.failures.append(

@@ -75,7 +75,6 @@ class UsageError(ValueError):
 class RunConfig:
     cache_dir: Path
     beta_grid_step: float = 0.001
-    threads: int = 1
     seed: int = 0
 
 
@@ -83,7 +82,6 @@ def load_config(args) -> RunConfig:
     values = {
         "cache_dir": os.environ.get("SEMIND_CACHE", ".semind-cache"),
         "beta_grid_step": 0.001,
-        "threads": 1,
         "seed": 0,
     }
     cfg_file = getattr(args, "config", None)
@@ -101,11 +99,11 @@ def load_config(args) -> RunConfig:
                 raise UsageError(f"{cfg_file}:{lineno}: unknown key {key!r}")
             if key == "cache_dir":
                 values[key] = val
-            elif key in ("threads", "seed"):
+            elif key == "seed":
                 values[key] = int(val)
             else:
                 values[key] = float(val)
-    for key in ("beta_grid_step", "threads", "seed"):
+    for key in ("beta_grid_step", "seed"):
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -114,7 +112,6 @@ def load_config(args) -> RunConfig:
     cfg = RunConfig(
         cache_dir=Path(values["cache_dir"]),
         beta_grid_step=float(values["beta_grid_step"]),
-        threads=int(values["threads"]),
         seed=int(values["seed"]),
     )
     if not 0 < cfg.beta_grid_step <= 0.1:
@@ -124,6 +121,18 @@ def load_config(args) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # argument parsing helpers
+
+
+def _numbers(what: str, arg: str, text: str, form: str, count=None, convert=int, sep=","):
+    """The sep-separated numbers in text (part of the argument arg), or a
+    UsageError naming the argument and its expected form."""
+    try:
+        values = [convert(x) for x in text.split(sep)]
+    except ValueError:
+        values = None
+    if values is None or count is not None and len(values) != count:
+        raise UsageError(f"bad {what} {arg!r}: expected {form}")
+    return values
 
 
 def pattern_from_arg(text: str):
@@ -139,16 +148,16 @@ def pattern_from_arg(text: str):
     if name == "peenn":
         return peenn_pattern()
     if name == "ds":
-        return double_star_pattern(int(rest))
+        (s,) = _numbers("pattern", text, rest, "ds:<s> with an integer s", 1)
+        return double_star_pattern(s)
     if name == "s":
-        a_str, b_str = rest.split(",")
-        return star_pattern(int(a_str), int(b_str))
+        a, b = _numbers("pattern", text, rest, "s:<a>,<b> with integers a and b", 2)
+        return star_pattern(a, b)
     if name == "tree":
-        edges = []
-        for part in rest.split(","):
-            u, v = part.split("-")
-            edges.append((int(u), int(v)))
-        return tree_pattern(edges)
+        form = "tree:<u>-<v>,<u>-<v>,... with integer vertices"
+        return tree_pattern(
+            [tuple(_numbers("pattern", text, e, form, 2, sep="-")) for e in rest.split(",")]
+        )
     if " " in text:
         return parse_pattern(text)
     raise UsageError(f"unknown pattern {text!r}")
@@ -159,14 +168,18 @@ def construct_from_arg(text: str) -> ConstructionSpec:
     if kind == "complement":
         return complement_of(construct_from_arg(rest))
     if kind == "clique_iso":
-        return clique_plus_isolated(float(rest))
+        (a,) = _numbers("construction", text, rest, "clique_iso:<a> with a number a", 1, float)
+        return clique_plus_isolated(a)
     if kind == "cliques":
-        return disjoint_cliques([float(x) for x in rest.split(",")])
+        form = "cliques:<f>,<f>,... with numbers f"
+        return disjoint_cliques(_numbers("construction", text, rest, form, convert=float))
     if kind == "circulant":
-        return circulant(float(rest))
+        (d,) = _numbers("construction", text, rest, "circulant:<d> with a number d", 1, float)
+        return circulant(d)
     if kind == "three_part":
-        x_str, y_str = rest.split(",")
-        return three_part(float(x_str), float(y_str))
+        form = "three_part:<x>,<y> with numbers x and y"
+        x, y = _numbers("construction", text, rest, form, 2, float)
+        return three_part(x, y)
     raise UsageError(f"unknown construction {text!r}")
 
 
@@ -211,6 +224,7 @@ def cmd_count(args, cfg: RunConfig) -> int:
             check_profile_size(args.n, args.profile_k)
         parts = construction_parts(spec, args.n)
         host_desc = f"{spec.describe()}:n={args.n}"
+        host = None  # a blow-up is counted from its parts; built only for a profile
         if parts is not None:
             count = blowup_injections(h, parts)
             npairs = args.n * (args.n - 1) // 2
@@ -251,7 +265,7 @@ def cmd_count(args, cfg: RunConfig) -> int:
     rho = normalized_density(count, n, h.h) if n >= h.h else 0.0
     print(f"pattern={h.to_text()!r} host={host_desc!r} count={count} rho={rho:.12g}")
     if args.profile_k is not None:
-        if args.construct:
+        if host is None:
             host = make_construction(spec, args.n)
         prof = induced_profile(host, args.profile_k)
         print("class_code,count")
@@ -325,19 +339,9 @@ def cmd_profile(args, cfg: RunConfig) -> int:
     rows = []
     npts = round((hi - lo) / step)
     betas = [min(lo + i * step, hi) for i in range(npts + 1)]
-
-    def evaluate(cid):
-        return [(b, eval_curve(cid, b)) for b in betas]
-
-    if cfg.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(evaluate, cids))
-    else:
-        results = [evaluate(cid) for cid in cids]
-    for cid, result in zip(cids, results):
-        for b, cv in result:
+    for cid in cids:
+        for b in betas:
+            cv = eval_curve(cid, b)
             rows.append(f"{b:.12g},{cv.value:.12g},{cid.label()},{int(cv.in_range)}")
     body = "beta,value,curve,flag\n" + "\n".join(rows) + "\n"
     if args.out:
@@ -445,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", help="key=value configuration file")
     p.add_argument("--cache-dir", help="cache directory (or SEMIND_CACHE)")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     sub = p.add_subparsers(dest="cmd", required=True)
 

@@ -167,6 +167,15 @@ def count_injections(h: PatternGraph, g: HostGraph) -> int:
     return _extend(cons, tail_start, red, blue, [0] * h.h, 0, 0)
 
 
+def is_induced_subgraph(small: HostGraph, big: HostGraph) -> bool:
+    """True iff some injection carries red pairs to red and blue pairs to blue:
+    `small` read as a pattern with every pair constrained."""
+    pairs = lex_pairs(small.n)
+    red = [p for p in pairs if small.red(*p)]
+    blue = [p for p in pairs if not small.red(*p)]
+    return count_injections(PatternGraph.of(small.n, red, blue), big) > 0
+
+
 def flip_plans(h: PatternGraph) -> tuple:
     """The counting plans `flip_delta` needs: one per constrained pair {a, b}
     of h, starting from a and b, tagged with whether {a, b} is red.  Build them

@@ -383,37 +383,44 @@ def _variations(signs: Iterable[int]) -> int:
     return sum(1 for a, b in zip(seq, seq[1:]) if a * b < 0)
 
 
-def _strip_root(cs: list[Q2], x: Q2) -> list[Q2]:
-    while cs and not poly_eval(cs, x):
-        cs = poly_divmod(cs, [-x, ONE])[0]
-        if len(cs) == 0:
-            break
-    return cs
+def _root_counter(cs: Sequence[Q2]):
+    """count(a, b): the number of distinct real roots of cs in the open
+    interval (a, b), for a < b, from one square-free part and one Sturm chain.
+
+    With zeros left out of the sign sequences, V(a) - V(b) counts the roots
+    in (a, b] also when a or b is a root, so a root at b is taken off.  Each
+    point's sign variations are computed once."""
+    sf = poly_squarefree(cs)
+    if len(sf) <= 1:
+        return lambda a, b: 0
+    chain = sturm_chain(sf)
+    seen: dict[Q2, tuple[int, bool]] = {}
+
+    def at(x: Q2) -> tuple[int, bool]:
+        if x not in seen:
+            signs = [poly_eval(p, x).sign() for p in chain]
+            seen[x] = (_variations(signs), signs[0] == 0)
+        return seen[x]
+
+    def count(a: Q2, b: Q2) -> int:
+        (va, _), (vb, b_is_root) = at(a), at(b)
+        return va - vb - b_is_root
+
+    return count
 
 
 def count_roots_open(cs: Sequence[Q2], lo: Q2, hi: Q2) -> int:
     """Number of distinct real roots in the open interval (lo, hi)."""
-    sf = poly_squarefree(cs)
-    if len(sf) <= 1:
-        return 0
-    sf = _strip_root(list(sf), lo)
-    sf = _strip_root(sf, hi)
-    if len(sf) <= 1:
-        return 0
-    chain = sturm_chain(sf)
-    vlo = _variations(poly_eval(p, lo).sign() for p in chain)
-    vhi = _variations(poly_eval(p, hi).sign() for p in chain)
-    return vlo - vhi
+    return _root_counter(cs)(lo, hi) if lo < hi else 0
 
 
-def _no_positive_inside(cs, sf, lo: Q2, hi: Q2, depth: int = 0) -> bool:
+def _no_positive_inside(cs, count, lo: Q2, hi: Q2, depth: int = 0) -> bool:
     """True iff cs(x) <= 0 for all x in the open interval (lo, hi).
 
-    sf must be a square-free polynomial with the same root set as cs.
-    """
+    count is the `_root_counter` of cs."""
     if depth > 200:  # pragma: no cover - structural safeguard
         raise RuntimeError("root separation failed to converge")
-    k = count_roots_open(sf, lo, hi)
+    k = count(lo, hi)
     mid = (lo + hi) * Q2.of(Fraction(1, 2))
     smid = poly_eval(cs, mid).sign()
     if k == 0:
@@ -421,9 +428,34 @@ def _no_positive_inside(cs, sf, lo: Q2, hi: Q2, depth: int = 0) -> bool:
         return smid < 0 if smid != 0 else True
     if smid > 0:
         return False
-    return _no_positive_inside(cs, sf, lo, mid, depth + 1) and _no_positive_inside(
-        cs, sf, mid, hi, depth + 1
+    return _no_positive_inside(cs, count, lo, mid, depth + 1) and _no_positive_inside(
+        cs, count, mid, hi, depth + 1
     )
+
+
+def sign_and_roots(
+    cs: Sequence[Q2],
+    lo: Q2,
+    hi: Q2,
+    include_lo: bool = True,
+    include_hi: bool = True,
+) -> tuple[bool, int]:
+    """Exact decision of `p(x) <= 0 for all x in the interval [lo, hi]`,
+    together with the number of distinct roots of p in the open (lo, hi).
+
+    Both come from one square-free part and one Sturm chain.  Endpoint
+    inclusion is controlled by the flags; the interior is always checked.
+    No floating point is involved.
+    """
+    cs = poly_trim(cs)
+    if not cs:
+        return True, 0
+    ok = not (include_lo and poly_eval(cs, lo).sign() > 0)
+    ok = ok and not (include_hi and poly_eval(cs, hi).sign() > 0)
+    if lo >= hi:
+        return ok, 0
+    count = _root_counter(cs)
+    return ok and _no_positive_inside(cs, count, lo, hi), count(lo, hi)
 
 
 def poly_nonpositive_on(
@@ -433,22 +465,9 @@ def poly_nonpositive_on(
     include_lo: bool = True,
     include_hi: bool = True,
 ) -> bool:
-    """Exact decision of `p(x) <= 0 for all x in the interval [lo, hi]`.
-
-    Endpoint inclusion is controlled by the flags; the interior is always
-    checked.  No floating point is involved.
-    """
-    cs = poly_trim(cs)
-    if not cs:
-        return True
-    if include_lo and poly_eval(cs, lo).sign() > 0:
-        return False
-    if include_hi and poly_eval(cs, hi).sign() > 0:
-        return False
-    if lo >= hi:
-        return True
-    sf = poly_squarefree(cs)
-    return _no_positive_inside(cs, sf, lo, hi)
+    """Exact decision of `p(x) <= 0 for all x in the interval [lo, hi]`; see
+    `sign_and_roots`."""
+    return sign_and_roots(cs, lo, hi, include_lo, include_hi)[0]
 
 
 def poly_nonnegative_on(cs, lo, hi, include_lo=True, include_hi=True) -> bool:
@@ -458,36 +477,26 @@ def poly_nonnegative_on(cs, lo, hi, include_lo=True, include_hi=True) -> bool:
 def isolate_roots(cs: Sequence[Q2], lo: Q2, hi: Q2) -> list[tuple[Q2, Q2]]:
     """Isolating intervals (or exact points as (x, x)) for the distinct roots
     of cs inside the open interval (lo, hi)."""
-    sf = poly_squarefree(cs)
-    if len(sf) <= 1:
-        return []
-    sf = _strip_root(list(sf), lo)
-    sf = _strip_root(sf, hi)
+    count = _root_counter(cs)
     out: list[tuple[Q2, Q2]] = []
 
     def rec(a: Q2, b: Q2, depth: int):
         if depth > 200:  # pragma: no cover
             raise RuntimeError("root isolation failed to converge")
-        k = count_roots_open(sf, a, b)
+        k = count(a, b)
         if k == 0:
             return
         m = (a + b) * Q2.of(Fraction(1, 2))
-        if not poly_eval(sf, m):
+        if not poly_eval(cs, m):
             out.append((m, m))
-        if k == 1 and poly_eval(sf, m):
-            left = count_roots_open(sf, a, m)
-            if left == 1:
-                rec_refine(a, m, depth)
-            else:
-                rec_refine(m, b, depth)
+        elif k == 1:
+            # a single root strictly inside (a, m) or (m, b)
+            out.append((a, m) if count(a, m) else (m, b))
             return
         rec(a, m, depth + 1)
         rec(m, b, depth + 1)
 
-    def rec_refine(a: Q2, b: Q2, depth: int):
-        # single root strictly inside (a, b): record the bracket
-        out.append((a, b))
-
-    rec(lo, hi, 0)
+    if lo < hi:
+        rec(lo, hi, 0)
     out.sort(key=lambda ab: (float(ab[0]), float(ab[1])))
     return out

@@ -416,30 +416,6 @@ def enumerate_colored_graphs(k: int) -> list[HostGraph]:
     return list(_graph_classes(k))
 
 
-def is_induced_subgraph(small: HostGraph, big: HostGraph) -> bool:
-    """True iff some injection carries red pairs to red and blue pairs to blue."""
-    if small.n > big.n:
-        return False
-    n, k = big.n, small.n
-
-    def rec(pos: int, used: int, assignment: tuple[int, ...]) -> bool:
-        if pos == k:
-            return True
-        for v in range(n):
-            if used >> v & 1:
-                continue
-            ok = True
-            for q in range(pos):
-                if big.red(assignment[q], v) != small.red(q, pos):
-                    ok = False
-                    break
-            if ok and rec(pos + 1, used | 1 << v, assignment + (v,)):
-                return True
-        return False
-
-    return rec(0, 0, ())
-
-
 # ---------------------------------------------------------------------------
 # constructions
 

@@ -6,8 +6,9 @@ verifiers.  Evaluating a curve outside its validity interval returns a
 flagged value instead of clamping, so figures can restrict drawing to the
 valid range.
 
-numpy and scipy are imported inside the optimizers that use them, so
-importing this module (and evaluating closed-form curves) loads neither.
+numpy is imported inside the optimizers that use it, so importing this
+module (and evaluating closed-form curves) does not load it.  Crossovers and
+the s21 program boundary are found by one in-repo bisection.
 """
 
 from __future__ import annotations
@@ -76,19 +77,27 @@ class CurveId:
         return self.tag
 
 
+_PARAMS = {"ds": ("s",), "rw_star": ("k",), **{t: ("a", "b") for t in _AB_TAGS}}
+
+
 def curve(text: str) -> CurveId:
     """Parse 'ap4', 'ds:2', 'ell:2,1', 'rw_star:3', ..."""
     tag, _, rest = text.partition(":")
     if tag in _SIMPLE_TAGS:
         return CurveId(tag)
-    if tag == "ds":
-        return CurveId(tag, s=int(rest))
-    if tag == "rw_star":
-        return CurveId(tag, k=int(rest))
-    if tag in _AB_TAGS:
-        a_str, b_str = rest.split(",")
-        return CurveId(tag, a=int(a_str), b=int(b_str))
-    raise CurveSpecError(f"unknown curve tag {tag!r}")
+    params = _PARAMS.get(tag)
+    if params is None:
+        raise CurveSpecError(f"unknown curve tag {tag!r}")
+    try:
+        values = [int(v) for v in rest.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != len(params):
+        form = f"{tag}:" + ",".join(f"<{p}>" for p in params)
+        raise CurveSpecError(
+            f"bad curve {text!r}: expected {form} with integer {' and '.join(params)}"
+        )
+    return CurveId(tag, **dict(zip(params, values)))
 
 
 @dataclass(frozen=True)
@@ -192,14 +201,21 @@ def _frac_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
+def _clique_count(beta) -> int:
+    """k = ceil(1/beta), exact for a rational beta."""
+    if isinstance(beta, float):
+        return math.ceil(1 / beta - 1e-12)  # guard float noise at beta = 1/k
+    beta = Fraction(beta)
+    return -((-beta.denominator) // beta.numerator)
+
+
 def ac4_clique_value_exact(beta: Fraction):
     """Exact-rational clique split when the discriminant is a perfect square
     (in particular at every beta = 1/k); returns None otherwise."""
     beta = Fraction(beta)
     if not 0 < beta <= Fraction(1, 2):
         raise ValueError("beta must lie in (0, 1/2]")
-    k = -((-beta.denominator) // beta.numerator)  # ceil(1/beta)
-    j = k - 1
+    j = _clique_count(beta) - 1
     disc = Fraction(j * j) - j * (j + 1) * (1 - beta)
     root = _frac_sqrt(disc)
     if root is None:
@@ -217,29 +233,18 @@ def ac4_clique_value(beta) -> tuple[float, float, float]:
 
     Uses k = ceil(1/beta) parts: k-1 cliques of vertex fraction u and one of
     fraction w with (k-1)u + w = 1, (k-1)u^2 + w^2 = beta, 0 <= w <= u.
-    Returns (u, w, beta^2 - ((k-1)u^4 + w^4)).  Exact rational arithmetic is
-    used whenever beta is rational and the discriminant is a perfect square,
-    so values at beta = 1/k are exact.
+    Returns (u, w, beta^2 - ((k-1)u^4 + w^4)).  A rational beta whose
+    discriminant is a perfect square takes the exact value of
+    `ac4_clique_value_exact`, so values at beta = 1/k are exact.
     """
     if not 0 < beta <= Fraction(1, 2):
         raise ValueError("beta must lie in (0, 1/2]")
-    frac_beta = Fraction(beta) if not isinstance(beta, float) else None
-    if frac_beta is not None:
-        k = -((-frac_beta.denominator) // frac_beta.numerator)  # ceil(1/beta)
-    else:
-        k = math.ceil(1 / beta - 1e-12)  # guard float noise at beta = 1/k
-    j = k - 1
-    if frac_beta is not None:
-        disc = Fraction(j * j) - j * (j + 1) * (1 - frac_beta)
-        root = _frac_sqrt(disc)
-        if root is not None:
-            u = (j + root) / Fraction(j * (j + 1))
-            w = 1 - j * u
-            if not 0 <= w <= u:
-                raise ValueError("no feasible clique split at this beta")
-            value = frac_beta**2 - (j * u**4 + w**4)
-            return (float(u), float(w), float(value))
-        beta = float(frac_beta)
+    j = _clique_count(beta) - 1
+    if not isinstance(beta, float):
+        exact = ac4_clique_value_exact(beta)
+        if exact is not None:
+            return tuple(float(x) for x in exact)
+        beta = float(Fraction(beta))
     disc = j * j - j * (j + 1) * (1 - beta)
     if disc < 0:
         if disc < -1e-12:
@@ -272,6 +277,42 @@ def double_star_leg(s: int):
         raise ValueError("s must be >= 1")
     gamma = (2 * s - 1) / (2 * s + 1)
     return (lambda x: (1 - x) * x ** (2 * s)), gamma
+
+
+def _golden_max(h, a: float, b: float, steps: int, tol: float) -> tuple[float, float]:
+    """Golden-section search for a maximum of h on [a, b]: the bracket left
+    after at most `steps` contractions, stopping once it is narrower than tol."""
+    gr = (math.sqrt(5) - 1) / 2
+    x1 = b - gr * (b - a)
+    x2 = a + gr * (b - a)
+    f1, f2 = h(x1), h(x2)
+    for _ in range(steps):
+        if b - a < tol:
+            break
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + gr * (b - a)
+            f2 = h(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - gr * (b - a)
+            f1 = h(x1)
+    return a, b
+
+
+def _bisect(above, lo: float, hi: float, steps: int) -> float:
+    """Bisection of [lo, hi]: keep lo where above(mid) holds, else hi, for at
+    most `steps` halvings; stops once the midpoint rounds onto an endpoint
+    (further halvings would not move it).  Returns the final midpoint."""
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            break
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
 
 
 def opt_structure_max(f, gamma: float, D: float, n: int) -> OptStructure:
@@ -324,7 +365,6 @@ def opt_structure_max(f, gamma: float, D: float, n: int) -> OptStructure:
     cand_m |= {m for m in extra if 1 <= m <= n}
 
     # per-m golden-section refinement on the alpha interval where floor(D/alpha) = m
-    gr = (math.sqrt(5) - 1) / 2
     for m in sorted(cand_m):
         if m < 1 or m > n:
             continue
@@ -349,20 +389,7 @@ def opt_structure_max(f, gamma: float, D: float, n: int) -> OptStructure:
         i0 = int(np.argmax(vals))
         a = float(xs[max(0, i0 - 1)])
         b = float(xs[min(len(xs) - 1, i0 + 1)])
-        x1 = b - gr * (b - a)
-        x2 = a + gr * (b - a)
-        f1, f2 = h(x1), h(x2)
-        for _ in range(120):
-            if b - a < 1e-14:
-                break
-            if f1 < f2:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + gr * (b - a)
-                f2 = h(x2)
-            else:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - gr * (b - a)
-                f1 = h(x1)
+        a, b = _golden_max(h, a, b, 120, 1e-14)
         for alpha in (a, (a + b) / 2, b, lo, hi):
             val, mm, rem = objective_at(alpha)
             if val > best[0]:
@@ -414,22 +441,7 @@ def solve_prog_s(beta: float, a: int, b: int) -> tuple[float, float, float]:
     def h(y: float) -> float:
         return float(_prog_objective(np.array([y]), beta, a, b)[0])
 
-    gr = (math.sqrt(5) - 1) / 2
-    aa, bb = lo, hi
-    x1 = bb - gr * (bb - aa)
-    x2 = aa + gr * (bb - aa)
-    f1, f2 = h(x1), h(x2)
-    for _ in range(200):
-        if bb - aa < 1e-15:
-            break
-        if f1 < f2:
-            aa, x1, f1 = x1, x2, f2
-            x2 = aa + gr * (bb - aa)
-            f2 = h(x2)
-        else:
-            bb, x2, f2 = x2, x1, f1
-            x1 = bb - gr * (bb - aa)
-            f1 = h(x1)
+    aa, bb = _golden_max(h, lo, hi, 200, 1e-15)
     y_best = (aa + bb) / 2
     candidates = [y_best, y_lo, y_hi]
     y_star = max(candidates, key=h)
@@ -458,22 +470,16 @@ def s21_prog_boundary() -> float:
     lo, hi = 1e-6, 0.25
     if interior_gap(lo) <= 1e-14:
         return lo
-    for _ in range(80):
-        mid = (lo + hi) / 2
-        if interior_gap(mid) > 1e-13:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    return _bisect(lambda beta: interior_gap(beta) > 1e-13, lo, hi, 80)
 
 
 def find_crossover(c1: CurveId, c2: CurveId, lo: float, hi: float) -> float:
-    """Smallest root of eval_curve(c1) - eval_curve(c2) on [lo, hi] via Brent.
+    """Smallest root of eval_curve(c1) - eval_curve(c2) on [lo, hi].
 
     The difference is scanned on a grid first, so a degenerate common zero at
-    an endpoint does not mask an interior crossing."""
+    an endpoint does not mask an interior crossing; the first sign change is
+    then bisected down to adjacent doubles."""
     import numpy as np
-    from scipy.optimize import brentq
 
     def diff(beta: float) -> float:
         return _raw_value(c1, beta) - _raw_value(c2, beta)
@@ -489,8 +495,8 @@ def find_crossover(c1: CurveId, c2: CurveId, lo: float, hi: float) -> float:
         if a == 0.0:
             return float(grid[i])
         if a * b < 0:
-            return float(
-                brentq(diff, float(grid[i]), float(grid[i + 1]), xtol=1e-14, rtol=8.9e-16)
+            return _bisect(
+                lambda x: diff(x) * a > 0, float(grid[i]), float(grid[i + 1]), 80
             )
     if vals[-1] == 0.0:
         return hi

@@ -39,13 +39,10 @@ class SearchResult:
     per_edge_count: dict | None = None
 
 
-def _witness_sort(codes) -> tuple[bytes, ...]:
-    return tuple(sorted(codes))
-
-
-def exact_max(h: PatternGraph, n: int, m: int | None = None) -> SearchResult:
-    """True maximum of the injection count over all n-vertex colorings, with
-    exactly m red pairs when m is given.  Witnesses are canonical codes."""
+def _best_per_m(h: PatternGraph, n: int, m: int | None = None) -> dict:
+    """The one class sweep: red-pair count -> (best injection count, canonical
+    codes of the classes reaching it), over the classes with m red pairs
+    only when m is given."""
     if n > MAX_EXACT_N:
         raise UnsupportedSizeError(
             f"exact search is capped at n <= {MAX_EXACT_N}; use hill_climb"
@@ -53,44 +50,37 @@ def exact_max(h: PatternGraph, n: int, m: int | None = None) -> SearchResult:
     npairs = comb(n, 2)
     if m is not None and not 0 <= m <= npairs:
         raise ValueError(f"m must lie in [0, {npairs}]")
-    best = -1
-    witnesses: list[bytes] = []
+    per_m: dict[int, tuple[int, list[bytes]]] = {}
     for g in _graph_classes(n):
-        if m is not None and g.red_count() != m:
+        red = g.red_count()
+        if m is not None and red != m:
             continue
         c = count_injections(h, g)
-        if c > best:
-            best = c
-            witnesses = [g.to_text().encode()]
-        elif c == best:
-            witnesses.append(g.to_text().encode())
-    if best < 0:
+        best = per_m.get(red)
+        if best is None or c > best[0]:
+            per_m[red] = (c, [g.to_text().encode()])
+        elif c == best[0]:
+            best[1].append(g.to_text().encode())
+    if not per_m:
         raise ValueError("no coloring matches the constraints")
-    return SearchResult(best, _witness_sort(witnesses))
+    return per_m
+
+
+def _overall(per_m: dict) -> tuple[int, tuple[bytes, ...]]:
+    best = max(c for c, _ in per_m.values())
+    return best, tuple(sorted(w for c, ws in per_m.values() if c == best for w in ws))
+
+
+def exact_max(h: PatternGraph, n: int, m: int | None = None) -> SearchResult:
+    """True maximum of the injection count over all n-vertex colorings, with
+    exactly m red pairs when m is given.  Witnesses are canonical codes."""
+    return SearchResult(*_overall(_best_per_m(h, n, m)))
 
 
 def full_profile(h: PatternGraph, n: int) -> SearchResult:
     """exact_max for every red-pair count m in one sweep."""
-    if n > MAX_EXACT_N:
-        raise UnsupportedSizeError(
-            f"exact search is capped at n <= {MAX_EXACT_N}; use hill_climb"
-        )
-    per_m: dict[int, int] = {m: -1 for m in range(comb(n, 2) + 1)}
-    wit_m: dict[int, list[bytes]] = {m: [] for m in per_m}
-    for g in _graph_classes(n):
-        m = g.red_count()
-        c = count_injections(h, g)
-        if c > per_m[m]:
-            per_m[m] = c
-            wit_m[m] = [g.to_text().encode()]
-        elif c == per_m[m]:
-            wit_m[m].append(g.to_text().encode())
-    best = max(per_m.values())
-    witnesses: list[bytes] = []
-    for m, c in per_m.items():
-        if c == best:
-            witnesses.extend(wit_m[m])
-    return SearchResult(best, _witness_sort(set(witnesses)), dict(per_m))
+    per_m = _best_per_m(h, n)
+    return SearchResult(*_overall(per_m), {m: per_m[m][0] for m in sorted(per_m)})
 
 
 def brute_force_profile(h: PatternGraph, n: int) -> dict:

@@ -160,7 +160,9 @@ def test_cli_paths_load_neither_numpy_nor_scipy(tmp_path):
             assert not heavy(), (argv, heavy())
         from semind.profiles import find_crossover, curve
         find_crossover(curve("cc:2,1"), curve("c:2,1"), 0.5, 1.0)
-        assert "numpy" in heavy() and "scipy" in heavy()  # the probe sees lazy imports
+        assert "numpy" in heavy(), heavy()  # the probe sees lazy imports
+        assert semind.cli.main(["figure", "--id", "6", "--beta-grid-step", "0.05"]) == 0
+        assert not [m for m in heavy() if m.startswith("scipy")], heavy()
     """)
     src = str(Path(semind.__file__).resolve().parent.parent)
     env = dict(os.environ, SEMIND_CACHE=str(tmp_path / "cache"))
@@ -181,7 +183,11 @@ def test_profile_deterministic_and_threaded(capsys, cache, tmp_path):
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
     code, out3, _ = run(capsys, "--threads", "2", *args)
-    assert code == 0 and out3 == out1
+    assert code == 2 and out3 == ""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads = 2\n")
+    code, out3, err = run(capsys, "--config", str(cfg), *args)
+    assert code == 2 and out3 == "" and "unknown key 'threads'" in err
     header = out1.splitlines()[0]
     assert header == "beta,value,curve,flag"
     assert any(",ds:2,0" in ln for ln in out1.splitlines())  # flagged rows
@@ -285,3 +291,39 @@ def test_count_tree_builtin(capsys, cache):
     )
     assert code == 0
     assert "count=" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--pattern", "s:2", "--host", "3 RRR"),
+    ("count", "--pattern", "ds:x", "--host", "3 RRR"),
+    ("count", "--pattern", "tree:1", "--host", "3 RRR"),
+    ("count", "--pattern", "ap4", "--construct", "three_part:0.3", "--n", "10"),
+    ("count", "--pattern", "ap4", "--construct", "cliques:a", "--n", "10"),
+    ("profile", "--curve", "ds:x"),
+    ("profile", "--curve", "ell:2"),
+])
+def test_malformed_arguments_are_named(capsys, cache, argv):
+    code, out, err = run(capsys, *argv)
+    bad = argv[argv.index("--construct") + 1] if "--construct" in argv else argv[2]
+    assert code == 2 and out == ""
+    assert f"{bad!r}: expected " in err, err
+
+
+def test_count_builds_a_constructed_host_once(capsys, cache, monkeypatch):
+    calls = []
+
+    def counted(spec, n):
+        calls.append((spec, n))
+        return graphs.make_construction(spec, n)
+
+    monkeypatch.setattr(cli, "make_construction", counted)
+    code, out, _ = run(
+        capsys, "count", "--pattern", "ap4", "--construct", "circulant:0.5",
+        "--n", "40", "--profile-k", "3",
+    )
+    assert code == 0 and len(calls) == 1
+    assert out == (
+        "pattern='4 RFFBFR' host='circulant:0.5:n=40' count=299600 rho=0.11703125\n"
+        "class_code,count\n3 BBB,480\n3 BBR,5400\n3 BRR,2200\n3 RRR,1800\n"
+        "curve=ap4 beta=0.512820512821 value=0.12812083818 in_range=1\n"
+    )

@@ -1,8 +1,11 @@
 """Exact field arithmetic and Sturm-based sign analysis."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semind.exactalg import (
     HALF_SQRT2,
@@ -100,3 +103,84 @@ def test_nonpositive_with_sqrt2_endpoints():
     assert not poly_nonpositive_on(p, Q2.of(0), Q2.of(Fraction(3, 2)))
     sf = poly_squarefree(_upoly(4, -4, 1))  # (x-2)^2 -> x-2
     assert len(sf) == 2
+
+
+# ---------------------------------------------------------------------------
+# one-chain root counting against polynomials built from known roots
+
+_FRACS = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+_Q2S = st.one_of(
+    _FRACS.map(Q2.of),
+    st.builds(Q2, _FRACS, st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2)])),
+)
+
+
+def _bisection_point(x: Q2, lo: Q2, hi: Q2) -> bool:
+    """True iff x = lo + (hi - lo) * j / 2^d, a midpoint the bisection meets."""
+    t = (x - lo) / (hi - lo)
+    return t.q == 0 and t.p.denominator & (t.p.denominator - 1) == 0
+
+
+@st.composite
+def _rooted_polys(draw):
+    """(lo, hi, {root: multiplicity}, leading coefficient).
+
+    Roots are rational or in Q(sqrt2), some on lo or hi, some at bisection
+    midpoints.  A root inside (lo, hi) has even multiplicity only at a
+    bisection midpoint: elsewhere the sign decision cannot settle whether a
+    polynomial that touches zero from below is <= 0, and it raises."""
+    lo, hi = sorted(draw(st.lists(_Q2S, min_size=2, max_size=2, unique=True)))
+    mids = [lo + (hi - lo) * Fraction(j, 8) for j in range(1, 8)]
+    roots = draw(st.lists(st.one_of(st.sampled_from([lo, hi] + mids), _Q2S),
+                          max_size=4, unique=True))
+    mults = {}
+    for r in roots:
+        m = draw(st.integers(1, 3))
+        if lo < r < hi and m % 2 == 0 and not _bisection_point(r, lo, hi):
+            m += 1
+        mults[r] = m
+    lead = draw(st.sampled_from([Q2.of(1), Q2.of(-1), Q2.of(Fraction(-2, 3)), SQRT2 + 1]))
+    return lo, hi, mults, lead
+
+
+def _expand(mults: dict, lead: Q2) -> list:
+    cs = [lead]
+    for r, m in mults.items():
+        for _ in range(m):  # multiply by (x - r)
+            cs = [c - r * d for c, d in zip([Q2.of(0)] + cs, cs + [Q2.of(0)])]
+    return cs
+
+
+def _sign_at(x: Q2, mults: dict, lead: Q2) -> int:
+    s = lead.sign()
+    for r, m in mults.items():
+        s *= (x - r).sign() ** m
+    return s
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rooted_polys())
+def test_one_chain_root_counting_matches_known_roots(case):
+    lo, hi, mults, lead = case
+    cs = _expand(mults, lead)
+    inside = sorted(r for r in mults if lo < r < hi)
+    assert count_roots_open(cs, lo, hi) == len(inside)
+
+    covered = []
+    for a, b in isolate_roots(cs, lo, hi):
+        assert lo <= a <= b <= hi
+        hits = [r for r in inside if (r == a if a == b else a < r < b)]
+        assert len(hits) == 1, (a, b, inside)
+        covered.append(hits[0])
+    assert sorted(covered) == inside
+
+    # cs keeps one sign between consecutive roots and endpoints
+    points = sorted({lo, hi, *inside})
+    gaps = [_sign_at((a + b) * Fraction(1, 2), mults, lead) for a, b in zip(points, points[1:])]
+    at_lo, at_hi = _sign_at(lo, mults, lead), _sign_at(hi, mults, lead)
+    for include_lo, include_hi in product((True, False), repeat=2):
+        ends = [s for s, inc in ((at_lo, include_lo), (at_hi, include_hi)) if inc]
+        want_nonpos = all(s <= 0 for s in gaps + ends)
+        want_nonneg = all(s >= 0 for s in gaps + ends)
+        assert poly_nonpositive_on(cs, lo, hi, include_lo, include_hi) == want_nonpos
+        assert poly_nonnegative_on(cs, lo, hi, include_lo, include_hi) == want_nonneg

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semind import graphs
-from semind.counting import ap4_pattern, peenn_pattern
+from semind.counting import ap4_pattern, is_induced_subgraph, peenn_pattern
 from semind.graphs import (
     CLASS_COUNTS,
     MAX_ENUM_K,
@@ -28,7 +28,6 @@ from semind.graphs import (
     construction_parts,
     disjoint_cliques,
     enumerate_colored_graphs,
-    is_induced_subgraph,
     lex_pairs,
     make_construction,
     parse_host,

@@ -20,12 +20,13 @@ from semind.graphs import (
     UnsupportedSizeError,
     clique_plus_isolated,
     disjoint_cliques,
+    enumerate_colored_graphs,
     make_construction,
     parse_host,
     parse_pattern,
 )
 from semind.profiles import ac4_clique_value
-from semind.search import brute_force_profile, exact_max, full_profile, hill_climb
+from semind.search import SearchResult, brute_force_profile, exact_max, full_profile, hill_climb
 
 ALL_RED_K3 = PatternGraph.of(3, red=[(0, 1), (0, 2), (1, 2)])
 
@@ -94,6 +95,25 @@ def test_full_profile_s21_peak_location():
     cid = curve("s21")
     target = max(range(22), key=lambda m: eval_curve(cid, m / 21).value)
     assert abs(best_m - target) <= 1
+
+
+@pytest.mark.parametrize("h", [
+    ap4_pattern(),
+    peenn_pattern(),
+    PatternGraph.of(4, red=[(0, 1), (1, 2)], blue=[(2, 3)]),  # pairs 02, 03, 13 free
+], ids=lambda h: h.to_text())
+def test_exact_max_agrees_with_full_profile(h):
+    for n in range(h.h, 7):
+        full = full_profile(h, n)
+        assert exact_max(h, n) == SearchResult(full.best_count, full.witnesses)
+        counts = {g.to_text().encode(): (g.red_count(), count_injections(h, g))
+                  for g in enumerate_colored_graphs(n)}
+        for m, best in full.per_edge_count.items():
+            res = exact_max(h, n, m)
+            assert res.best_count == best
+            assert list(res.witnesses) == sorted(
+                code for code, mc in counts.items() if mc == (m, best)
+            )
 
 
 def test_witnesses_recount_and_dedup():
