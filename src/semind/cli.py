@@ -27,11 +27,11 @@ from .counting import (
     ac4_pattern,
     blowup_injections,
     check_profile_size,
-    count_injections,
+    classify_pattern,
     double_star_pattern,
-    fast_count,
     induced_profile,
     normalized_density,
+    pattern_counter,
     peenn_pattern,
     star_pattern,
     tree_pattern,
@@ -99,10 +99,14 @@ def load_config(args) -> RunConfig:
                 raise UsageError(f"{cfg_file}:{lineno}: unknown key {key!r}")
             if key == "cache_dir":
                 values[key] = val
-            elif key == "seed":
-                values[key] = int(val)
-            else:
-                values[key] = float(val)
+                continue
+            convert, kind = (int, "an integer") if key == "seed" else (float, "a number")
+            try:
+                values[key] = convert(val)
+            except ValueError:
+                raise UsageError(
+                    f"{cfg_file}:{lineno}: {key}: expected {kind}, got {val!r}"
+                ) from None
     for key in ("beta_grid_step", "seed"):
         flag = getattr(args, key, None)
         if flag is not None:
@@ -236,17 +240,15 @@ def cmd_count(args, cfg: RunConfig) -> int:
             beta = red / npairs
             n = args.n
         else:
+            if args.n**h.h > 5e7 and classify_pattern(h) is None:
+                raise UsageError(
+                    "no fast counter for this pattern on a circulant host "
+                    "this large; reduce n"
+                )
             host = make_construction(spec, args.n)
             n = host.n
             beta = host.red_density()
-            count = fast_count(h, host)
-            if count is None:
-                if n**h.h > 5e7:
-                    raise UsageError(
-                        "no fast counter for this pattern on a circulant host "
-                        "this large; reduce n"
-                    )
-                count = count_injections(h, host)
+            count = pattern_counter(h)(host)
     elif args.host:
         text = args.host
         if text.startswith("@"):
@@ -257,9 +259,7 @@ def cmd_count(args, cfg: RunConfig) -> int:
         host_desc = host.to_text()
         n = host.n
         beta = host.red_density()
-        count = fast_count(h, host)
-        if count is None or n <= 30:
-            count = count_injections(h, host)
+        count = pattern_counter(h)(host)
     else:
         raise UsageError("count needs --host or --construct")
     rho = normalized_density(count, n, h.h) if n >= h.h else 0.0

@@ -17,7 +17,10 @@ from .graphs import (
     PartedHost,
     PatternGraph,
     UnsupportedSizeError,
+    _min_placements,
+    _twins,
     canonical_form,
+    canonical_pattern,
     lex_pairs,
 )
 
@@ -447,32 +450,15 @@ def tree_pattern(edges) -> PatternGraph:
     return PatternGraph.of(h, red=es)
 
 
-def pattern_isomorphic(h1: PatternGraph, h2: PatternGraph) -> bool:
-    if h1.h != h2.h:
-        return False
-    from itertools import permutations
-
-    for perm in permutations(range(h1.h)):
-        mapped_red = {(min(perm[i], perm[j]), max(perm[i], perm[j])) for i, j in h1.red_pairs}
-        mapped_blue = {(min(perm[i], perm[j]), max(perm[i], perm[j])) for i, j in h1.blue_pairs}
-        if mapped_red == set(h2.red_pairs) and mapped_blue == set(h2.blue_pairs):
-            return True
-    return False
-
-
 def pattern_automorphism_order(h: PatternGraph) -> int:
-    from itertools import permutations
-
-    red, blue = set(h.red_pairs), set(h.blue_pairs)
-    count = 0
-    for perm in permutations(range(h.h)):
-        mr = {(min(perm[i], perm[j]), max(perm[i], perm[j])) for i, j in red}
-        if mr != red:
-            continue
-        mb = {(min(perm[i], perm[j]), max(perm[i], perm[j])) for i, j in blue}
-        if mb == blue:
-            count += 1
-    return count
+    """Number of vertex permutations carrying h's red and blue pairs onto
+    themselves: the minimizing placements times the orderings inside each
+    twin class (see `graphs._min_placements`)."""
+    layers = h.layers()
+    order = len(_min_placements(layers))
+    for below in _twins(layers):
+        order *= below.bit_count() + 1  # the i-th twin of a class adds a factor i
+    return order
 
 
 def classify_pattern(h: PatternGraph):
@@ -480,33 +466,29 @@ def classify_pattern(h: PatternGraph):
 
     Returns ('ap4',), ('ac4',), ('star', a, b) or None.
     """
-    if h.h == 4 and pattern_isomorphic(h, ap4_pattern()):
-        return ("ap4",)
-    if h.h == 4 and pattern_isomorphic(h, ac4_pattern()):
-        return ("ac4",)
-    cons = list(h.red_pairs | h.blue_pairs)
-    if cons and len(cons) == h.h - 1:
-        from collections import Counter as _C
-
-        deg = _C()
-        for i, j in cons:
-            deg[i] += 1
-            deg[j] += 1
-        centers = [v for v, d in deg.items() if d == h.h - 1]
-        if centers and len(deg) == h.h:
-            a = sum(1 for p in h.red_pairs)
-            b = sum(1 for p in h.blue_pairs)
-            return ("star", a, b)
+    a, b = len(h.red_pairs), len(h.blue_pairs)
+    if h.h == 4:
+        code = canonical_pattern(h)
+        if code == canonical_pattern(ap4_pattern()):
+            return ("ap4",)
+        if code == canonical_pattern(ac4_pattern()):
+            return ("ac4",)
+    # a star's h - 1 constrained pairs all meet one vertex.  Tested directly:
+    # every tree passes the pair count, and on long paths the canonical form is slow
+    if a + b == h.h - 1 >= 1 and any((r | s).bit_count() == a + b for r, s in zip(*h.layers())):
+        return ("star", a, b)
     return None
 
 
-def fast_count(h: PatternGraph, g: HostGraph) -> int | None:
-    """Closed-form count when the pattern has one, else None."""
+def pattern_counter(h: PatternGraph):
+    """The one counting entry point: classifies h once and returns a
+    host -> count function, a closed form when h has one and the generic
+    backtracking counter otherwise."""
     tag = classify_pattern(h)
     if tag is None:
-        return None
+        return lambda g: count_injections(h, g)
     if tag[0] == "ap4":
-        return count_ap4_fast(g)
+        return count_ap4_fast
     if tag[0] == "ac4":
-        return count_ac4_fast(g)
-    return count_star_fast(g, tag[1], tag[2])
+        return count_ac4_fast
+    return lambda g: count_star_fast(g, tag[1], tag[2])

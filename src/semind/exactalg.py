@@ -421,6 +421,10 @@ def _no_positive_inside(cs, count, lo: Q2, hi: Q2, depth: int = 0) -> bool:
     if depth > 200:  # pragma: no cover - structural safeguard
         raise RuntimeError("root separation failed to converge")
     k = count(lo, hi)
+    if k == 1:  # with neither end a root, each side of the one root has its end's sign
+        ends = poly_eval(cs, lo).sign(), poly_eval(cs, hi).sign()
+        if 0 not in ends:
+            return ends == (-1, -1)
     mid = (lo + hi) * Q2.of(Fraction(1, 2))
     smid = poly_eval(cs, mid).sign()
     if k == 0:

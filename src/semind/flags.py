@@ -80,7 +80,7 @@ class RootedFlag:
 def rooted_canonical(f: RootedFlag) -> RootedFlag:
     """Canonical representative under root-preserving isomorphism: roots are
     relabeled to 0..r-1 in order and the non-roots minimize the color string."""
-    placement = _min_placements(f.graph, fixed=f.roots)[0]
+    placement = _min_placements((f.graph.masks,), fixed=f.roots)[0]
     rep = f.graph.relabel(placement)
     return RootedFlag(rep, tuple(range(len(f.roots))))
 

@@ -181,6 +181,11 @@ class PatternGraph:
     def color_swap(self) -> "PatternGraph":
         return PatternGraph(self.h, self.blue_pairs, self.red_pairs)
 
+    def layers(self) -> tuple[tuple[int, ...], ...]:
+        """Per-vertex red masks and blue masks; a free pair is in neither."""
+        pairs = (self.red_pairs, self.blue_pairs)
+        return tuple(HostGraph.from_red_pairs(self.h, ps).masks for ps in pairs)
+
     def free_pairs(self) -> frozenset:
         return frozenset(lex_pairs(self.h)) - self.red_pairs - self.blue_pairs
 
@@ -253,30 +258,46 @@ def parse_pattern(text: str) -> PatternGraph:
 # canonical forms
 
 
-def _min_placements(g: HostGraph, fixed: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
-    """All vertex orderings minimizing the colex color string.
+def _twins(layers) -> list[int]:
+    """For each vertex, the bitmask of its twins below it: vertices whose
+    colours to every other vertex agree in every mask layer, so that swapping
+    them is an automorphism.  All pairs inside a twin class share a colour."""
+    n = len(layers[0])
+    below = [0] * n
+    for v in range(n):
+        for u in range(v):
+            if all(not (m[u] ^ m[v]) & ~(1 << u | 1 << v) for m in layers):
+                below[v] |= 1 << u
+    return below
 
-    The code is compared segment by segment: placing the vertex at position j
-    determines the colors to positions 0..j-1, read earliest-first.  `fixed`
-    pins a prefix of the ordering (used for rooted flags).
+
+def _min_placements(layers, fixed: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
+    """The vertex orderings minimizing the colex color string that place each
+    twin class in increasing order.
+
+    `layers` holds per-vertex masks: the red masks of a host or flag, the red
+    and blue masks of a pattern.  The code is compared segment by segment:
+    placing the vertex at position j determines, layer by layer, the colors
+    to positions 0..j-1, read earliest-first.  Swapping twins keeps the code,
+    so every minimizing ordering is one of these followed by a permutation
+    inside twin classes.  `fixed` pins a prefix of the ordering (used for
+    rooted flags).
     """
-    n = g.n
-    masks = g.masks
-    start_used = 0
-    for v in fixed:
-        start_used |= 1 << v
-    states = [(tuple(fixed), start_used)]
+    n = len(layers[0])
+    below = _twins(layers)
+    states = [(tuple(fixed), sum(1 << v for v in fixed))]
     for pos in range(len(fixed), n):
         best_seg = None
         kept: list[tuple[tuple[int, ...], int]] = []
         for placed, used in states:
             for v in range(n):
-                if used >> v & 1:
+                if used >> v & 1 or below[v] & ~used:  # taken, or a smaller twin is free
                     continue
-                mv = masks[v]
                 seg = 0
-                for u in placed:
-                    seg = (seg << 1) | (mv >> u & 1)
+                for masks in layers:
+                    mv = masks[v]
+                    for u in placed:
+                        seg = (seg << 1) | (mv >> u & 1)
                 if best_seg is None or seg < best_seg:
                     best_seg = seg
                     kept = [(placed + (v,), used | 1 << v)]
@@ -292,7 +313,7 @@ def canonical_host(g: HostGraph) -> HostGraph:
         raise UnsupportedSizeError(
             f"canonicalization supports n <= {MAX_CANONICAL_N}, got {g.n}"
         )
-    return g.relabel(_min_placements(g)[0])
+    return g.relabel(_min_placements((g.masks,))[0])
 
 
 def canonical_form(g: HostGraph) -> bytes:
@@ -305,16 +326,26 @@ def canonical_form(g: HostGraph) -> bytes:
     return canonical_host(g).to_text().encode()
 
 
+def canonical_pattern(h: PatternGraph) -> bytes:
+    """Isomorphism-class code of a pattern: the text of its relabeling that
+    minimizes the colex (red, blue) string.  Equal codes iff some bijection
+    carries red pairs to red pairs and blue pairs to blue pairs."""
+    new = {v: i for i, v in enumerate(_min_placements(h.layers())[0])}
+    relabel = lambda pairs: [(new[i], new[j]) for i, j in pairs]
+    return PatternGraph.of(h.h, relabel(h.red_pairs), relabel(h.blue_pairs)).to_text().encode()
+
+
 def canonical_with_aut(g: HostGraph) -> tuple[HostGraph, list[tuple[int, ...]]]:
-    """Canonical representative plus the automorphism group of that representative."""
-    placements = _min_placements(g)
-    p0 = placements[0]
-    rep = g.relabel(p0)
+    """Canonical representative plus generators of its automorphism group:
+    the other minimizing placements, and one transposition per twin."""
+    p0, *rest = _min_placements((g.masks,))
     pos_of = {v: i for i, v in enumerate(p0)}
-    auts = []
-    for p in placements:
-        auts.append(tuple(pos_of[v] for v in p))
-    return rep, auts
+    gens = [tuple(pos_of[v] for v in p) for p in rest]
+    for v, below in enumerate(_twins((g.masks,))):
+        if below:
+            a, b = pos_of[v], pos_of[(below & -below).bit_length() - 1]
+            gens.append(tuple(b if i == a else a if i == b else i for i in range(g.n)))
+    return g.relabel(p0), gens
 
 
 # ---------------------------------------------------------------------------
@@ -380,27 +411,22 @@ def _enumerate_classes(k: int) -> tuple[HostGraph, ...]:
         return (HostGraph(1, (0,)),)
     found: dict[str, HostGraph] = {}
     for parent in _graph_classes(k - 1):
-        _, auts = canonical_with_aut(parent)
+        _, gens = canonical_with_aut(parent)
         seen_masks = set()
         for mask in range(1 << (k - 1)):
             if mask in seen_masks:
                 continue
-            orbit_min = mask
-            if len(auts) > 1:
-                orbit = set()
-                for perm in auts:
-                    pm = 0
-                    rest = mask
-                    while rest:
-                        low = rest & -rest
-                        pm |= 1 << perm[low.bit_length() - 1]
-                        rest ^= low
-                    orbit.add(pm)
-                seen_masks |= orbit
-                orbit_min = min(orbit)
-                if orbit_min != mask:
-                    continue
-            rep = canonical_host(_extend(parent, orbit_min))
+            # masks run upward, so an unseen mask is the least of its orbit,
+            # the closure of {mask} under the generators
+            frontier = [mask]
+            while frontier:
+                m = frontier.pop()
+                for perm in gens:
+                    pm = sum(1 << perm[v] for v in range(k - 1) if m >> v & 1)
+                    if pm not in seen_masks:
+                        seen_masks.add(pm)
+                        frontier.append(pm)
+            rep = canonical_host(_extend(parent, mask))
             found.setdefault(rep.to_text(), rep)
     return tuple(found[key] for key in sorted(found))
 

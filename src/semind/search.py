@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .graphs import (
+    MAX_CANONICAL_N,
     ConstructionSpec,
     HostGraph,
     PatternGraph,
@@ -25,7 +26,7 @@ from .graphs import (
     lex_pairs,
     make_construction,
 )
-from .counting import classify_pattern, count_injections, fast_count, flip_delta, flip_plans
+from .counting import count_injections, flip_delta, flip_plans, pattern_counter
 
 MAX_EXACT_N = 8
 MAX_ORACLE_N = 6
@@ -109,10 +110,7 @@ def brute_force_profile(h: PatternGraph, n: int) -> dict:
     return per_m
 
 
-def _make_counter(h: PatternGraph):
-    if classify_pattern(h) is not None:
-        return lambda g: fast_count(h, g)
-    return lambda g: count_injections(h, g)
+_make_counter = pattern_counter  # the name perfbench/tracer.py counts climb evaluations by
 
 
 def _random_masks(n: int, m: int, rng: random.Random) -> list[int]:
@@ -263,5 +261,5 @@ def hill_climb(
                 best, best_masks = cur, list(red)
 
     host = HostGraph(n, tuple(best_masks))
-    witness = canonical_form(host) if n <= 16 else host.to_text().encode()
+    witness = canonical_form(host) if n <= MAX_CANONICAL_N else host.to_text().encode()
     return SearchResult(best, (witness,))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import semind
-from semind import cli, graphs
+from semind import cli, counting, graphs
 from semind.cli import main
 
 
@@ -50,6 +50,10 @@ def test_count_usage_errors(capsys, cache):
     assert code == 2
     code, _, err = run(capsys, "count", "--pattern", "ap4")
     assert code == 2
+    code, out, err = run(
+        capsys, "count", "--pattern", "peenn", "--construct", "circulant:0.5", "--n", "100",
+    )
+    assert code == 2 and out == "" and "no fast counter for this pattern" in err
 
 
 def test_count_rejects_profile_k_before_counting(capsys, cache):
@@ -215,6 +219,16 @@ def test_hill_climb_cli(capsys, cache):
     assert out.startswith("n=20 m=95 ")
 
 
+def test_hill_climb_cli_symmetric_witness(capsys, cache):
+    # the 12 vertices of the all-red witness are twins: 12! orderings minimize its code
+    code, out, _ = run(
+        capsys, "search", "--hill", "--pattern", "ac4", "--n", "12", "--beta", "1",
+        "--restarts", "0",
+    )
+    assert code == 0
+    assert out == f"n=12 m=66 best=0 rho=0 witness='12 {'R' * 66}'\n"
+
+
 def test_hill_climb_cli_rejects_beta_out_of_range(capsys, cache):
     code, out, err = run(
         capsys, "search", "--pattern", "ac4", "--n", "20", "--hill", "--beta", "1.5",
@@ -272,6 +286,29 @@ def test_config_file_and_flag_precedence(capsys, cache, tmp_path):
     cfg.write_text("tolerance = 1e-10\n")
     code, _, err = run(capsys, "--config", str(cfg), "profile", "--curve", "ap4")
     assert code == 2 and "unknown key 'tolerance'" in err
+    for key, value, kind in (("seed", "x", "an integer"), ("beta_grid_step", "fine", "a number")):
+        cfg.write_text(f"# run settings\n{key} = {value}\n")
+        code, out, err = run(capsys, "--config", str(cfg), "profile", "--curve", "ap4")
+        assert code == 2 and out == ""
+        assert f"{cfg}:2: {key}: expected {kind}, got '{value}'" in err
+
+
+@pytest.mark.parametrize("pattern,expected", [
+    ("ap4", "pattern='4 RFFBFR' host='6 RBRRBBRBRRBRBBR' count=70 rho=0.054012345679\n"
+            "curve=ap4 beta=0.533333333333 value=0.132740740741 in_range=1\n"),
+    ("ac4", "pattern='4 RFBBFR' host='6 RBRRBBRBRRBRBBR' count=44 rho=0.033950617284\n"
+            "curve=ac4 beta=0.533333333333 value=0.132740740741 in_range=1\n"),
+    ("s:2,1", "pattern='4 RRBFFF' host='6 RBRRBBRBRRBRBBR' count=60 rho=0.0462962962963\n"
+              "curve=s21 beta=0.533333333333 value=0.132740740741 in_range=1\n"),
+])
+def test_count_host_uses_the_closed_form_only(capsys, cache, monkeypatch, pattern, expected):
+    def backtracking(*args):
+        raise AssertionError("a closed-form pattern was counted by backtracking")
+
+    for module in (counting, cli):
+        monkeypatch.setattr(module, "count_injections", backtracking, raising=False)
+    code, out, _ = run(capsys, "count", "--pattern", pattern, "--host", "6 RBRRBBRBRRBRBBR")
+    assert code == 0 and out == expected
 
 
 def test_count_pattern_file(capsys, cache, tmp_path):

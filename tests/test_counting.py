@@ -1,6 +1,7 @@
 """Injection counting, degree statistics, fast paths, profiles, blow-ups."""
 
 import random
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -33,11 +34,13 @@ from semind.graphs import (
     PatternGraph,
     UnsupportedSizeError,
     canonical_form,
+    canonical_pattern,
     circulant,
     clique_plus_isolated,
     construction_parts,
     disjoint_cliques,
     enumerate_colored_graphs,
+    lex_pairs,
     make_construction,
     parse_host,
     parse_pattern,
@@ -123,6 +126,56 @@ def test_automorphism_orders():
     assert pattern_automorphism_order(peenn_pattern()) == 1
     assert pattern_automorphism_order(star_pattern(2, 1)) == 2
     assert pattern_automorphism_order(double_star_pattern(2)) == 8
+
+
+def _relabeled(h: PatternGraph, perm) -> PatternGraph:
+    move = lambda pairs: [(perm[i], perm[j]) for i, j in pairs]
+    return PatternGraph.of(h.h, move(h.red_pairs), move(h.blue_pairs))
+
+
+def _oracle(h: PatternGraph) -> tuple[str, int]:
+    """Brute force over all h! relabelings: the least pattern text (equal
+    for isomorphic patterns only) and the number of automorphisms."""
+    relabelings = [_relabeled(h, p) for p in permutations(range(h.h))]
+    return min(r.to_text() for r in relabelings), sum(r == h for r in relabelings)
+
+
+def test_canonical_pattern_matches_permutation_oracle():
+    rng = random.Random(6)
+    pats = []
+    for _ in range(150):
+        h = rng.randint(1, 6)
+        colors = rng.choice(["RBF", "RRF", "RBBF", "FFFR"])  # skewed, so classes repeat
+        pairs = [(p, rng.choice(colors)) for p in lex_pairs(h)]
+        pats.append(PatternGraph.of(
+            h, [p for p, c in pairs if c == "R"], [p for p, c in pairs if c == "B"],
+        ))
+    codes, oracle = [], []
+    for h in pats:
+        codes.append(canonical_pattern(h))
+        text, autos = _oracle(h)
+        oracle.append(text)
+        assert pattern_automorphism_order(h) == autos, h.to_text()
+        perm = list(range(h.h))
+        rng.shuffle(perm)
+        assert canonical_pattern(_relabeled(h, perm)) == codes[-1]
+    for c1, o1 in zip(codes, oracle):
+        for c2, o2 in zip(codes, oracle):
+            assert (c1 == c2) == (o1 == o2)
+    assert len(set(codes)) < len(set(p.to_text() for p in pats))  # some classes repeat
+    assert pattern_automorphism_order(double_star_pattern(3)) == 72
+
+
+def test_classify_pattern_is_relabeling_invariant():
+    rng = random.Random(7)
+    for h, tag in ((ap4_pattern(), ("ap4",)), (ac4_pattern(), ("ac4",)),
+                   (star_pattern(2, 3), ("star", 2, 3)), (peenn_pattern(), None)):
+        for _ in range(5):
+            perm = list(range(h.h))
+            rng.shuffle(perm)
+            assert classify_pattern(_relabeled(h, perm)) == tag
+    # a long path has the pair count of a star but no centre
+    assert classify_pattern(tree_pattern([(i, i + 1) for i in range(19)])) is None
 
 
 def test_classify_pattern():

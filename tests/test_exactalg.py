@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semind.exactalg import (
@@ -115,30 +115,17 @@ _Q2S = st.one_of(
 )
 
 
-def _bisection_point(x: Q2, lo: Q2, hi: Q2) -> bool:
-    """True iff x = lo + (hi - lo) * j / 2^d, a midpoint the bisection meets."""
-    t = (x - lo) / (hi - lo)
-    return t.q == 0 and t.p.denominator & (t.p.denominator - 1) == 0
-
-
 @st.composite
 def _rooted_polys(draw):
     """(lo, hi, {root: multiplicity}, leading coefficient).
 
     Roots are rational or in Q(sqrt2), some on lo or hi, some at bisection
-    midpoints.  A root inside (lo, hi) has even multiplicity only at a
-    bisection midpoint: elsewhere the sign decision cannot settle whether a
-    polynomial that touches zero from below is <= 0, and it raises."""
+    midpoints."""
     lo, hi = sorted(draw(st.lists(_Q2S, min_size=2, max_size=2, unique=True)))
     mids = [lo + (hi - lo) * Fraction(j, 8) for j in range(1, 8)]
     roots = draw(st.lists(st.one_of(st.sampled_from([lo, hi] + mids), _Q2S),
                           max_size=4, unique=True))
-    mults = {}
-    for r in roots:
-        m = draw(st.integers(1, 3))
-        if lo < r < hi and m % 2 == 0 and not _bisection_point(r, lo, hi):
-            m += 1
-        mults[r] = m
+    mults = {r: draw(st.integers(1, 3)) for r in roots}
     lead = draw(st.sampled_from([Q2.of(1), Q2.of(-1), Q2.of(Fraction(-2, 3)), SQRT2 + 1]))
     return lo, hi, mults, lead
 
@@ -158,8 +145,19 @@ def _sign_at(x: Q2, mults: dict, lead: Q2) -> int:
     return s
 
 
+def _touching_roots(test):
+    """Single roots in (0, 1) that no bisection midpoint hits, of even
+    multiplicity (the polynomial touches zero) and of odd (it crosses)."""
+    for root in (Q2.of(Fraction(1, 3)), Q2.of(Fraction(2, 7)), SQRT2 - Q2.of(1)):
+        for mult in (2, 3, 4):
+            for lead in (Q2.of(-1), Q2.of(1)):
+                test = example((Q2.of(0), Q2.of(1), {root: mult}, lead))(test)
+    return test
+
+
 @settings(max_examples=150, deadline=None)
 @given(_rooted_polys())
+@_touching_roots
 def test_one_chain_root_counting_matches_known_roots(case):
     lo, hi, mults, lead = case
     cs = _expand(mults, lead)

@@ -123,6 +123,27 @@ def test_canonical_path_relabelings():
     assert len(codes) == 1
 
 
+def test_twins_are_placed_once():
+    # every ordering of all-red K_8 has the same code; its vertices are twins
+    k8 = HostGraph(8, tuple(0xFF ^ (1 << i) for i in range(8)))
+    assert graphs._min_placements((k8.masks,)) == [tuple(range(8))]
+
+
+@pytest.mark.parametrize("spec", [
+    clique_plus_isolated(0.5),
+    disjoint_cliques([0.3, 0.3, 0.4]),
+    complement_of(circulant(0.4)),
+])
+def test_canonical_invariance_symmetric_hosts(spec):
+    g = make_construction(spec, 16)
+    code = canonical_form(g)
+    rng = random.Random(16)
+    for _ in range(5):
+        perm = list(range(16))
+        rng.shuffle(perm)
+        assert canonical_form(g.relabel(tuple(perm))) == code
+
+
 def test_canonical_size_guard():
     g = HostGraph(17, tuple(0 for _ in range(17)))
     with pytest.raises(UnsupportedSizeError):
