@@ -32,7 +32,7 @@ from .graphs import (
     _min_placements,
     canonical_host,
 )
-from .counting import count_injections
+from .counting import pattern_counter
 
 MAX_FLAG_K = 5
 
@@ -281,8 +281,9 @@ def expand_pattern(h: PatternGraph, k: int, names=("a",)) -> GraphCombo:
     if h.h != k:
         raise ValueError("pattern must have exactly k vertices (no lifting)")
     items = []
+    counter = pattern_counter(h)
     for g in _graph_classes(k):
-        c = count_injections(h, g)
+        c = counter(g)
         if c:
             items.append((RootedFlag(g), c))
     return GraphCombo.build(k, 0, (), tuple(names), items)

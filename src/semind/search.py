@@ -26,7 +26,7 @@ from .graphs import (
     lex_pairs,
     make_construction,
 )
-from .counting import count_injections, flip_delta, flip_plans, pattern_counter
+from .counting import flip_delta, flip_plans, pattern_counter
 
 MAX_EXACT_N = 8
 MAX_ORACLE_N = 6
@@ -52,11 +52,12 @@ def _best_per_m(h: PatternGraph, n: int, m: int | None = None) -> dict:
     if m is not None and not 0 <= m <= npairs:
         raise ValueError(f"m must lie in [0, {npairs}]")
     per_m: dict[int, tuple[int, list[bytes]]] = {}
+    counter = pattern_counter(h)
     for g in _graph_classes(n):
         red = g.red_count()
         if m is not None and red != m:
             continue
-        c = count_injections(h, g)
+        c = counter(g)
         best = per_m.get(red)
         if best is None or c > best[0]:
             per_m[red] = (c, [g.to_text().encode()])
@@ -91,6 +92,7 @@ def brute_force_profile(h: PatternGraph, n: int) -> dict:
         raise UnsupportedSizeError(f"raw enumeration is capped at n <= {MAX_ORACLE_N}")
     prs = lex_pairs(n)
     per_m = {m: -1 for m in range(len(prs) + 1)}
+    counter = pattern_counter(h)
     for colored in range(1 << len(prs)):
         masks = [0] * n
         rest = colored
@@ -104,7 +106,7 @@ def brute_force_profile(h: PatternGraph, n: int) -> dict:
             idx += 1
         g = HostGraph(n, tuple(masks))
         m = colored.bit_count()
-        c = count_injections(h, g)
+        c = counter(g)
         if c > per_m[m]:
             per_m[m] = c
     return per_m

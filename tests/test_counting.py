@@ -61,6 +61,80 @@ def test_count_injections_examples():
     assert count_injections(ap4_pattern(), parse_host("3 RRR")) == 0
 
 
+def _reference_count(h, g):
+    """Plain backtracker: places the pattern's vertices in index order and
+    checks each against the constrained pairs to earlier vertices; no vertex
+    cover, no batch, no popcount tail."""
+    full = (1 << g.n) - 1
+    blue = tuple(full ^ m ^ (1 << v) for v, m in enumerate(g.masks))
+    back = [[] for _ in range(h.h)]  # back[v]: (u < v, host masks the pair {u, v} needs)
+    for pairs, masks in ((h.red_pairs, g.masks), (h.blue_pairs, blue)):
+        for u, v in pairs:
+            back[v].append((u, masks))
+    assign = [0] * h.h
+
+    def rec(v, used):
+        cands = full & ~used
+        for u, masks in back[v]:
+            cands &= masks[assign[u]]
+        total = 0
+        for x in range(g.n):
+            if cands >> x & 1:
+                if v + 1 == h.h:
+                    total += 1
+                else:
+                    assign[v] = x
+                    total += rec(v + 1, used | 1 << x)
+        return total
+
+    return rec(0, 0)
+
+
+def test_count_injections_matches_reference_on_all_classes():
+    patterns = [
+        ap4_pattern(), ac4_pattern(), peenn_pattern(), double_star_pattern(2),
+        star_pattern(2, 1), star_pattern(3, 1),
+    ]
+    for k in range(1, 8):
+        for g in enumerate_colored_graphs(k):
+            for h in patterns:
+                assert count_injections(h, g) == _reference_count(h, g), (h.to_text(), g.to_text())
+
+
+def test_count_injections_matches_reference_on_random_patterns():
+    rng = random.Random(41)
+    patterns = [
+        parse_pattern("5 FFFFFFFFFF"),  # all free: a falling factorial
+        PatternGraph.of(6, red=[(0, 1), (1, 2)], blue=[(2, 3)]),  # vertices 4, 5 isolated
+        PatternGraph.of(6, red=[(0, 1), (0, 2), (0, 3)], blue=[(0, 4), (0, 5)]),  # batch of five
+        tree_pattern([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]),  # spider, h = 7
+    ]
+    while len(patterns) < 100:
+        h = rng.randint(2, 6)
+        body = "".join(rng.choice("RBFF") for _ in range(h * (h - 1) // 2))
+        patterns.append(parse_pattern(f"{h} {body}"))
+    def random_host(n, density):
+        masks = [0] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < density:
+                    masks[i] |= 1 << j
+                    masks[j] |= 1 << i
+        return HostGraph(n, tuple(masks))
+
+    for h in patterns:
+        for _ in range(2):
+            # n = h - 1 counts 0
+            g = random_host(rng.randint(max(h.h - 1, 1), 8), rng.random())
+            assert count_injections(h, g) == _reference_count(h, g), (h.to_text(), g.to_text())
+    # on 12 vertices the plans keep batches of three (peenn, the spider)
+    g = random_host(12, 0.5)
+    for h in (peenn_pattern(), patterns[3]):
+        assert count_injections(h, g) == _reference_count(h, g), h.to_text()
+    # ten leaves: over the cap of nine, so at least one leaf is enumerated
+    assert count_injections(star_pattern(6, 4), g) == count_star_fast(g, 6, 4)
+
+
 def test_degree_stats_examples():
     st = degree_stats(C5)
     assert st.degrees == (2, 2, 2, 2, 2) and st.m == 5 and st.t == 5 and st.s_open == 5
@@ -288,6 +362,8 @@ def test_flip_delta_matches_recount():
         parse_pattern("4 RFBFRF"),  # free pairs
         PatternGraph.of(4, red=[(0, 1), (1, 2)], blue=[(0, 2)]),  # vertex 3 isolated
         PatternGraph.of(2, blue=[(0, 1)]),
+        star_pattern(3, 1),  # pinned at the centre: a batch of three leaves
+        tree_pattern([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]),  # spider, legs of 2
     ]
     rng = random.Random(29)
     for h in patterns:
@@ -312,3 +388,18 @@ def test_flip_delta_matches_recount():
                         assert flip_delta(plans, masks, blue, u, v) == after - before, (
                             h.to_text(), n, density, u, v,
                         )
+    # on 17 vertices the spider's pinned plans keep batches of two and three
+    h, n = patterns[-1], 17
+    full = (1 << n) - 1
+    masks = [0] * n
+    for i, j in rng.sample(lex_pairs(n), comb(n, 2) // 2):
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    before = count_injections(h, HostGraph(n, tuple(masks)))
+    blue = [full ^ m ^ (1 << v) for v, m in enumerate(masks)]
+    for u, v in rng.sample(lex_pairs(n), 8):
+        flipped = list(masks)
+        flipped[u] ^= 1 << v
+        flipped[v] ^= 1 << u
+        after = count_injections(h, HostGraph(n, tuple(flipped)))
+        assert flip_delta(flip_plans(h), masks, blue, u, v) == after - before, (u, v)
