@@ -13,7 +13,6 @@ against a plain backtracker, by the test suite.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
@@ -413,70 +412,76 @@ def check_profile_size(n: int, k: int) -> None:
 
 
 def induced_profile(g: HostGraph, k: int) -> InducedProfile:
-    """Exact induced k-profile; k <= 5 and C(n, k) capped at desk scale."""
+    """Exact induced k-profile; k <= 5 and C(n, k) capped at desk scale.
+
+    Only the first k - 2 vertices of each k-subset are enumerated.  The host
+    vertices after such a prefix fall into 2^(k-2) bitmask sets S_s by their
+    colours s to it, and the last two vertices {d, e} are counted per pair of
+    sets s <= t: red pairs by popcounts of masks[d] & S_t over d in S_s, all
+    pairs as |S_s| |S_t|, or C(|S_s|, 2) within one set.  Swapping d and e
+    does not change the induced class, so one order of each pair of sets is
+    enough."""
     check_profile_size(g.n, k)
     n, masks = g.n, g.masks
-    raw: Counter = Counter()
+    table = _mask_class_table(k)
+    raw = [0] * len(table)  # by the mask of the k-subset's red pairs
     if k == 1:
         raw[0] = n
-    elif k == 2:
-        for a in range(n):
-            for b in range(a + 1, n):
-                raw[masks[a] >> b & 1] += 1
-    elif k == 3:
-        for a in range(n):
-            ma = masks[a]
-            for b in range(a + 1, n):
-                m2 = ma >> b & 1
-                mb = masks[b]
-                for c in range(b + 1, n):
-                    raw[m2 | (ma >> c & 1) << 1 | (mb >> c & 1) << 2] += 1
-    elif k == 4:
-        for a in range(n):
-            ma = masks[a]
-            for b in range(a + 1, n):
-                m2 = ma >> b & 1
-                mb = masks[b]
-                for c in range(b + 1, n):
-                    m3 = m2 | (ma >> c & 1) << 1 | (mb >> c & 1) << 3
-                    mc = masks[c]
-                    for d in range(c + 1, n):
-                        raw[
-                            m3
-                            | (ma >> d & 1) << 2
-                            | (mb >> d & 1) << 4
-                            | (mc >> d & 1) << 5
-                        ] += 1
     else:
-        for a in range(n):
-            ma = masks[a]
-            for b in range(a + 1, n):
-                m2 = ma >> b & 1
-                mb = masks[b]
-                for c in range(b + 1, n):
-                    m3 = m2 | (ma >> c & 1) << 1 | (mb >> c & 1) << 4
-                    mc = masks[c]
-                    for d in range(c + 1, n):
-                        m4 = (
-                            m3
-                            | (ma >> d & 1) << 2
-                            | (mb >> d & 1) << 5
-                            | (mc >> d & 1) << 7
-                        )
-                        md = masks[d]
-                        for e in range(d + 1, n):
-                            raw[
-                                m4
-                                | (ma >> e & 1) << 3
-                                | (mb >> e & 1) << 6
-                                | (mc >> e & 1) << 8
-                                | (md >> e & 1) << 9
-                            ] += 1
-    table = _mask_class_table(k)
+        q = k - 2
+        bit = {pr: 1 << t for t, pr in enumerate(lex_pairs(k))}
+        # place[j][s]: the mask bits of a vertex at position j whose colours
+        # to positions 0..j-1 are the bits of s
+        place = [
+            [sum(bit[i, j] for i in range(j) if s >> i & 1) for s in range(1 << j)]
+            for j in range(k)
+        ]
+        d_bits, e_bits, de_bit = place[q], place[q + 1], bit[q, q + 1]
+
+        def count_pairs(code: int, sets: list[int]) -> None:
+            nonempty = [(s, S) for s, S in enumerate(sets) if S]
+            for a, (s, S) in enumerate(nonempty):
+                verts = []
+                rest = S
+                while rest:
+                    low = rest & -rest
+                    verts.append(masks[low.bit_length() - 1])
+                    rest ^= low
+                size = len(verts)
+                base = code | d_bits[s]
+                red = sum(map(int.bit_count, map(S.__and__, verts))) // 2
+                raw[base | e_bits[s] | de_bit] += red
+                raw[base | e_bits[s]] += size * (size - 1) // 2 - red
+                for t, T in nonempty[a + 1 :]:
+                    red = sum(map(int.bit_count, map(T.__and__, verts)))
+                    raw[base | e_bits[t] | de_bit] += red
+                    raw[base | e_bits[t]] += size * T.bit_count() - red
+
+        def walk(depth: int, code: int, sets: list[int]) -> None:
+            # sets[s]: the vertices after the prefix whose colours to it spell s
+            if depth == q:
+                count_pairs(code, sets)
+                return
+            for s, S in enumerate(sets):
+                vcode = code | place[depth][s]
+                while S:
+                    low = S & -S
+                    S ^= low
+                    v = low.bit_length() - 1
+                    after = -(low << 1)  # the vertices above v
+                    red_after, blue_after = masks[v] & after, ~masks[v] & after
+                    walk(
+                        depth + 1,
+                        vcode,
+                        [T & blue_after for T in sets] + [T & red_after for T in sets],
+                    )
+
+        walk(0, 0, [(1 << n) - 1])
     counts: dict[bytes, int] = {}
-    for mask, cnt in raw.items():
-        code = table[mask]
-        counts[code] = counts.get(code, 0) + cnt
+    for mask, cnt in enumerate(raw):
+        if cnt:
+            code = table[mask]
+            counts[code] = counts.get(code, 0) + cnt
     return InducedProfile(k, counts)
 
 

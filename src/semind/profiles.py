@@ -6,9 +6,9 @@ verifiers.  Evaluating a curve outside its validity interval returns a
 flagged value instead of clamping, so figures can restrict drawing to the
 valid range.
 
-numpy is imported inside the optimizers that use it, so importing this
-module (and evaluating closed-form curves) does not load it.  Crossovers and
-the s21 program boundary are found by one in-repo bisection.
+Everything is plain Python floats; the module needs no third-party package.
+Maxima are found by one grid scan with golden-section refinement
+(`_scan_max`), and crossovers and the s21 program boundary by one bisection.
 """
 
 from __future__ import annotations
@@ -300,6 +300,41 @@ def _golden_max(h, a: float, b: float, steps: int, tol: float) -> tuple[float, f
     return a, b
 
 
+def _linspace(lo: float, hi: float, num: int) -> list[float]:
+    """num >= 2 evenly spaced points from lo to hi, computed as numpy.linspace
+    computes them: i * step + lo, with the last point set to hi."""
+    step = (hi - lo) / (num - 1)
+    xs = [i * step + lo for i in range(num)]
+    xs[-1] = hi
+    return xs
+
+
+def _scan_max(h, lo: float, hi: float, num: int, steps: int, tol: float) -> tuple[float, float]:
+    """Maximize h on [lo, hi]: evaluate it on `_linspace(lo, hi, num)`, then
+    golden-refine (`_golden_max`, with steps and tol) the bracket between the
+    grid neighbours of every local maximum of the grid, not only the first
+    argmax, so a higher peak that the grid undersamples is still found.
+
+    A grid point is a local maximum when it is strictly above its left
+    neighbour and not below its right one, so a plateau starts one
+    refinement, at its first point.  Returns (x, h(x)) for the best point
+    seen: the first grid point of the highest value (as numpy.argmax), then
+    each refined bracket midpoint in grid order if it is strictly higher."""
+    xs = _linspace(lo, hi, num)
+    vals = [h(x) for x in xs]
+    i_best = max(range(num), key=vals.__getitem__)  # first index on ties
+    x_best, v_best = xs[i_best], vals[i_best]
+    last = num - 1
+    for i in range(num):
+        if (i == 0 or vals[i] > vals[i - 1]) and (i == last or vals[i] >= vals[i + 1]):
+            a, b = _golden_max(h, xs[max(i - 1, 0)], xs[min(i + 1, last)], steps, tol)
+            x = (a + b) / 2
+            v = h(x)
+            if v > v_best:
+                x_best, v_best = x, v
+    return x_best, v_best
+
+
 def _bisect(above, lo: float, hi: float, steps: int) -> float:
     """Bisection of [lo, hi]: keep lo where above(mid) holds, else hi, for at
     most `steps` halvings; stops once the midpoint rounds onto an endpoint
@@ -324,8 +359,6 @@ def opt_structure_max(f, gamma: float, D: float, n: int) -> OptStructure:
     m = floor(D / alpha) and the remainder is D - m*alpha.  The objective is
     located to within 1e-10.
     """
-    import numpy as np
-
     if not 0 < gamma < 1:
         raise CurveSpecError("gamma must lie in (0, 1)")
     if not 0 <= D <= n:
@@ -351,14 +384,13 @@ def opt_structure_max(f, gamma: float, D: float, n: int) -> OptStructure:
         return (val, m, rem)
 
     # coarse scan to collect candidate m values
-    grid = np.linspace(alpha_lo, 1.0, 4001)
     cand_m = set()
     best = (-math.inf, alpha_lo, 0, 0.0)
-    for alpha in grid:
-        val, m, rem = objective_at(float(alpha))
+    for alpha in _linspace(alpha_lo, 1.0, 4001):
+        val, m, rem = objective_at(alpha)
         cand_m.add(m)
         if val > best[0]:
-            best = (val, float(alpha), m, rem)
+            best = (val, alpha, m, rem)
     extra = set()
     for m in cand_m:
         extra.update({m - 1, m + 1, m + 2})
@@ -383,14 +415,8 @@ def opt_structure_max(f, gamma: float, D: float, n: int) -> OptStructure:
                 return -math.inf
             return m * f(alpha) + (f(rem) if rem > 1e-15 else 0.0) + (n - used) * f0
 
-        # seed with a local scan, then contract
-        xs = np.linspace(lo, hi, 201)
-        vals = [h(float(x)) for x in xs]
-        i0 = int(np.argmax(vals))
-        a = float(xs[max(0, i0 - 1)])
-        b = float(xs[min(len(xs) - 1, i0 + 1)])
-        a, b = _golden_max(h, a, b, 120, 1e-14)
-        for alpha in (a, (a + b) / 2, b, lo, hi):
+        alpha_star, _ = _scan_max(h, lo, hi, 201, 120, 1e-14)
+        for alpha in (alpha_star, lo, hi):
             val, mm, rem = objective_at(alpha)
             if val > best[0]:
                 best = (val, alpha, mm, rem)
@@ -403,25 +429,21 @@ def opt_structure_max(f, gamma: float, D: float, n: int) -> OptStructure:
 # one-variable polynomial programs for the three-part star constructions
 
 
-def _prog_objective(y: np.ndarray, beta: float, a: int, b: int) -> np.ndarray:
-    import numpy as np
-
+def _prog_objective(y: float, beta: float, a: int, b: int) -> float:
     x = (beta - y * y) / (2 * y)
     z = 1 - x - y
-    val = x * y**a * (1 - y) ** b + y * (x + y) ** a * np.where(z > 0, z, 0.0) ** b
-    return val
+    return x * y**a * (1 - y) ** b + y * (x + y) ** a * (z if z > 0 else 0.0) ** b
 
 
 def solve_prog_s(beta: float, a: int, b: int) -> tuple[float, float, float]:
     """Maximize x y^a (1-y)^b + y (x+y)^a (1-x-y)^b over x, y >= 0 with
     2xy + y^2 = beta and x + y <= 1.
 
-    x is eliminated through the constraint, leaving a one-variable scan over
-    y in [1 - sqrt(1-beta), sqrt(beta)] refined by golden section to 1e-12.
-    Both boundary constructions (x = 0 and x + y = 1) are inside the scan
-    range.  Returns (x, y, value)."""
-    import numpy as np
-
+    x is eliminated through the constraint, leaving one variable y in
+    [1 - sqrt(1-beta), sqrt(beta)].  That range is scanned at 401 points and
+    the bracket around every local maximum of the scan is refined by golden
+    section to 1e-15 (`_scan_max`).  Both boundary constructions (x = 0 and
+    x + y = 1) are scan points.  Returns (x, y, value)."""
     if beta <= 0:
         return (0.0, 0.0, 0.0)
     if beta >= 1:
@@ -432,20 +454,10 @@ def solve_prog_s(beta: float, a: int, b: int) -> tuple[float, float, float]:
         y = y_hi
         return ((beta - y * y) / (2 * y) if y > 0 else 0.0, y, 0.0)
 
-    ys = np.linspace(y_lo, y_hi, 20001)
-    vals = _prog_objective(ys, beta, a, b)
-    i0 = int(np.argmax(vals))
-    lo = float(ys[max(0, i0 - 1)])
-    hi = float(ys[min(len(ys) - 1, i0 + 1)])
-
     def h(y: float) -> float:
-        return float(_prog_objective(np.array([y]), beta, a, b)[0])
+        return _prog_objective(y, beta, a, b)
 
-    aa, bb = _golden_max(h, lo, hi, 200, 1e-15)
-    y_best = (aa + bb) / 2
-    candidates = [y_best, y_lo, y_hi]
-    y_star = max(candidates, key=h)
-    val = h(y_star)
+    y_star, val = _scan_max(h, y_lo, y_hi, 401, 200, 1e-15)
     x_star = max((beta - y_star * y_star) / (2 * y_star), 0.0)
     return (x_star, y_star, val)
 
@@ -479,13 +491,12 @@ def find_crossover(c1: CurveId, c2: CurveId, lo: float, hi: float) -> float:
     The difference is scanned on a grid first, so a degenerate common zero at
     an endpoint does not mask an interior crossing; the first sign change is
     then bisected down to adjacent doubles."""
-    import numpy as np
 
     def diff(beta: float) -> float:
         return _raw_value(c1, beta) - _raw_value(c2, beta)
 
-    grid = np.linspace(lo, hi, 2049)
-    vals = [diff(float(x)) for x in grid]
+    grid = _linspace(lo, hi, 2049)
+    vals = [diff(x) for x in grid]
     if all(v == 0.0 for v in vals):
         raise BracketError(
             f"{c1.label()} - {c2.label()} vanishes identically on [{lo}, {hi}]"
@@ -493,11 +504,9 @@ def find_crossover(c1: CurveId, c2: CurveId, lo: float, hi: float) -> float:
     for i in range(len(grid) - 1):
         a, b = vals[i], vals[i + 1]
         if a == 0.0:
-            return float(grid[i])
+            return grid[i]
         if a * b < 0:
-            return _bisect(
-                lambda x: diff(x) * a > 0, float(grid[i]), float(grid[i + 1]), 80
-            )
+            return _bisect(lambda x: diff(x) * a > 0, grid[i], grid[i + 1], 80)
     if vals[-1] == 0.0:
         return hi
     raise BracketError(

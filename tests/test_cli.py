@@ -151,22 +151,28 @@ def test_cli_paths_load_neither_numpy_nor_scipy(tmp_path):
     script = textwrap.dedent("""
         import sys
 
+        def loaded(*roots):
+            return sorted(m for m in sys.modules if m.partition(".")[0] in roots)
+
         def heavy():
-            return sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy"))
+            return loaded("numpy", "scipy")
+
+        def lazy_import():
+            import colorsys
 
         import semind.cli
         assert not heavy(), heavy()
         for argv in (
             ["count", "--pattern", "peenn", "--construct", "clique_iso:0.8", "--n", "1000"],
             ["search", "--pattern", "ap4", "--n", "5", "--profile"],
+            ["figure", "--id", "6", "--beta-grid-step", "0.05"],
+            ["profile", "--curve", "prog_s:2,1+conj_s21", "--beta-grid-step", "0.05"],
         ):
             assert semind.cli.main(argv) == 0
             assert not heavy(), (argv, heavy())
-        from semind.profiles import find_crossover, curve
-        find_crossover(curve("cc:2,1"), curve("c:2,1"), 0.5, 1.0)
-        assert "numpy" in heavy(), heavy()  # the probe sees lazy imports
-        assert semind.cli.main(["figure", "--id", "6", "--beta-grid-step", "0.05"]) == 0
-        assert not [m for m in heavy() if m.startswith("scipy")], heavy()
+        assert not loaded("colorsys")
+        lazy_import()
+        assert loaded("colorsys") == ["colorsys"]  # the probe sees lazy imports
     """)
     src = str(Path(semind.__file__).resolve().parent.parent)
     env = dict(os.environ, SEMIND_CACHE=str(tmp_path / "cache"))

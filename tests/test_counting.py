@@ -1,7 +1,7 @@
 """Injection counting, degree statistics, fast paths, profiles, blow-ups."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -286,6 +286,26 @@ def test_induced_profile_examples():
     g = HostGraph(9, tuple(masks))
     for k in range(1, 6):
         assert induced_profile(g, k).total() == comb(9, k)
+
+
+def _reference_profile(g: HostGraph, k: int) -> dict:
+    """Canonical form of every k-subset's induced host, tallied."""
+    counts: dict = {}
+    for vs in combinations(range(g.n), k):
+        code = canonical_form(g.induced(vs))
+        counts[code] = counts.get(code, 0) + 1
+    return counts
+
+
+def test_induced_profile_matches_reference():
+    rng = random.Random(71)
+    hosts = [HostGraph(8, (0,) * 8), HostGraph.from_red_pairs(8, lex_pairs(8))]
+    for n in (1, 2, 3, 5, 7, 9, 10, 12, 12):
+        p = rng.random()
+        hosts.append(HostGraph.from_red_pairs(n, [pr for pr in lex_pairs(n) if rng.random() < p]))
+    for g in hosts:
+        for k in range(1, min(5, g.n) + 1):
+            assert induced_profile(g, k).counts == _reference_profile(g, k), (g.to_text(), k)
 
 
 def test_induced_profile_guards():

@@ -7,9 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from semind import profiles
 from semind.profiles import (
     BracketError,
     CurveSpecError,
+    _linspace,
+    _scan_max,
     ac4_clique_value,
     ac4_clique_value_exact,
     curve,
@@ -128,6 +131,68 @@ def test_opt_structure_dominates_random_feasible_points():
             if max(xs) > 1:
                 continue
             assert sum(f(x) for x in xs) <= best + 1e-10
+
+
+def test_linspace_matches_numpy():
+    for lo, hi, num in ((0.0, 1.0, 11), (0.1, 0.9, 2049), (1e-14, 0.5, 401), (0.3, 0.3, 5)):
+        assert _linspace(lo, hi, num) == np.linspace(lo, hi, num).tolist()
+
+
+def test_scan_max_finds_peak_missed_by_coarse_argmax():
+    def h(x):
+        return max(0.5 - 2 * (x - 0.3) ** 2, 1 - 220 * (x - 0.75) ** 2)
+
+    xs = _linspace(0.0, 1.0, 11)
+    assert abs(xs[int(np.argmax([h(x) for x in xs]))] - 0.3) < 1e-12  # the lower peak
+    x, v = _scan_max(h, 0.0, 1.0, 11, 200, 1e-15)
+    assert abs(x - 0.75) < 1e-7 and v == pytest.approx(1.0, abs=1e-12)
+
+
+def test_scan_max_ties_resolve_to_first_index():
+    def h(x):
+        return 1 - min(abs(x - 0.25), abs(x - 0.75))
+
+    xs = _linspace(0.0, 1.0, 5)
+    vals = [h(x) for x in xs]
+    assert vals[1] == vals[3] == 1.0
+    assert _scan_max(h, 0.0, 1.0, 5, 200, 1e-15) == (xs[int(np.argmax(vals))], 1.0) == (0.25, 1.0)
+
+
+def test_scan_max_flat_objective_refines_once():
+    calls = []
+
+    def h(x):
+        calls.append(x)
+        return 2.0
+
+    assert _scan_max(h, 0.0, 1.0, 401, 10, 0.0) == (0.0, 2.0)
+    # the grid, then one refinement: two probes, ten contractions, the midpoint
+    assert len(calls) == 401 + 2 + 10 + 1
+
+
+def test_scanned_objectives_are_never_nan(monkeypatch):
+    # _scan_max compares with >, and numpy.argmax differs from that only on NaN
+    seen = []
+
+    def recording(h, *args):
+        def wrapped(x):
+            seen.append(h(x))
+            return seen[-1]
+
+        return _scan_max(wrapped, *args)
+
+    monkeypatch.setattr(profiles, "_scan_max", recording)
+    for beta in (1e-13, 1e-9, 1e-4, 0.1, 0.25, 0.5, 0.9, 1 - 1e-9, 1 - 1e-13):
+        for a in range(1, 6):
+            for b in range(1, 6):
+                solve_prog_s(beta, a, b)
+    assert len(seen) > 10**5 and all(math.isfinite(v) for v in seen)
+    seen.clear()
+    for s, D, n in ((1, 1, 2), (2, 2.4, 6), (2, 5.0, 9), (3, 0.5, 3)):
+        f, gamma = double_star_leg(s)
+        opt_structure_max(f, gamma, D, n)
+    # -inf marks an infeasible alpha
+    assert seen and all(math.isfinite(v) or v == -math.inf for v in seen)
 
 
 def test_prog_s_examples():
