@@ -7,6 +7,15 @@ the value types, serialization, exact canonical forms, enumeration up to
 isomorphism, and the parametric construction families used by the profile and
 search tools.
 
+One routine, `_min_placements`, canonicalizes hosts, rooted flags and
+patterns: it keeps every partial vertex ordering whose colour string is least
+so far, placing each class of twins once.  Classes are enumerated by
+canonical augmentation: each (k-1)-class gets one new vertex per orbit of its
+automorphism group on red masks, and a child is kept only when the new vertex
+is its canonical deletion vertex up to automorphism.  A cheap invariant (red
+degree, then red and blue triangles) rejects most children before any
+canonical labelling.
+
 All values are immutable after construction and safe to share across workers.
 Class lists are memoized per k.  Inside `basis_cache(dir)` a miss first tries
 `<dir>/basis-k<k>.txt` (as written by `semind enumerate`), trusting it only
@@ -271,7 +280,7 @@ def _twins(layers) -> list[int]:
     return below
 
 
-def _min_placements(layers, fixed: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
+def _min_placements(layers, fixed: tuple[int, ...] = (), below=None) -> list[tuple[int, ...]]:
     """The vertex orderings minimizing the colex color string that place each
     twin class in increasing order.
 
@@ -281,28 +290,53 @@ def _min_placements(layers, fixed: tuple[int, ...] = ()) -> list[tuple[int, ...]
     to positions 0..j-1, read earliest-first.  Swapping twins keeps the code,
     so every minimizing ordering is one of these followed by a permutation
     inside twin classes.  `fixed` pins a prefix of the ordering (used for
-    rooted flags).
+    rooted flags); `below` passes in `_twins(layers)` when the caller has it.
+
+    Each state carries the bitmask cell of its eligible vertices: unused, with
+    every smaller unfixed twin placed.  Its least segment comes from refining
+    that cell by the colour bits to the placed vertices in segment order,
+    keeping the vertices whose bit is 0 whenever there are any.
     """
     n = len(layers[0])
-    below = _twins(layers)
-    states = [(tuple(fixed), sum(1 << v for v in fixed))]
-    for pos in range(len(fixed), n):
+    if below is None:
+        below = _twins(layers)
+    used = sum(1 << v for v in fixed)
+    # twins run in increasing order among the unfixed vertices; placing one
+    # makes the next one of its class eligible
+    nxt = [0] * n
+    cell = 0
+    for v in range(n):
+        if used >> v & 1:
+            continue
+        prev = below[v] & ~used
+        if prev:
+            nxt[prev.bit_length() - 1] = 1 << v
+        else:
+            cell |= 1 << v
+    zeros = [tuple(~m for m in masks) for masks in layers]  # colour bit 0 to u
+    states = [(tuple(fixed), cell)]
+    for _ in range(len(fixed), n):
         best_seg = None
         kept: list[tuple[tuple[int, ...], int]] = []
-        for placed, used in states:
-            for v in range(n):
-                if used >> v & 1 or below[v] & ~used:  # taken, or a smaller twin is free
-                    continue
-                seg = 0
-                for masks in layers:
-                    mv = masks[v]
-                    for u in placed:
-                        seg = (seg << 1) | (mv >> u & 1)
-                if best_seg is None or seg < best_seg:
-                    best_seg = seg
-                    kept = [(placed + (v,), used | 1 << v)]
-                elif seg == best_seg:
-                    kept.append((placed + (v,), used | 1 << v))
+        for placed, eligible in states:
+            cell, seg = eligible, 0
+            for zero_to in zeros:
+                for u in placed:
+                    zero = cell & zero_to[u]
+                    seg <<= 1
+                    if zero:
+                        cell = zero
+                    else:
+                        seg |= 1
+            if best_seg is None or seg < best_seg:
+                best_seg, kept = seg, []
+            elif seg > best_seg:
+                continue
+            while cell:
+                low = cell & -cell
+                cell ^= low
+                v = low.bit_length() - 1
+                kept.append((placed + (v,), eligible ^ low | nxt[v]))
         states = kept
     return [p for p, _ in states]
 
@@ -335,30 +369,27 @@ def canonical_pattern(h: PatternGraph) -> bytes:
     return PatternGraph.of(h.h, relabel(h.red_pairs), relabel(h.blue_pairs)).to_text().encode()
 
 
-def canonical_with_aut(g: HostGraph) -> tuple[HostGraph, list[tuple[int, ...]]]:
-    """Canonical representative plus generators of its automorphism group:
-    the other minimizing placements, and one transposition per twin."""
-    p0, *rest = _min_placements((g.masks,))
-    pos_of = {v: i for i, v in enumerate(p0)}
-    gens = [tuple(pos_of[v] for v in p) for p in rest]
-    for v, below in enumerate(_twins((g.masks,))):
-        if below:
-            a, b = pos_of[v], pos_of[(below & -below).bit_length() - 1]
-            gens.append(tuple(b if i == a else a if i == b else i for i in range(g.n)))
-    return g.relabel(p0), gens
+def _placement_and_aut(masks) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The first minimizing placement of a host's red masks, and generators
+    of its automorphism group as vertex maps (gen[v] is the image of v): one
+    per other minimizing placement, and one transposition per twin."""
+    below = _twins((masks,))
+    p0, *rest = _min_placements((masks,), below=below)
+    gens = []
+    for p in rest:
+        perm = [0] * len(masks)
+        for a, b in zip(p0, p):
+            perm[a] = b
+        gens.append(tuple(perm))
+    for v, twins in enumerate(below):
+        if twins:
+            u = (twins & -twins).bit_length() - 1
+            gens.append(tuple(u if i == v else v if i == u else i for i in range(len(masks))))
+    return p0, gens
 
 
 # ---------------------------------------------------------------------------
 # enumeration up to isomorphism
-
-
-def _extend(parent: HostGraph, mask: int) -> HostGraph:
-    k = parent.n + 1
-    masks = list(parent.masks) + [mask]
-    for v in range(parent.n):
-        if mask >> v & 1:
-            masks[v] |= 1 << (k - 1)
-    return HostGraph(k, tuple(masks))
 
 
 @contextmanager
@@ -406,29 +437,95 @@ def _graph_classes(k: int) -> tuple[HostGraph, ...]:
     return loaded if loaded is not None else _enumerate_classes(k)
 
 
+def _triangles(masks, v: int, full: int) -> int:
+    """Red triangles at v, then blue triangles at v, packed into one int that
+    orders like the pair; each triangle is counted twice."""
+    red = masks[v]
+    blue = full ^ red ^ (1 << v)
+    red_tri = blue_tri = 0
+    for u in range(len(masks)):
+        if red >> u & 1:
+            red_tri += (masks[u] & red).bit_count()
+        elif blue >> u & 1:
+            blue_tri += (blue & ~masks[u]).bit_count() - 1  # less u itself
+    return red_tri << 16 | blue_tri
+
+
+def _orbit(v: int, gens) -> set[int]:
+    """The closure of {v} under the maps in gens (each indexed by point)."""
+    orbit, frontier = {v}, [v]
+    while frontier:
+        x = frontier.pop()
+        for perm in gens:
+            y = perm[x]
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
+
+
+def _augment(parent: HostGraph, mask: int) -> HostGraph | None:
+    """The canonical form of parent + a vertex w red to `mask`, if this is the
+    child that canonical augmentation keeps, else None.
+
+    The kept deletion vertex of a child C is, among its vertices of largest
+    (red degree, `_triangles`), the one that C's first minimizing placement
+    puts last; the choice is invariant up to Aut(C).  C is kept when w lies
+    in that vertex's Aut(C)-orbit, so among the children of non-isomorphic
+    parents, one per Aut(parent)-orbit of masks, each class is kept exactly
+    once.
+    """
+    k = parent.n + 1
+    w, full = k - 1, (1 << k) - 1
+    masks = [m | 1 << w if mask >> v & 1 else m for v, m in enumerate(parent.masks)]
+    masks.append(mask)
+    degree = mask.bit_count()
+    if any(m.bit_count() > degree for m in masks):
+        return None
+    ties = [v for v in range(w) if masks[v].bit_count() == degree]
+    if ties:
+        top = _triangles(masks, w, full)
+        counts = [_triangles(masks, v, full) for v in ties]
+        if max(counts) > top:
+            return None
+        ties = [v for v, c in zip(ties, counts) if c == top]
+    if not ties:
+        p0 = _min_placements((masks,))[0]
+    else:
+        p0, gens = _placement_and_aut(masks)
+        last = max(ties + [w], key=p0.index)
+        if last != w and w not in _orbit(last, gens):
+            return None
+    return HostGraph(k, tuple(masks)).relabel(p0)
+
+
 def _enumerate_classes(k: int) -> tuple[HostGraph, ...]:
+    """The k-classes by canonical augmentation (McKay, "Isomorph-free
+    exhaustive generation", 1998): each (k-1)-class is extended by one vertex
+    per Aut(parent)-orbit of red masks, and `_augment` keeps one child per
+    class."""
     if k == 1:
         return (HostGraph(1, (0,)),)
-    found: dict[str, HostGraph] = {}
+    children = []
     for parent in _graph_classes(k - 1):
-        _, gens = canonical_with_aut(parent)
-        seen_masks = set()
+        _, gens = _placement_and_aut(parent.masks)
+        # images[g][m]: the mask m moved by generator g
+        images = []
+        for perm in gens:
+            image = [0] * (1 << (k - 1))
+            for m in range(1, 1 << (k - 1)):
+                low = m & -m
+                image[m] = image[m ^ low] | 1 << perm[low.bit_length() - 1]
+            images.append(image)
+        seen_masks: set[int] = set()
         for mask in range(1 << (k - 1)):
-            if mask in seen_masks:
-                continue
-            # masks run upward, so an unseen mask is the least of its orbit,
-            # the closure of {mask} under the generators
-            frontier = [mask]
-            while frontier:
-                m = frontier.pop()
-                for perm in gens:
-                    pm = sum(1 << perm[v] for v in range(k - 1) if m >> v & 1)
-                    if pm not in seen_masks:
-                        seen_masks.add(pm)
-                        frontier.append(pm)
-            rep = canonical_host(_extend(parent, mask))
-            found.setdefault(rep.to_text(), rep)
-    return tuple(found[key] for key in sorted(found))
+            # masks run upward, so an unseen mask is the least of its orbit
+            if mask not in seen_masks:
+                seen_masks |= _orbit(mask, images)
+                child = _augment(parent, mask)
+                if child is not None:
+                    children.append(child)
+    return tuple(sorted(children, key=HostGraph.to_text))
 
 
 def enumerate_colored_graphs(k: int) -> list[HostGraph]:

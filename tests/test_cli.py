@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,24 @@ def test_count_rejects_profile_k_before_counting(capsys, cache):
         code, out, err = run(capsys, "count", "--pattern", "ap4", *extra)
         assert code == 2 and out == ""
         assert message in err
+
+
+def test_count_profile_budget_counts_prefixes(capsys, cache):
+    # a 5-profile enumerates C(n, 3) prefixes: 80 vertices fit the budget,
+    # 400 do not
+    code, out, err = run(
+        capsys, "count", "--pattern", "ap4", "--construct", "circulant:0.5",
+        "--n", "80", "--profile-k", "5",
+    )
+    assert code == 0 and err == ""
+    rows = out.split("class_code,count\n")[1].splitlines()
+    assert sum(int(row.split(",")[1]) for row in rows if row.startswith("5 ")) == comb(80, 5)
+    code, out, err = run(
+        capsys, "count", "--pattern", "ap4", "--construct", "circulant:0.5",
+        "--n", "400", "--profile-k", "5",
+    )
+    assert code == 2 and out == ""
+    assert "C(400,3) prefixes times 400 vertices exceed the profile budget" in err
 
 
 def test_verify_exit_codes(capsys, cache):

@@ -312,7 +312,7 @@ def test_induced_profile_guards():
     g = HostGraph.from_red_pairs(3, [(0, 1)])
     with pytest.raises(UnsupportedSizeError):
         induced_profile(g, 6)
-    big = HostGraph(80, tuple(0 for _ in range(80)))
+    big = HostGraph(120, tuple(0 for _ in range(120)))
     with pytest.raises(UnsupportedSizeError):
         induced_profile(big, 5)
 

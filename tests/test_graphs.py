@@ -129,6 +129,100 @@ def test_twins_are_placed_once():
     assert graphs._min_placements((k8.masks,)) == [tuple(range(8))]
 
 
+def _reference_min_placements(layers, fixed=()):
+    """The per-vertex loop that the bitmask kernel of _min_placements replaced."""
+    n = len(layers[0])
+    below = graphs._twins(layers)
+    states = [(tuple(fixed), sum(1 << v for v in fixed))]
+    for pos in range(len(fixed), n):
+        best_seg = None
+        kept = []
+        for placed, used in states:
+            for v in range(n):
+                if used >> v & 1 or below[v] & ~used:
+                    continue
+                seg = 0
+                for masks in layers:
+                    for u in placed:
+                        seg = (seg << 1) | (masks[v] >> u & 1)
+                if best_seg is None or seg < best_seg:
+                    best_seg = seg
+                    kept = [(placed + (v,), used | 1 << v)]
+                elif seg == best_seg:
+                    kept.append((placed + (v,), used | 1 << v))
+        states = kept
+    return [p for p, _ in states]
+
+
+def test_min_placements_kernel_matches_reference():
+    rng = random.Random(88)
+    hosts = [make_construction(spec, n) for n in (6, 9) for spec in (
+        clique_plus_isolated(0.5), disjoint_cliques([0.3, 0.3, 0.4]), circulant(0.5),
+    )]
+    hosts += [random_host(rng, rng.randint(1, 9), rng.choice([0.1, 0.5, 0.9])) for _ in range(300)]
+    for g in hosts:
+        layers = (g.masks,)
+        assert graphs._min_placements(layers) == _reference_min_placements(layers)
+        for size in (1, 2):
+            if g.n >= size:
+                fixed = tuple(rng.sample(range(g.n), size))
+                got = graphs._min_placements(layers, fixed=fixed)
+                assert got == _reference_min_placements(layers, fixed), (g.to_text(), fixed)
+    for _ in range(300):
+        h = rng.randint(1, 9)
+        colours = [rng.choice("RBF") if rng.random() < 0.7 else "F" for _ in lex_pairs(h)]
+        layers = parse_pattern(f"{h} {''.join(colours)}").layers()
+        assert graphs._min_placements(layers) == _reference_min_placements(layers)
+
+
+def _mask_orbit_reps(parent: HostGraph) -> list[int]:
+    """The least mask of each orbit of Aut(parent), by trying every permutation."""
+    n = parent.n
+    auts = [p for p in permutations(range(n)) if parent.relabel(p) == parent]
+    image = lambda perm, mask: sum(1 << perm[v] for v in range(n) if mask >> v & 1)
+    return [m for m in range(1 << n) if all(image(p, m) >= m for p in auts)]
+
+
+def test_augmentation_keeps_each_class_once():
+    for k in range(2, 7):
+        kept = []
+        for parent in graphs._graph_classes(k - 1):
+            reps = set(_mask_orbit_reps(parent))
+            for mask in range(1 << (k - 1)):
+                child = graphs._augment(parent, mask)
+                want = canonical_host(HostGraph.from_red_pairs(
+                    k, [pr for pr in lex_pairs(k - 1) if parent.red(*pr)]
+                    + [(v, k - 1) for v in range(k - 1) if mask >> v & 1]
+                ))
+                if child is not None:
+                    assert child == want
+                    if mask in reps:
+                        kept.append(want.to_text())
+        assert len(kept) == len(set(kept)) == CLASS_COUNTS[k]
+        assert set(kept) == {g.to_text() for g in graphs._graph_classes(k)}
+
+
+def test_augmentation_labels_few_children(monkeypatch):
+    # one labelling per Aut(parent)-orbit of masks was 662 calls for k <= 6
+    orbits = sum(len(_mask_orbit_reps(p)) for k in range(1, 6) for p in graphs._graph_classes(k))
+    assert orbits == 662
+    calls = []
+    min_placements = graphs._min_placements
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return min_placements(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "_min_placements", spy)
+    graphs._graph_classes.cache_clear()
+    try:
+        classes = graphs._enumerate_classes(6)
+    finally:
+        graphs._graph_classes.cache_clear()
+    assert len(classes) == CLASS_COUNTS[6]
+    assert len(calls) <= 300
+
+
 @pytest.mark.parametrize("spec", [
     clique_plus_isolated(0.5),
     disjoint_cliques([0.3, 0.3, 0.4]),
