@@ -27,11 +27,12 @@ from .counting import (
     ac4_pattern,
     blowup_injections,
     check_profile_size,
-    classify_pattern,
+    check_transitive_size,
+    count_injections,
+    count_transitive,
     double_star_pattern,
     induced_profile,
     normalized_density,
-    pattern_counter,
     peenn_pattern,
     star_pattern,
     tree_pattern,
@@ -239,16 +240,12 @@ def cmd_count(args, cfg: RunConfig) -> int:
                         red += parts.sizes[i] * parts.sizes[j]
             beta = red / npairs
             n = args.n
-        else:
-            if args.n**h.h > 5e7 and classify_pattern(h) is None:
-                raise UsageError(
-                    "no fast counter for this pattern on a circulant host "
-                    "this large; reduce n"
-                )
+        else:  # circulants and their complements, which are vertex-transitive
+            check_transitive_size(h, args.n)
             host = make_construction(spec, args.n)
             n = host.n
             beta = host.red_density()
-            count = pattern_counter(h)(host)
+            count = count_transitive(h, host)
     elif args.host:
         text = args.host
         if text.startswith("@"):
@@ -259,7 +256,7 @@ def cmd_count(args, cfg: RunConfig) -> int:
         host_desc = host.to_text()
         n = host.n
         beta = host.red_density()
-        count = pattern_counter(h)(host)
+        count = count_injections(h, host)
     else:
         raise UsageError("count needs --host or --construct")
     rho = normalized_density(count, n, h.h) if n >= h.h else 0.0

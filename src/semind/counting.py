@@ -7,15 +7,17 @@ pattern's constraints and counts the remaining constrained vertices at each
 leaf in one step, by Moebius inversion over set partitions, with popcounts of
 candidate masks.  On all but the smallest hosts a tree-shaped pattern such as
 peenn or a double star therefore costs O(n^2) popcount steps instead of the
-O(n^(h-1)) of enumerating every vertex but the last.  The closed-form fast paths are verified against it, and it
-against a plain backtracker, by the test suite.
+O(n^(h-1)) of enumerating every vertex but the last.  On a vertex-transitive
+host (`count_transitive`) one pattern vertex is pinned to host vertex 0 and
+the count multiplied by n.  The test suite checks the counter against a
+plain backtracker.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import NamedTuple
 
 from .graphs import (
@@ -26,7 +28,6 @@ from .graphs import (
     _min_placements,
     _twins,
     canonical_form,
-    canonical_pattern,
     lex_pairs,
 )
 
@@ -103,7 +104,8 @@ class _Plan(NamedTuple):
     batch: tuple  # per batch vertex: (prefix position, pair is red)
     steps: tuple  # (subset, subset less its lowest member, that member)
     terms: tuple  # (Moebius weight, blocks as subsets), one per set partition
-    tail: int  # number of vertices with no constraint
+    tail: int  # number of unpinned vertices with no constraint
+    cost: float  # estimated work, in enumerated prefix vertices
 
 
 def _set_partitions(k: int) -> list[tuple[int, ...]]:
@@ -155,9 +157,11 @@ def _plan(h: PatternGraph, n: int, pinned: tuple[int, ...] = ()) -> _Plan:
     one, large hosts the whole batch.
 
     Pinned positions are never checked, so their constraints with each other
-    do not count; pinned vertices must share a constraint, which keeps them
-    out of the tail.  The batch's subsets and set partitions with their
-    Moebius weights are fixed here; plans are cached per (h, n, pinned)."""
+    do not count.  Pinned vertices lead the prefix whether or not they have
+    constraints, so the tail holds only unpinned vertices; any vertex, even
+    a lone one with no constraint, may be pinned.  The batch's subsets and
+    set partitions with their Moebius weights are fixed here; plans are
+    cached per (h, n, pinned), with the estimated total as `cost`."""
     nbr = [0] * h.h  # constraint neighbours as bitmasks
     for i, j in h.red_pairs | h.blue_pairs:
         nbr[i] |= 1 << j
@@ -201,7 +205,7 @@ def _plan(h: PatternGraph, n: int, pinned: tuple[int, ...] = ()) -> _Plan:
         cost += nodes * _leaf_work(len(spare) - k)
         if best is None or cost < best[0]:
             best = cost, order, sorted(spare[k:])
-    _, order, batch = best
+    cost, order, batch = best
     pos_of = {v: i for i, v in enumerate(order)}
 
     def row(v: int, before: int):
@@ -218,6 +222,7 @@ def _plan(h: PatternGraph, n: int, pinned: tuple[int, ...] = ()) -> _Plan:
         steps=tuple((s, s & (s - 1), (s & -s).bit_length() - 1) for s in range(1, 1 << k)),
         terms=tuple((_moebius(p), p) for p in _set_partitions(k)),
         tail=h.h - len(order) - k,
+        cost=cost,
     )
 
 
@@ -234,11 +239,11 @@ def _extend(plan: _Plan, red, blue, assign: list[int], pos: int, used: int) -> i
     2^b + Bell(b) big-int operations for a batch of b: O(n^2) for peenn and
     the double stars, whose covers have two vertices, once n is large enough
     (10 for peenn, 7 for ds:2) that their plans keep the whole batch."""
-    cons, batch, steps, terms, tail = plan
+    cons, batch, steps, terms, tail, _ = plan
     n = len(red)
     full = (1 << n) - 1
     depth = len(cons)
-    scale = _falling(max(n - depth - len(batch), 0), tail)
+    scale = perm(max(n - depth - len(batch), 0), tail)
     if not scale:
         return 0
     only = batch[0] if len(batch) == 1 else None
@@ -281,17 +286,50 @@ def _extend(plan: _Plan, red, blue, assign: list[int], pos: int, used: int) -> i
     return scale * rec(pos, used)
 
 
+def _red_blue(g: HostGraph) -> tuple:
+    """The host's red masks and blue masks."""
+    full = (1 << g.n) - 1
+    return g.masks, tuple(full ^ m ^ (1 << v) for v, m in enumerate(g.masks))
+
+
 def count_injections(h: PatternGraph, g: HostGraph) -> int:
     """Number of injections respecting red->red and blue->blue on constrained
     pairs; free pairs are unconstrained.  Returns 0 when h has more vertices
     than g."""
     if h.h > g.n:
         return 0
-    full = (1 << g.n) - 1
-    red = g.masks
-    blue = tuple(full ^ m ^ (1 << v) for v, m in enumerate(red))
     plan = _plan(h, g.n)
-    return _extend(plan, red, blue, [0] * len(plan.cons), 0, 0)
+    return _extend(plan, *_red_blue(g), [0] * len(plan.cons), 0, 0)
+
+
+_TRANSITIVE_BUDGET = 5e7
+
+
+def _pinned_plan(h: PatternGraph, n: int) -> _Plan:
+    """The plan that pins h's most constrained vertex (the first of several)."""
+    red, blue = h.layers()
+    pin = max(range(h.h), key=lambda v: ((red[v] | blue[v]).bit_count(), -v))
+    return _plan(h, n, (pin,))
+
+
+def check_transitive_size(h: PatternGraph, n: int) -> None:
+    """Raise unless count_transitive's plan for n-vertex hosts is within the
+    budget of 5e7 estimated prefix vertices (see `_plan`)."""
+    cost = _pinned_plan(h, n).cost
+    if cost > _TRANSITIVE_BUDGET:
+        raise UnsupportedSizeError(
+            f"estimated work {cost:.3g} exceeds the counting budget of "
+            f"{_TRANSITIVE_BUDGET:.0e} on a {n}-vertex vertex-transitive host; reduce n"
+        )
+
+
+def count_transitive(h: PatternGraph, g: HostGraph) -> int:
+    """count_injections for a vertex-transitive host g, such as a circulant:
+    each host vertex is the image of a given pattern vertex equally often, so
+    the count is n times the injections that send the pattern's most
+    constrained vertex to host vertex 0."""
+    plan = _pinned_plan(h, g.n)
+    return g.n * _extend(plan, *_red_blue(g), [0] * len(plan.cons), 1, 1)
 
 
 def is_induced_subgraph(small: HostGraph, big: HostGraph) -> bool:
@@ -336,35 +374,6 @@ def flip_delta(plans, red: list[int], blue: list[int], u: int, v: int) -> int:
         copies += _extend(plan, red, blue, assign, 2, used)
         delta += -copies if pair_red == now_red else copies
     return delta
-
-
-def count_ap4_fast(g: HostGraph) -> int:
-    """Labeled alternating-3-path count via degree statistics."""
-    st = degree_stats(g)
-    return 2 * (sum_blue_degree_products(g) - st.t)
-
-
-def count_ac4_fast(g: HostGraph) -> int:
-    """Labeled alternating-4-cycle count: 2 * (sum_blue d_u d_v - t - s)."""
-    st = degree_stats(g)
-    return 2 * (sum_blue_degree_products(g) - st.t - st.s_open)
-
-
-def _falling(x: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= x - i
-        if out == 0:
-            return 0
-    return out
-
-
-def count_star_fast(g: HostGraph, a: int, b: int) -> int:
-    """Labeled stars with a red and b blue leaves: sum_v (d_v)_a (n-1-d_v)_b."""
-    if a + b + 1 > g.n:
-        return 0
-    n = g.n
-    return sum(_falling(d, a) * _falling(n - 1 - d, b) for d in g.degrees())
 
 
 def ds_upper_bound(g: HostGraph, s: int) -> int:
@@ -524,7 +533,7 @@ def blowup_injections(h: PatternGraph, parts: PartedHost) -> int:
         if v == h.h:
             mult = 1
             for pi in range(p):
-                mult *= _falling(sizes[pi], used[pi])
+                mult *= perm(sizes[pi], used[pi])
             total += mult
             return
         for pi in range(p):
@@ -599,36 +608,3 @@ def pattern_automorphism_order(h: PatternGraph) -> int:
     for below in twins:
         order *= below.bit_count() + 1  # the i-th twin of a class adds a factor i
     return order
-
-
-def classify_pattern(h: PatternGraph):
-    """Recognize patterns with a closed-form fast counter.
-
-    Returns ('ap4',), ('ac4',), ('star', a, b) or None.
-    """
-    a, b = len(h.red_pairs), len(h.blue_pairs)
-    if h.h == 4:
-        code = canonical_pattern(h)
-        if code == canonical_pattern(ap4_pattern()):
-            return ("ap4",)
-        if code == canonical_pattern(ac4_pattern()):
-            return ("ac4",)
-    # a star's h - 1 constrained pairs all meet one vertex.  Tested directly:
-    # every tree passes the pair count, and on long paths the canonical form is slow
-    if a + b == h.h - 1 >= 1 and any((r | s).bit_count() == a + b for r, s in zip(*h.layers())):
-        return ("star", a, b)
-    return None
-
-
-def pattern_counter(h: PatternGraph):
-    """The one counting entry point: classifies h once and returns a
-    host -> count function, a closed form when h has one and the planned
-    generic counter otherwise."""
-    tag = classify_pattern(h)
-    if tag is None:
-        return lambda g: count_injections(h, g)
-    if tag[0] == "ap4":
-        return count_ap4_fast
-    if tag[0] == "ac4":
-        return count_ac4_fast
-    return lambda g: count_star_fast(g, tag[1], tag[2])

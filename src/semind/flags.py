@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb
+from math import comb, perm
 
 from .exactalg import Poly, Q2
 from .graphs import (
@@ -32,7 +32,7 @@ from .graphs import (
     _min_placements,
     canonical_host,
 )
-from .counting import pattern_counter
+from .counting import count_injections
 
 MAX_FLAG_K = 5
 
@@ -221,13 +221,6 @@ def combo_square(c: GraphCombo) -> GraphCombo:
     return flag_product(c, c, 2 * c.k - c.r)
 
 
-def _falling(k: int, r: int) -> int:
-    out = 1
-    for i in range(r):
-        out *= k - i
-    return out
-
-
 def unlabel(c: GraphCombo) -> GraphCombo:
     """Averaging over uniform root placements; the result is unrooted."""
     out = GraphCombo(c.k, 0, (), c.names, {})
@@ -241,7 +234,7 @@ def unlabel(c: GraphCombo) -> GraphCombo:
             if rooted_canonical(cand) == flag:
                 good += 1
         if good:
-            q = Q2.of(Fraction(good, _falling(c.k, c.r)))
+            q = Q2.of(Fraction(good, perm(c.k, c.r)))
             out.add_term(RootedFlag(canonical_host(g)), poly * q)
     return out
 
@@ -281,9 +274,8 @@ def expand_pattern(h: PatternGraph, k: int, names=("a",)) -> GraphCombo:
     if h.h != k:
         raise ValueError("pattern must have exactly k vertices (no lifting)")
     items = []
-    counter = pattern_counter(h)
     for g in _graph_classes(k):
-        c = counter(g)
+        c = count_injections(h, g)
         if c:
             items.append((RootedFlag(g), c))
     return GraphCombo.build(k, 0, (), tuple(names), items)

@@ -79,6 +79,22 @@ def lex_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
+def _relabel_masks(masks, perm) -> tuple[int, ...]:
+    """The masks relabelled so that new vertex i is old vertex perm[i]."""
+    inv = [0] * len(masks)
+    for i, v in enumerate(perm):
+        inv[v] = i
+    out = []
+    for v in perm:
+        m, acc = masks[v], 0
+        while m:
+            low = m & -m
+            acc |= 1 << inv[low.bit_length() - 1]
+            m ^= low
+        out.append(acc)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class HostGraph:
     """An n-vertex red/blue coloring of the complete graph.
@@ -137,19 +153,7 @@ class HostGraph:
 
     def relabel(self, perm) -> "HostGraph":
         """New graph where new vertex i is old vertex perm[i]."""
-        masks = [0] * self.n
-        inv = [0] * self.n
-        for i, v in enumerate(perm):
-            inv[v] = i
-        for i, v in enumerate(perm):
-            m = self.masks[v]
-            acc = 0
-            while m:
-                low = m & -m
-                acc |= 1 << inv[low.bit_length() - 1]
-                m ^= low
-            masks[i] = acc
-        return HostGraph(self.n, tuple(masks))
+        return HostGraph(self.n, _relabel_masks(self.masks, perm))
 
     def induced(self, vertices) -> "HostGraph":
         vs = list(vertices)
@@ -496,7 +500,7 @@ def _augment(parent: HostGraph, mask: int) -> HostGraph | None:
         last = max(ties + [w], key=p0.index)
         if last != w and w not in _orbit(last, gens):
             return None
-    return HostGraph(k, tuple(masks)).relabel(p0)
+    return HostGraph(k, _relabel_masks(masks, p0))
 
 
 def _enumerate_classes(k: int) -> tuple[HostGraph, ...]:
@@ -717,7 +721,7 @@ def make_construction(spec: ConstructionSpec, n: int) -> HostGraph:
         raise ConstructionError("constructions need n >= 2")
     if spec.kind == "circulant":
         return _circulant_host(n, spec.fractions[0])
-    if spec.kind == "complement" and spec.inner.kind == "circulant":
-        return _circulant_host(n, spec.inner.fractions[0]).complement()
     parts = construction_parts(spec, n)
+    if parts is None:  # a complement around the circulant family
+        return make_construction(spec.inner, n).complement()
     return parts.to_host()

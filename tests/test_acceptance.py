@@ -8,7 +8,7 @@ report lines.
 import random
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 
 import pytest
 
@@ -27,10 +27,8 @@ from semind.counting import (
     ac4_pattern,
     ap4_pattern,
     blowup_injections,
-    count_ac4_fast,
-    count_ap4_fast,
     count_injections,
-    count_star_fast,
+    count_transitive,
     degree_stats,
     induced_profile,
     normalized_density,
@@ -206,7 +204,7 @@ def test_criterion_06_construction_convergence():
     t0 = time.time()
     # (a) circulant at 2/3, n = 600: alternating path density near 4/27
     g = make_construction(circulant(2 / 3), 600)
-    rho = normalized_density(count_ap4_fast(g), 600, 4)
+    rho = normalized_density(count_transitive(ap4_pattern(), g), 600, 4)
     assert abs(rho - 4 / 27) / (4 / 27) < 0.02
 
     # (b) three equal cliques, n = 999: alternating 4-cycle density near 2/27
@@ -324,19 +322,15 @@ def test_criterion_12_property_suites():
         for h, order in zip(pats_auto, orders):
             assert count_injections(h, g) % order == 0
 
-    # fast paths == generic counting, exhaustive n <= 7
+    # degree formulas == generic counting, exhaustive n <= 7: the 4-cycle one
+    # is the bookkeeping identity sum_blue d_u d_v = t + s_open + ac4 / 2
     for k in range(1, 8):
         for g in _graph_classes(k):
-            assert count_ap4_fast(g) == count_injections(ap4_pattern(), g)
-            assert count_ac4_fast(g) == count_injections(ac4_pattern(), g)
-            assert count_star_fast(g, 2, 1) == count_injections(star_pattern(2, 1), g)
-
-    # bookkeeping identity behind the 4-cycle fast path, exhaustive n <= 7
-    for k in range(2, 8):
-        for g in _graph_classes(k):
-            st = degree_stats(g)
-            labeled = count_injections(ac4_pattern(), g)
-            assert sum_blue_degree_products(g) == st.t + st.s_open + labeled // 2
+            st, blue_dd = degree_stats(g), sum_blue_degree_products(g)
+            assert count_injections(ap4_pattern(), g) == 2 * (blue_dd - st.t)
+            assert count_injections(ac4_pattern(), g) == 2 * (blue_dd - st.t - st.s_open)
+            stars = sum(perm(d, 2) * perm(k - 1 - d, 1) for d in st.degrees)
+            assert count_injections(star_pattern(2, 1), g) == stars
 
     # induced-profile partition identity
     rng = random.Random(8)
@@ -351,4 +345,4 @@ def test_criterion_12_property_suites():
         g = HostGraph(n, tuple(masks))
         for k in range(1, 6):
             assert induced_profile(g, k).total() == comb(n, k)
-    _report(12, "property suites: symmetry, divisibility, fast paths, profiles", t0, 600)
+    _report(12, "property suites: symmetry, divisibility, degree formulas, profiles", t0, 600)

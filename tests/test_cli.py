@@ -52,9 +52,24 @@ def test_count_usage_errors(capsys, cache):
     code, _, err = run(capsys, "count", "--pattern", "ap4")
     assert code == 2
     code, out, err = run(
-        capsys, "count", "--pattern", "peenn", "--construct", "circulant:0.5", "--n", "100",
+        capsys, "count", "--pattern", "6 RRRRRRRRRRRRRRR", "--construct", "circulant:0.5",
+        "--n", "600",
     )
-    assert code == 2 and out == "" and "no fast counter for this pattern" in err
+    assert code == 2 and out == "" and "exceeds the counting budget of 5e+07" in err
+
+
+@pytest.mark.parametrize("pattern,construct,n", [
+    ("peenn", "circulant:0.5", 100),
+    ("ap4", "complement:complement:circulant:0.5", 10),
+    ("ac4", "complement:circulant:0.475", 41),  # odd degree on odd n
+])
+def test_count_vertex_transitive_host(capsys, cache, pattern, construct, n):
+    code, out, err = run(capsys, "count", "--pattern", pattern, "--construct", construct,
+                         "--n", str(n))
+    host = graphs.make_construction(cli.construct_from_arg(construct), n)
+    expected = counting.count_injections(cli.pattern_from_arg(pattern), host)
+    assert code == 0 and err == ""
+    assert f" count={expected} " in out.splitlines()[0]
 
 
 def test_count_rejects_profile_k_before_counting(capsys, cache):
@@ -316,24 +331,6 @@ def test_config_file_and_flag_precedence(capsys, cache, tmp_path):
         code, out, err = run(capsys, "--config", str(cfg), "profile", "--curve", "ap4")
         assert code == 2 and out == ""
         assert f"{cfg}:2: {key}: expected {kind}, got '{value}'" in err
-
-
-@pytest.mark.parametrize("pattern,expected", [
-    ("ap4", "pattern='4 RFFBFR' host='6 RBRRBBRBRRBRBBR' count=70 rho=0.054012345679\n"
-            "curve=ap4 beta=0.533333333333 value=0.132740740741 in_range=1\n"),
-    ("ac4", "pattern='4 RFBBFR' host='6 RBRRBBRBRRBRBBR' count=44 rho=0.033950617284\n"
-            "curve=ac4 beta=0.533333333333 value=0.132740740741 in_range=1\n"),
-    ("s:2,1", "pattern='4 RRBFFF' host='6 RBRRBBRBRRBRBBR' count=60 rho=0.0462962962963\n"
-              "curve=s21 beta=0.533333333333 value=0.132740740741 in_range=1\n"),
-])
-def test_count_host_uses_the_closed_form_only(capsys, cache, monkeypatch, pattern, expected):
-    def backtracking(*args):
-        raise AssertionError("a closed-form pattern was counted by backtracking")
-
-    for module in (counting, cli):
-        monkeypatch.setattr(module, "count_injections", backtracking, raising=False)
-    code, out, _ = run(capsys, "count", "--pattern", pattern, "--host", "6 RBRRBBRBRRBRBBR")
-    assert code == 0 and out == expected
 
 
 def test_count_pattern_file(capsys, cache, tmp_path):

@@ -2,7 +2,7 @@
 
 import random
 from itertools import combinations, permutations
-from math import comb
+from math import comb, perm
 
 import pytest
 
@@ -11,11 +11,9 @@ from semind.counting import (
     ac4_pattern,
     ap4_pattern,
     blowup_injections,
-    classify_pattern,
-    count_ac4_fast,
-    count_ap4_fast,
+    check_transitive_size,
     count_injections,
-    count_star_fast,
+    count_transitive,
     degree_stats,
     double_star_pattern,
     ds_upper_bound,
@@ -132,7 +130,7 @@ def test_count_injections_matches_reference_on_random_patterns():
     for h in (peenn_pattern(), patterns[3]):
         assert count_injections(h, g) == _reference_count(h, g), h.to_text()
     # ten leaves: over the cap of nine, so at least one leaf is enumerated
-    assert count_injections(star_pattern(6, 4), g) == count_star_fast(g, 6, 4)
+    assert count_injections(star_pattern(6, 4), g) == _star_formula(g, 6, 4)
 
 
 def test_degree_stats_examples():
@@ -145,14 +143,30 @@ def test_degree_stats_examples():
     assert st.m == 4 and st.t == 6 and st.s_open == 0
 
 
+def _ap4_formula(g):
+    """Alternating 3-paths: 2 (sum over blue pairs of d_u d_v - t)."""
+    return 2 * (sum_blue_degree_products(g) - degree_stats(g).t)
+
+
+def _ac4_formula(g):
+    """Alternating 4-cycles: 2 (sum over blue pairs of d_u d_v - t - s_open)."""
+    st = degree_stats(g)
+    return 2 * (sum_blue_degree_products(g) - st.t - st.s_open)
+
+
+def _star_formula(g, a, b):
+    """Stars with a red and b blue leaves: sum_v (d_v)_a (n - 1 - d_v)_b."""
+    return sum(perm(d, a) * perm(g.n - 1 - d, b) for d in g.degrees())
+
+
 def test_fast_paths_examples():
     assert sum_blue_degree_products(C5) == 20
-    assert count_ap4_fast(C5) == 30
-    assert count_ap4_fast(PATH4) == 6
-    assert count_ap4_fast(K4) == 0
-    assert count_star_fast(K34, 2, 1) == 6
-    assert count_star_fast(K4, 2, 1) == 0
-    assert count_star_fast(C5, 2, 2) == 20
+    assert count_injections(ap4_pattern(), C5) == _ap4_formula(C5) == 30
+    assert count_injections(ap4_pattern(), PATH4) == _ap4_formula(PATH4) == 6
+    assert count_injections(ap4_pattern(), K4) == _ap4_formula(K4) == 0
+    assert count_injections(star_pattern(2, 1), K34) == _star_formula(K34, 2, 1) == 6
+    assert count_injections(star_pattern(2, 1), K4) == _star_formula(K4, 2, 1) == 0
+    assert count_injections(star_pattern(2, 2), C5) == _star_formula(C5, 2, 2) == 20
     assert ds_upper_bound(C5, 1) == 40
     assert ds_upper_bound(K4, 2) == 0
 
@@ -177,10 +191,10 @@ def test_fast_equals_generic_small():
                     masks[i] |= 1 << j
                     masks[j] |= 1 << i
         g = HostGraph(n, tuple(masks))
-        assert count_ap4_fast(g) == count_injections(ap4_pattern(), g)
-        assert count_ac4_fast(g) == count_injections(ac4_pattern(), g)
-        assert count_star_fast(g, 2, 1) == count_injections(star_pattern(2, 1), g)
-        assert count_star_fast(g, 1, 2) == count_injections(star_pattern(1, 2), g)
+        assert _ap4_formula(g) == count_injections(ap4_pattern(), g)
+        assert _ac4_formula(g) == count_injections(ac4_pattern(), g)
+        assert _star_formula(g, 2, 1) == count_injections(star_pattern(2, 1), g)
+        assert _star_formula(g, 1, 2) == count_injections(star_pattern(1, 2), g)
         assert ds_upper_bound(g, 2) >= count_injections(double_star_pattern(2), g)
 
 
@@ -238,26 +252,6 @@ def test_canonical_pattern_matches_permutation_oracle():
             assert (c1 == c2) == (o1 == o2)
     assert len(set(codes)) < len(set(p.to_text() for p in pats))  # some classes repeat
     assert pattern_automorphism_order(double_star_pattern(3)) == 72
-
-
-def test_classify_pattern_is_relabeling_invariant():
-    rng = random.Random(7)
-    for h, tag in ((ap4_pattern(), ("ap4",)), (ac4_pattern(), ("ac4",)),
-                   (star_pattern(2, 3), ("star", 2, 3)), (peenn_pattern(), None)):
-        for _ in range(5):
-            perm = list(range(h.h))
-            rng.shuffle(perm)
-            assert classify_pattern(_relabeled(h, perm)) == tag
-    # a long path has the pair count of a star but no centre
-    assert classify_pattern(tree_pattern([(i, i + 1) for i in range(19)])) is None
-
-
-def test_classify_pattern():
-    assert classify_pattern(ap4_pattern()) == ("ap4",)
-    assert classify_pattern(ac4_pattern()) == ("ac4",)
-    assert classify_pattern(star_pattern(3, 2)) == ("star", 3, 2)
-    assert classify_pattern(peenn_pattern()) is None
-    assert classify_pattern(double_star_pattern(2)) is None
 
 
 def test_induced_profile_examples():
@@ -326,8 +320,45 @@ def test_normalized_density():
 
 def test_normalized_density_circulant_example():
     g = make_construction(circulant(2 / 3), 600)
-    rho = normalized_density(count_ap4_fast(g), 600, 4)
+    rho = normalized_density(count_transitive(ap4_pattern(), g), 600, 4)
     assert abs(rho - 4 / 27) / (4 / 27) < 0.02
+
+
+def test_count_transitive_matches_count_injections():
+    rng = random.Random(9)
+    named = [
+        ap4_pattern(), ac4_pattern(), peenn_pattern(), double_star_pattern(2),
+        star_pattern(2, 1), star_pattern(0, 3),
+    ]
+    randoms = [parse_pattern("5 FFFFFFFFFF")]  # no constraint at all
+    while len(randoms) < 50:
+        h = rng.randint(1, 6)
+        body = "".join(rng.choice("RBFF") for _ in range(h * (h - 1) // 2))
+        randoms.append(parse_pattern(f"{h} {body}"))
+    # n = 41 at 19/40 is odd-degree on odd n, which _circulant_host rounds to 18
+    odd = make_construction(circulant(19 / 40), 41)
+    assert set(odd.degrees()) == {18}
+    checked = set()
+    for h in named + randoms:
+        sizes = {max(h.h, 2), max(h.h, 2) + 1, rng.randint(max(h.h, 2), 41)}
+        if h in named:
+            sizes |= {40, 41}
+        for n in sorted(sizes):
+            g = make_construction(circulant(rng.choice((0.3, 19 / 40, 0.5, 0.8))), n)
+            for host in (g, g.complement()):
+                assert count_transitive(h, host) == count_injections(h, host), (
+                    h.to_text(), host.n,
+                )
+                checked.add(n % 2)
+    assert count_transitive(ap4_pattern(), odd) == count_injections(ap4_pattern(), odd)
+    assert checked == {0, 1}
+    assert count_transitive(peenn_pattern(), parse_host("4 RBBRBR")) == 0  # h > n
+
+
+def test_transitive_budget():
+    check_transitive_size(tree_pattern([(i, i + 1) for i in range(6)]), 600)  # about 7e6
+    with pytest.raises(UnsupportedSizeError, match="budget"):
+        check_transitive_size(parse_pattern("6 " + "R" * 15), 600)  # about 1.9e8
 
 
 def test_blowup_matches_generic():

@@ -404,6 +404,15 @@ def test_complement_spec():
     assert canonical_form(g) == canonical_form(direct)
 
 
+def test_nested_complement_of_circulant():
+    for n in (9, 10):
+        base = make_construction(circulant(0.5), n)
+        once = complement_of(circulant(0.5))
+        assert make_construction(once, n) == base.complement()
+        assert make_construction(complement_of(once), n) == base
+        assert make_construction(complement_of(complement_of(once)), n) == base.complement()
+
+
 def test_circulant_regular_and_density():
     g = make_construction(circulant(2 / 3), 300)
     degs = set(g.degrees())
