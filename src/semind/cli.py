@@ -5,7 +5,9 @@ Configuration comes from an optional key=value file plus flags (flags win);
 the SEMIND_CACHE environment variable selects the cache directory, which
 holds enumerated bases (loaded back after validation, see `graphs`) and
 archived verification reports.  Exit codes: 0 success / verification PASS,
-1 verification FAIL, 2 usage or parse errors.
+1 verification FAIL, 2 usage error (a `semind.UsageError` or an unreadable or
+unwritable file the user named; one `error:` line on stderr), 3 internal fault
+(its traceback on stderr).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from . import __version__
+from . import UsageError, __version__
 from .counting import (
     ap4_pattern,
     ac4_pattern,
@@ -48,9 +50,6 @@ from .exactalg import Q2, SQRT2
 from .figures import emit_figure
 from .graphs import (
     ConstructionSpec,
-    ConstructionError,
-    GraphFormatError,
-    UnsupportedSizeError,
     basis_cache,
     basis_text,
     circulant,
@@ -64,12 +63,8 @@ from .graphs import (
     parse_pattern,
     three_part,
 )
-from .profiles import BracketError, CurveSpecError, curve, eval_curve
+from .profiles import curve, eval_curve
 from .search import brute_force_profile, exact_max, full_profile, hill_climb
-
-
-class UsageError(ValueError):
-    pass
 
 
 @dataclass
@@ -87,7 +82,7 @@ def load_config(args) -> RunConfig:
     }
     cfg_file = getattr(args, "config", None)
     if cfg_file:
-        for lineno, line in enumerate(Path(cfg_file).read_text().splitlines(), 1):
+        for lineno, line in enumerate(_read_text(cfg_file).splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -128,6 +123,14 @@ def load_config(args) -> RunConfig:
 # argument parsing helpers
 
 
+def _read_text(path: str) -> str:
+    """A file the user named; one that is not UTF-8 text is a UsageError."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _numbers(what: str, arg: str, text: str, form: str, count=None, convert=int, sep=","):
     """The sep-separated numbers in text (part of the argument arg), or a
     UsageError naming the argument and its expected form."""
@@ -144,7 +147,7 @@ def pattern_from_arg(text: str):
     """Builtin names (ap4, ac4, ds:<s>, peenn, s:<a>,<b>, tree:<edges>),
     @file, or literal pattern text."""
     if text.startswith("@"):
-        return parse_pattern(Path(text[1:]).read_text())
+        return parse_pattern(_read_text(text[1:]))
     name, _, rest = text.partition(":")
     if name == "ap4":
         return ap4_pattern()
@@ -201,7 +204,7 @@ def exact_from_arg(text: str) -> Q2:
         return Q2(Fraction(0), Fraction(1, 2))
     try:
         return Q2.of(Fraction(t))
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse exact value {text!r}") from exc
 
 
@@ -215,6 +218,12 @@ _CURVE_FOR_PATTERN = {
 
 # ---------------------------------------------------------------------------
 # commands
+
+
+def _check_n(h, n: int) -> None:
+    """Exact search and the oracle need a host at least as large as h."""
+    if n < h.h:
+        raise UsageError(f"--n must be at least the pattern's {h.h} vertices (got {n})")
 
 
 def cmd_count(args, cfg: RunConfig) -> int:
@@ -249,7 +258,7 @@ def cmd_count(args, cfg: RunConfig) -> int:
     elif args.host:
         text = args.host
         if text.startswith("@"):
-            text = Path(text[1:]).read_text()
+            text = _read_text(text[1:])
         host = parse_host(text)
         if args.profile_k is not None:
             check_profile_size(host.n, args.profile_k)
@@ -293,15 +302,13 @@ def cmd_enumerate(args, cfg: RunConfig) -> int:
 def cmd_search(args, cfg: RunConfig) -> int:
     h = pattern_from_arg(args.pattern)
     if args.hill:
-        seeds = []
-        if args.seed_construct:
-            seeds.append(construct_from_arg(args.seed_construct))
+        seeds = [construct_from_arg(args.seed_construct)] if args.seed_construct else []
         res = hill_climb(
             h,
             args.n,
             target_density=args.beta,
             restarts=args.restarts,
-            seed=args.seed if args.seed is not None else cfg.seed,
+            seed=cfg.seed,
             seeds=seeds,
         )
         rho = normalized_density(res.best_count, args.n, h.h)
@@ -309,6 +316,7 @@ def cmd_search(args, cfg: RunConfig) -> int:
         m = parse_host(wit).red_count()
         print(f"n={args.n} m={m} best={res.best_count} rho={rho:.12g} witness={wit!r}")
         return 0
+    _check_n(h, args.n)
     if args.profile:
         res = full_profile(h, args.n)
         print("m,best,rho")
@@ -327,7 +335,7 @@ def cmd_search(args, cfg: RunConfig) -> int:
 
 
 def cmd_profile(args, cfg: RunConfig) -> int:
-    step = args.beta_grid_step if args.beta_grid_step else cfg.beta_grid_step
+    step = cfg.beta_grid_step
     cids = [curve(c) for c in args.curve.split("+")]
     lo = args.beta_min
     hi = args.beta_max
@@ -382,20 +390,20 @@ def _archive_report(cfg: RunConfig, argv, cmd: str, text: str) -> None:
 def cmd_verify(args, cfg: RunConfig) -> int:
     if args.which == "ap4":
         hi = exact_from_arg(args.alpha_max) if args.alpha_max else Q2.of(Fraction(1, 2))
-        report = verify_ap4_certificate(alpha_interval=(Fraction(0), hi))
-        reports = [report]
+        reports = [verify_ap4_certificate(alpha_interval=(Fraction(0), hi))]
     elif args.which == "stability":
         reports = [stability_family_check()]
-    elif args.which == "peenn":
+    else:  # peenn; argparse restricts the choices
         if args.B or args.C or args.interval:
             if not (args.B and args.C and args.interval):
                 raise UsageError("peenn overrides need --B, --C and --interval")
-            lo_s, hi_s = args.interval.split(",")
+            form = "lo,hi with exact endpoints (e.g. 1/sqrt2,4/5)"
+            lo, hi = _numbers("--interval", args.interval, args.interval, form, 2, exact_from_arg)
             reports = [
                 verify_peenn_certificate(
                     B=exact_from_arg(args.B),
                     C=exact_from_arg(args.C),
-                    interval=(exact_from_arg(lo_s), exact_from_arg(hi_s)),
+                    interval=(lo, hi),
                     include_lo=not args.open_lo,
                 )
             ]
@@ -410,8 +418,6 @@ def cmd_verify(args, cfg: RunConfig) -> int:
                 )
                 for R in (REGIME_SQRT2, REGIME_RATIONAL)
             ]
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown certificate {args.which!r}")
     text = "\n".join(r.render() for r in reports)
     print(text)
     _archive_report(cfg, args.argv, f"verify-{args.which}", text)
@@ -419,8 +425,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 
 def cmd_figure(args, cfg: RunConfig) -> int:
-    step = args.beta_grid_step if args.beta_grid_step else cfg.beta_grid_step
-    paths = emit_figure(args.id, Path(args.out), step=step)
+    paths = emit_figure(args.id, Path(args.out), step=cfg.beta_grid_step)
     for p in paths:
         print(p)
     return 0
@@ -428,6 +433,7 @@ def cmd_figure(args, cfg: RunConfig) -> int:
 
 def cmd_oracle(args, cfg: RunConfig) -> int:
     h = pattern_from_arg(args.pattern)
+    _check_n(h, args.n)
     per_m = brute_force_profile(h, args.n)
     print("m,best,rho")
     for m in sorted(per_m):
@@ -516,17 +522,14 @@ def main(argv=None) -> int:
         cfg = load_config(args)
         with basis_cache(cfg.cache_dir):
             return args.func(args, cfg)
-    except (
-        UsageError,
-        GraphFormatError,
-        ConstructionError,
-        UnsupportedSizeError,
-        CurveSpecError,
-        BracketError,
-        ValueError,
-    ) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        import traceback  # loaded only on an internal fault; it costs import time
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from functools import lru_cache
 from math import comb, factorial, perm
 from typing import NamedTuple
 
+from . import UsageError
 from .graphs import (
     HostGraph,
     PartedHost,
@@ -419,7 +420,7 @@ def check_profile_size(n: int, k: int) -> None:
     if not 1 <= k <= 5:
         raise UnsupportedSizeError("profiles support 1 <= k <= 5")
     if k > n:
-        raise ValueError("k exceeds host size")
+        raise UsageError("k exceeds host size")
     if k >= 2 and comb(n, k - 2) * n > _PROFILE_BUDGET:
         raise UnsupportedSizeError(
             f"C({n},{k - 2}) prefixes times {n} vertices exceed the profile "
@@ -577,7 +578,7 @@ def peenn_pattern() -> PatternGraph:
 def star_pattern(a: int, b: int) -> PatternGraph:
     """Star with a red and b blue leaves from one center."""
     if a < 0 or b < 0 or a + b == 0:
-        raise ValueError("star needs a + b >= 1 leaves")
+        raise UsageError("star needs a + b >= 1 leaves")
     red = [(0, i) for i in range(1, a + 1)]
     blue = [(0, i) for i in range(a + 1, a + b + 1)]
     return PatternGraph.of(1 + a + b, red=red, blue=blue)
@@ -586,7 +587,7 @@ def star_pattern(a: int, b: int) -> PatternGraph:
 def double_star_pattern(s: int) -> PatternGraph:
     """Two centers joined by a blue pair, each with s red leaves."""
     if s < 1:
-        raise ValueError("double star needs s >= 1")
+        raise UsageError("double star needs s >= 1")
     red = [(0, i) for i in range(2, s + 2)] + [(1, i) for i in range(s + 2, 2 * s + 2)]
     return PatternGraph.of(2 * s + 2, red=red, blue=[(0, 1)])
 
@@ -594,6 +595,8 @@ def double_star_pattern(s: int) -> PatternGraph:
 def tree_pattern(edges) -> PatternGraph:
     """Monochromatic (all-red) tree pattern from an edge list."""
     es = [(min(i, j), max(i, j)) for i, j in edges]
+    if any(i == j for i, j in es):
+        raise UsageError("tree edges need two distinct vertices")
     h = max(max(e) for e in es) + 1
     return PatternGraph.of(h, red=es)
 

@@ -255,16 +255,6 @@ class Poly:
             out[e] = c
         return poly_trim(out)
 
-    def eval_float(self, **values) -> float:
-        total = 0.0
-        for exps, c in self.terms.items():
-            t = float(c)
-            for name, e in zip(self.names, exps):
-                if e:
-                    t *= float(values[name]) ** e
-            total += t
-        return total
-
     def __str__(self):
         if not self.terms:
             return "0"

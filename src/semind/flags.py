@@ -32,7 +32,7 @@ from .graphs import (
     _min_placements,
     canonical_host,
 )
-from .counting import count_injections
+from .counting import count_injections, induced_profile
 
 MAX_FLAG_K = 5
 
@@ -137,9 +137,6 @@ class GraphCombo:
             self.terms.pop(rep, None)
         else:
             self.terms[rep] = poly
-
-    def coeff(self, flag: RootedFlag) -> Poly:
-        return self.terms.get(rooted_canonical(flag), Poly.const(self.names, 0))
 
     def _like(self, k=None) -> "GraphCombo":
         return GraphCombo(k if k is not None else self.k, self.r, self.type_colors, self.names, {})
@@ -251,14 +248,12 @@ def lift(c: GraphCombo, target_k: int) -> GraphCombo:
         return c
     out = GraphCombo(target_k, 0, (), c.names, {})
     denom = comb(target_k, c.k)
-    codes = {flag: flag.graph.to_text() for flag in c.terms}
+    codes = {flag: flag.graph.to_text().encode() for flag in c.terms}
     for G in _graph_classes(target_k):
+        counts = induced_profile(G, c.k).counts
         acc = Poly.const(c.names, 0)
         for flag, poly in c.terms.items():
-            cnt = 0
-            for S in combinations(range(target_k), c.k):
-                if canonical_host(G.induced(S)).to_text() == codes[flag]:
-                    cnt += 1
+            cnt = counts.get(codes[flag], 0)
             if cnt:
                 acc = acc + poly * Q2.of(Fraction(cnt, denom))
         if not acc.is_zero():

@@ -33,6 +33,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
+from . import UsageError
+
 
 MAX_CANONICAL_N = 16
 MAX_ENUM_K = 7
@@ -56,7 +58,7 @@ _BASIS_SHA256 = {
 _basis_dir: Path | None = None
 
 
-class GraphFormatError(ValueError):
+class GraphFormatError(UsageError):
     """Malformed host/pattern text; `offset` is the byte position at fault."""
 
     def __init__(self, message: str, offset: int | None = None):
@@ -66,11 +68,11 @@ class GraphFormatError(ValueError):
         self.offset = offset
 
 
-class UnsupportedSizeError(ValueError):
+class UnsupportedSizeError(UsageError):
     pass
 
 
-class ConstructionError(ValueError):
+class ConstructionError(UsageError):
     pass
 
 
@@ -535,7 +537,7 @@ def _enumerate_classes(k: int) -> tuple[HostGraph, ...]:
 def enumerate_colored_graphs(k: int) -> list[HostGraph]:
     """All k-vertex colorings up to isomorphism, canonical and sorted."""
     if k < 1:
-        raise ValueError("k must be positive")
+        raise UsageError("k must be positive")
     if k > MAX_ENUM_K:
         raise UnsupportedSizeError(
             f"enumeration is capped at k <= {MAX_ENUM_K} (memory guard)"
@@ -663,6 +665,8 @@ def apportion(fractions, n: int) -> list[int]:
 
 def construction_parts(spec: ConstructionSpec, n: int) -> PartedHost | None:
     """Part structure of the construction, or None for the circulant family."""
+    if n < 2:
+        raise ConstructionError("constructions need n >= 2")
     if spec.kind == "clique_plus_isolated":
         a = spec.fractions[0]
         sizes = apportion([a, 1 - a], n)
@@ -717,11 +721,9 @@ def _circulant_host(n: int, frac: float) -> HostGraph:
 
 def make_construction(spec: ConstructionSpec, n: int) -> HostGraph:
     """Realize the construction on n vertices (largest-remainder part sizes)."""
-    if n < 2:
-        raise ConstructionError("constructions need n >= 2")
+    parts = construction_parts(spec, n)
+    if parts is not None:
+        return parts.to_host()
     if spec.kind == "circulant":
         return _circulant_host(n, spec.fractions[0])
-    parts = construction_parts(spec, n)
-    if parts is None:  # a complement around the circulant family
-        return make_construction(spec.inner, n).complement()
-    return parts.to_host()
+    return make_construction(spec.inner, n).complement()  # around a circulant

@@ -18,12 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import UsageError
+
 
 class BracketError(ValueError):
     pass
 
 
-class CurveSpecError(ValueError):
+class CurveSpecError(UsageError):
     pass
 
 

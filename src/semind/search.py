@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from math import comb
 
+from . import UsageError
 from .graphs import (
     MAX_CANONICAL_N,
     ConstructionSpec,
@@ -50,7 +51,7 @@ def _best_per_m(h: PatternGraph, n: int, m: int | None = None) -> dict:
         )
     npairs = comb(n, 2)
     if m is not None and not 0 <= m <= npairs:
-        raise ValueError(f"m must lie in [0, {npairs}]")
+        raise UsageError(f"m must lie in [0, {npairs}]")
     per_m: dict[int, tuple[int, list[bytes]]] = {}
     for g in _graph_classes(n):
         red = g.red_count()
@@ -62,8 +63,6 @@ def _best_per_m(h: PatternGraph, n: int, m: int | None = None) -> dict:
             per_m[red] = (c, [g.to_text().encode()])
         elif c == best[0]:
             best[1].append(g.to_text().encode())
-    if not per_m:
-        raise ValueError("no coloring matches the constraints")
     return per_m
 
 
@@ -159,7 +158,6 @@ def hill_climb(
     restarts: int = 0,
     seed: int = 0,
     seeds=(),
-    move_budget: int | None = None,
 ) -> SearchResult:
     """Stochastic local search for high-count colorings.
 
@@ -172,13 +170,13 @@ def hill_climb(
     if n > MAX_CLIMB_N:
         raise UnsupportedSizeError(f"hill climbing is capped at n <= {MAX_CLIMB_N}")
     if n < 2:
-        raise ValueError(f"hill climbing needs n >= 2 (got n={n})")
+        raise UsageError(f"hill climbing needs n >= 2 (got n={n})")
     if n < h.h:
-        raise ValueError(f"hill climbing needs n >= the pattern's {h.h} vertices (got n={n})")
+        raise UsageError(f"hill climbing needs n >= the pattern's {h.h} vertices (got n={n})")
     if target_density is not None and not 0 <= target_density <= 1:
-        raise ValueError(f"target density must lie in [0, 1] (got {target_density})")
+        raise UsageError(f"target density must lie in [0, 1] (got {target_density})")
     if restarts < 0:
-        raise ValueError(f"restarts must be non-negative (got {restarts})")
+        raise UsageError(f"restarts must be non-negative (got {restarts})")
     rng = random.Random(seed)
     counter = _make_counter(h)
     plans = flip_plans(h)
@@ -206,7 +204,7 @@ def hill_climb(
         if c > best:
             best, best_masks = c, list(masks)
 
-    budget = move_budget if move_budget is not None else 60 * n
+    budget = 60 * n
     plateau_cap = 2 * n
     prs = lex_pairs(n)
 

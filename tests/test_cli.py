@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import semind
-from semind import cli, counting, graphs
+from semind import cli, counting, flags, graphs, profiles
 from semind.cli import main
 
 
@@ -25,6 +25,16 @@ def run(capsys, *argv) -> tuple[int, str, str]:
 def cache(tmp_path, monkeypatch):
     monkeypatch.setenv("SEMIND_CACHE", str(tmp_path / "cache"))
     return tmp_path
+
+
+def usage_error(capsys, *argv) -> tuple[str, str]:
+    """Run argv, which must fail as a usage error: exit 2 with one `error:`
+    line and no traceback on stderr.  Returns stdout and stderr."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return out, err
 
 
 def test_count_circulant_ap4(capsys, cache):
@@ -386,3 +396,78 @@ def test_count_builds_a_constructed_host_once(capsys, cache, monkeypatch):
         "class_code,count\n3 BBB,480\n3 BBR,5400\n3 BRR,2200\n3 RRR,1800\n"
         "curve=ap4 beta=0.512820512821 value=0.12812083818 in_range=1\n"
     )
+
+
+def test_usage_errors_share_one_class():
+    for exc in (graphs.GraphFormatError, graphs.UnsupportedSizeError,
+                graphs.ConstructionError, profiles.CurveSpecError):
+        assert issubclass(exc, semind.UsageError)
+    for exc in (profiles.BracketError, flags.FlagTypeError):
+        assert not issubclass(exc, semind.UsageError)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "ap4", "--alpha-max", "1/0"), "cannot parse exact value '1/0'"),
+    (("verify", "peenn", "--B", "1/0", "--C", "1", "--interval", "0,1"),
+     "cannot parse exact value '1/0'"),
+    (("verify", "peenn", "--B", "1", "--C", "1", "--interval", "0.5"),
+     "bad --interval '0.5': expected lo,hi with exact endpoints"),
+    (("count", "--pattern", "@missing.txt", "--host", "3 RRR"), "'missing.txt'"),
+    (("count", "--pattern", "ap4", "--host", "@missing.txt"), "'missing.txt'"),
+    (("count", "--pattern", "@binary.txt", "--host", "3 RRR"), "binary.txt: not UTF-8 text"),
+    (("--config", "missing.cfg", "profile", "--curve", "ap4"), "'missing.cfg'"),
+    (("profile", "--curve", "ap4", "--out", "no/such/dir/x.csv"), "'no/such/dir/x.csv'"),
+    (("count", "--pattern", "ap4", "--construct", "cliques:0.5", "--n", "1"),
+     "constructions need n >= 2"),
+])
+def test_bad_input_is_a_usage_error(capsys, cache, monkeypatch, argv, message):
+    monkeypatch.chdir(cache)  # relative file names resolve inside the test directory
+    (cache / "binary.txt").write_bytes(b"\xff\xfe\x00")
+    out, err = usage_error(capsys, *argv)
+    assert out == "" and message in err, err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("search", "--pattern", "ap4", "--n", "5", "--m", "99"), "m must lie in [0, 10]"),
+    (("enumerate", "--k", "0"), "k must be positive"),
+    (("count", "--pattern", "s:0,0", "--host", "3 RRR"), "star needs a + b >= 1 leaves"),
+    (("count", "--pattern", "ds:0", "--host", "3 RRR"), "double star needs s >= 1"),
+    (("count", "--pattern", "tree:0-0", "--host", "3 RRR"),
+     "tree edges need two distinct vertices"),
+])
+def test_library_checks_are_usage_errors(capsys, cache, argv, message):
+    out, err = usage_error(capsys, *argv)
+    assert out == "" and message in err, err
+
+
+def test_search_and_oracle_reject_small_n_before_any_work(capsys, cache, monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("swept")
+
+    for name in ("exact_max", "full_profile", "brute_force_profile"):
+        monkeypatch.setattr(cli, name, no_sweep)
+    for argv in (
+        ("search", "--pattern", "ap4", "--n", "3"),
+        ("search", "--pattern", "ap4", "--n", "3", "--profile"),
+        ("oracle", "--pattern", "ap4", "--n", "3"),
+    ):
+        out, err = usage_error(capsys, *argv)
+        assert out == "" and "--n must be at least the pattern's 4 vertices (got 3)" in err
+
+
+def test_verify_prints_a_report_it_cannot_archive(capsys, cache):
+    not_a_dir = cache / "cache-file"
+    not_a_dir.write_text("")
+    out, err = usage_error(capsys, "--cache-dir", str(not_a_dir), "verify", "stability")
+    assert "verdict=PASS" in out and "cache-file" in err
+
+
+def test_internal_fault_exits_3_with_a_traceback(capsys, cache, monkeypatch):
+    def fault(args, cfg):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "cmd_count", fault)
+    code, out, err = run(capsys, "count", "--pattern", "ap4", "--host", "3 RRR")
+    assert code == 3 and out == ""
+    assert err.startswith("Traceback") and err.endswith("ValueError: internal fault\n")
+    assert not any(line.startswith("error:") for line in err.splitlines())
