@@ -390,6 +390,8 @@ def _archive_report(cfg: RunConfig, argv, cmd: str, text: str) -> None:
 def cmd_verify(args, cfg: RunConfig) -> int:
     if args.which == "ap4":
         hi = exact_from_arg(args.alpha_max) if args.alpha_max else Q2.of(Fraction(1, 2))
+        if hi <= 0:
+            raise UsageError(f"--alpha-max must be positive (got {args.alpha_max!r})")
         reports = [verify_ap4_certificate(alpha_interval=(Fraction(0), hi))]
     elif args.which == "stability":
         reports = [stability_family_check()]
@@ -399,6 +401,8 @@ def cmd_verify(args, cfg: RunConfig) -> int:
                 raise UsageError("peenn overrides need --B, --C and --interval")
             form = "lo,hi with exact endpoints (e.g. 1/sqrt2,4/5)"
             lo, hi = _numbers("--interval", args.interval, args.interval, form, 2, exact_from_arg)
+            if lo >= hi:
+                raise UsageError(f"--interval {args.interval!r} needs lo < hi")
             reports = [
                 verify_peenn_certificate(
                     B=exact_from_arg(args.B),

@@ -9,8 +9,10 @@ candidate masks.  On all but the smallest hosts a tree-shaped pattern such as
 peenn or a double star therefore costs O(n^2) popcount steps instead of the
 O(n^(h-1)) of enumerating every vertex but the last.  On a vertex-transitive
 host (`count_transitive`) one pattern vertex is pinned to host vertex 0 and
-the count multiplied by n.  The test suite checks the counter against a
-plain backtracker.
+the count multiplied by n.  `flip_delta` gives the exact change of a count
+when one host pair flips colour, with one pinned count per automorphism
+orbit of the pattern's ordered constrained pairs.  The test suite checks the
+counter against a plain backtracker.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .graphs import (
     PatternGraph,
     UnsupportedSizeError,
     _min_placements,
+    _relabel_masks,
     _twins,
     canonical_form,
     lex_pairs,
@@ -105,6 +108,8 @@ class _Plan(NamedTuple):
     batch: tuple  # per batch vertex: (prefix position, pair is red)
     steps: tuple  # (subset, subset less its lowest member, that member)
     terms: tuple  # (Moebius weight, blocks as subsets), one per set partition
+    leaf: tuple  # for a batch of one: (its constraints before the last prefix
+    # position, is its pair to the last position red; None if unconstrained)
     tail: int  # number of unpinned vertices with no constraint
     cost: float  # estimated work, in enumerated prefix vertices
 
@@ -161,8 +166,10 @@ def _plan(h: PatternGraph, n: int, pinned: tuple[int, ...] = ()) -> _Plan:
     do not count.  Pinned vertices lead the prefix whether or not they have
     constraints, so the tail holds only unpinned vertices; any vertex, even
     a lone one with no constraint, may be pinned.  The batch's subsets and
-    set partitions with their Moebius weights are fixed here; plans are
-    cached per (h, n, pinned), with the estimated total as `cost`."""
+    set partitions with their Moebius weights are fixed here, and so is the
+    split of a batch of one's constraints at the last prefix position, which
+    `_extend` counts together with the batch; plans are cached per (h, n,
+    pinned), with the estimated total as `cost`."""
     nbr = [0] * h.h  # constraint neighbours as bitmasks
     for i, j in h.red_pairs | h.blue_pairs:
         nbr[i] |= 1 << j
@@ -217,11 +224,17 @@ def _plan(h: PatternGraph, n: int, pinned: tuple[int, ...] = ()) -> _Plan:
         )
 
     k = len(batch)
+    rows = tuple(row(v, len(order)) for v in batch)
+    last = len(order) - 1
     return _Plan(
         cons=tuple(row(v, idx) for idx, v in enumerate(order)),
-        batch=tuple(row(v, len(order)) for v in batch),
+        batch=rows,
         steps=tuple((s, s & (s - 1), (s & -s).bit_length() - 1) for s in range(1, 1 << k)),
         terms=tuple((_moebius(p), p) for p in _set_partitions(k)),
+        leaf=(
+            tuple((ep, isred) for ep, isred in rows[0] if ep < last),
+            next((isred for ep, isred in rows[0] if ep == last), None),
+        ) if k == 1 else (),
         tail=h.h - len(order) - k,
         cost=cost,
     )
@@ -234,30 +247,32 @@ def _extend(plan: _Plan, red, blue, assign: list[int], pos: int, used: int) -> i
     Only the prefix is enumerated.  At each prefix leaf the batch vertices get
     candidate masks M_i, and their injective placements number
     sum over set partitions pi of mu(pi) prod_{B in pi} |cap_{i in B} M_i|
-    (Moebius inversion over the partition lattice); a batch of one is a single
-    popcount.  The tail adds a falling factorial.  The cost is the number of
-    prefix leaves, at most n^p for p unpinned prefix positions, times about
-    2^b + Bell(b) big-int operations for a batch of b: O(n^2) for peenn and
-    the double stars, whose covers have two vertices, once n is large enough
-    (10 for peenn, 7 for ds:2) that their plans keep the whole batch."""
-    cons, batch, steps, terms, tail, _ = plan
+    (Moebius inversion over the partition lattice).  A batch of one is
+    counted together with the last prefix level: its constraints to earlier
+    positions give a base mask, and each candidate c for the last position
+    adds |red[c] & base| (or blue) when the batch vertex has a constraint to
+    that position, else the level adds |cands| |base| - |cands & base|.  The
+    tail adds a falling factorial.  The cost is the number of prefix leaves,
+    at most n^p for p unpinned prefix positions, times about 2^b + Bell(b)
+    big-int operations for a batch of b: O(n^2) for peenn and the double
+    stars, whose covers have two vertices, once n is large enough (10 for
+    peenn, 7 for ds:2) that their plans keep the whole batch."""
+    cons, batch, steps, terms, leaf, tail, _ = plan
     n = len(red)
     full = (1 << n) - 1
     depth = len(cons)
     scale = perm(max(n - depth - len(batch), 0), tail)
     if not scale:
         return 0
-    only = batch[0] if len(batch) == 1 else None
+    fused = depth - 1 if leaf else -1  # the level counted with a batch of one
+    early, last = leaf or ((), None)
+    last_layer = None if last is None else red if last else blue
     inter = [-1] * (1 << len(batch))  # inter[0] = -1 is the empty intersection
     sizes = [0] * (1 << len(batch))
 
     def rec(pos: int, used: int) -> int:
         free = full & ~used
         if pos == depth:
-            if only is not None:
-                for ep, isred in only:
-                    free &= red[assign[ep]] if isred else blue[assign[ep]]
-                return free.bit_count()
             masks = []
             for r in batch:
                 m = free
@@ -277,6 +292,17 @@ def _extend(plan: _Plan, red, blue, assign: list[int], pos: int, used: int) -> i
         for ep, isred in cons[pos]:
             cands &= red[assign[ep]] if isred else blue[assign[ep]]
         total = 0
+        if pos == fused:
+            base = free
+            for ep, isred in early:
+                base &= red[assign[ep]] if isred else blue[assign[ep]]
+            if last_layer is None:
+                return cands.bit_count() * base.bit_count() - (cands & base).bit_count()
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                total += (last_layer[low.bit_length() - 1] & base).bit_count()
+            return total
         while cands:
             low = cands & -cands
             cands ^= low
@@ -343,10 +369,22 @@ def is_induced_subgraph(small: HostGraph, big: HostGraph) -> bool:
 
 
 def flip_plans(h: PatternGraph) -> tuple:
-    """What `flip_delta` needs of h: the pattern and its constrained pairs
-    {a, b}, each tagged with whether it is red.  The counting plan that pins
-    a and b is made on first use for each host size and cached."""
-    return h, tuple(((a, b), (a, b) in h.red_pairs) for a, b in sorted(h.red_pairs | h.blue_pairs))
+    """What `flip_delta` needs of h: the pattern and one entry per
+    automorphism orbit of ordered constrained pairs (a, b), as (a, b), whether
+    the pair is red, and the orbit's size.  Two ordered pairs are in one orbit
+    when h's layers relabelled by `_min_placements` with a and b fixed agree:
+    the two relabellings then compose to an automorphism of h carrying one
+    pair onto the other.  The counting plan that pins a and b is made on first
+    use for each host size and cached."""
+    layers = h.layers()
+    orbits: dict = {}
+    for a, b in sorted(h.red_pairs | h.blue_pairs):
+        for pins in ((a, b), (b, a)):
+            order = _min_placements(layers, fixed=pins)[0]
+            code = tuple(_relabel_masks(masks, order) for masks in layers)
+            rep = orbits.setdefault(code, [pins, (a, b) in h.red_pairs, 0])
+            rep[2] += 1
+    return h, tuple(map(tuple, orbits.values()))
 
 
 def flip_delta(plans, red: list[int], blue: list[int], u: int, v: int) -> int:
@@ -355,24 +393,24 @@ def flip_delta(plans, red: list[int], blue: list[int], u: int, v: int) -> int:
     `plans` comes from flip_plans(h); `red` and `blue` are the host's masks
     before the flip.  Only copies that map a constrained pattern pair {a, b}
     onto {u, v} change: those whose {a, b} has the pair's current colour are
-    lost, those of the other colour are gained.  Each term counts the
-    injections that map a and b onto u and v, in either order, and meet every
+    lost, those of the other colour are gained.  Each ordered pair (a, b)
+    contributes the injections that map a to u and b to v and meet every
     constraint but the one on {a, b}; that number does not depend on the
-    colour of {u, v}.  With a and b pinned, a term enumerates only the rest of
-    the plan's prefix: O(n^(p-2)) leaves for a prefix of p, so O(n) popcounts
-    for peenn and O(1) for a star on large hosts, against the O(n^h) of a
-    full recount."""
-    h, pairs = plans
+    colour of {u, v}, and an automorphism of h carrying (a, b) onto (c, d)
+    makes it equal for the two pairs.  So it is counted once per orbit and
+    multiplied by the orbit's size: 2 counts per flip for ac4 instead of 8.
+    With a and b pinned, a count enumerates only the rest of the plan's
+    prefix: O(n^(p-2)) leaves for a prefix of p, so O(n) popcounts for peenn
+    and O(1) for a star on large hosts, against the O(n^h) of a full
+    recount."""
+    h, orbits = plans
     n = len(red)
     now_red = bool(red[u] >> v & 1)
     used = 1 << u | 1 << v
     delta = 0
-    for pins, pair_red in pairs:
+    for pins, pair_red, size in orbits:
         plan = _plan(h, n, pins)
-        assign = [u, v] + [0] * (len(plan.cons) - 2)
-        copies = _extend(plan, red, blue, assign, 2, used)
-        assign[0], assign[1] = v, u
-        copies += _extend(plan, red, blue, assign, 2, used)
+        copies = size * _extend(plan, red, blue, [u, v] + [0] * (len(plan.cons) - 2), 2, used)
         delta += -copies if pair_red == now_red else copies
     return delta
 
@@ -593,11 +631,26 @@ def double_star_pattern(s: int) -> PatternGraph:
 
 
 def tree_pattern(edges) -> PatternGraph:
-    """Monochromatic (all-red) tree pattern from an edge list."""
+    """Monochromatic (all-red) tree pattern from an edge list: h - 1 distinct
+    edges that connect the vertices 0..h-1."""
     es = [(min(i, j), max(i, j)) for i, j in edges]
     if any(i == j for i, j in es):
         raise UsageError("tree edges need two distinct vertices")
-    h = max(max(e) for e in es) + 1
+    h = max(j for _, j in es) + 1
+    reach = [1 << v for v in range(h)]  # each vertex's component so far, as a bitmask
+    for t, (i, j) in enumerate(es):
+        if reach[i] >> j & 1:
+            if (i, j) in es[:t]:
+                raise UsageError(f"tree edge {i}-{j} is repeated")
+            raise UsageError(f"tree edge {i}-{j} closes a cycle")
+        joined = reach[i] | reach[j]
+        for v in range(h):
+            if joined >> v & 1:
+                reach[v] = joined
+    apart = ~reach[0] & ((1 << h) - 1)
+    if apart:
+        v = (apart & -apart).bit_length() - 1
+        raise UsageError(f"tree edges do not connect vertex {v} to vertex 0")
     return PatternGraph.of(h, red=es)
 
 

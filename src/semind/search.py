@@ -6,7 +6,8 @@
 single-pair flips, or red/blue swaps when the density is pinned.  It scores
 each start in full and each move by its exact change in count (see
 `counting.flip_delta`), which counts only the copies that map a constrained
-pattern pair onto a flipped pair.
+pattern pair onto a flipped pair, once per automorphism orbit of the pinned
+ordered pair.
 """
 
 from __future__ import annotations

@@ -118,6 +118,8 @@ def test_verify_exit_codes(capsys, cache):
     code, out, _ = run(capsys, "verify", "ap4")
     assert code == 0
     assert "verdict=PASS" in out
+    code, out, _ = run(capsys, "verify", "ap4", "--alpha-max", "1/4")
+    assert code == 0 and "verdict=PASS" in out
     code, out, _ = run(
         capsys, "verify", "peenn", "--B", "sqrt2-1", "--C", "-0.1",
         "--interval", "1/sqrt2,0.8",
@@ -419,6 +421,12 @@ def test_usage_errors_share_one_class():
     (("profile", "--curve", "ap4", "--out", "no/such/dir/x.csv"), "'no/such/dir/x.csv'"),
     (("count", "--pattern", "ap4", "--construct", "cliques:0.5", "--n", "1"),
      "constructions need n >= 2"),
+    (("verify", "peenn", "--B", "1", "--C", "1", "--interval", "0.8,0.5"),
+     "--interval '0.8,0.5' needs lo < hi"),
+    (("verify", "peenn", "--B", "1", "--C", "1", "--interval", "0.5,0.5"),
+     "--interval '0.5,0.5' needs lo < hi"),
+    (("verify", "ap4", "--alpha-max", "-1"), "--alpha-max must be positive (got '-1')"),
+    (("verify", "ap4", "--alpha-max", "0"), "--alpha-max must be positive (got '0')"),
 ])
 def test_bad_input_is_a_usage_error(capsys, cache, monkeypatch, argv, message):
     monkeypatch.chdir(cache)  # relative file names resolve inside the test directory
@@ -434,6 +442,13 @@ def test_bad_input_is_a_usage_error(capsys, cache, monkeypatch, argv, message):
     (("count", "--pattern", "ds:0", "--host", "3 RRR"), "double star needs s >= 1"),
     (("count", "--pattern", "tree:0-0", "--host", "3 RRR"),
      "tree edges need two distinct vertices"),
+    (("count", "--pattern", "tree:0-5", "--host", "6 " + "R" * 15),
+     "tree edges do not connect vertex 1 to vertex 0"),
+    (("count", "--pattern", "tree:0-1,0-1", "--host", "3 RRR"), "tree edge 0-1 is repeated"),
+    (("count", "--pattern", "tree:0-1,1-2,2-0", "--host", "3 RRR"),
+     "tree edge 0-2 closes a cycle"),
+    (("count", "--pattern", "tree:0-1,2-3", "--host", "4 RRRRRR"),
+     "tree edges do not connect vertex 2 to vertex 0"),
 ])
 def test_library_checks_are_usage_errors(capsys, cache, argv, message):
     out, err = usage_error(capsys, *argv)

@@ -8,6 +8,8 @@ import pytest
 
 from semind.counting import (
     DegreeStats,
+    _pinned_plan,
+    _plan,
     ac4_pattern,
     ap4_pattern,
     blowup_injections,
@@ -50,6 +52,7 @@ K4 = HostGraph.from_red_pairs(4, [(i, j) for i in range(4) for j in range(i + 1,
 PATH4 = HostGraph.from_red_pairs(4, [(0, 1), (1, 2), (2, 3)])
 K34 = parse_host("4 RRBRBB")
 STAR14 = HostGraph.from_red_pairs(5, [(0, i) for i in range(1, 5)])
+SPIDER = tree_pattern([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])  # legs of 2, h = 7
 
 
 def test_count_injections_examples():
@@ -105,7 +108,7 @@ def test_count_injections_matches_reference_on_random_patterns():
         parse_pattern("5 FFFFFFFFFF"),  # all free: a falling factorial
         PatternGraph.of(6, red=[(0, 1), (1, 2)], blue=[(2, 3)]),  # vertices 4, 5 isolated
         PatternGraph.of(6, red=[(0, 1), (0, 2), (0, 3)], blue=[(0, 4), (0, 5)]),  # batch of five
-        tree_pattern([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]),  # spider, h = 7
+        SPIDER,
     ]
     while len(patterns) < 100:
         h = rng.randint(2, 6)
@@ -127,7 +130,7 @@ def test_count_injections_matches_reference_on_random_patterns():
             assert count_injections(h, g) == _reference_count(h, g), (h.to_text(), g.to_text())
     # on 12 vertices the plans keep batches of three (peenn, the spider)
     g = random_host(12, 0.5)
-    for h in (peenn_pattern(), patterns[3]):
+    for h in (peenn_pattern(), SPIDER):
         assert count_injections(h, g) == _reference_count(h, g), h.to_text()
     # ten leaves: over the cap of nine, so at least one leaf is enumerated
     assert count_injections(star_pattern(6, 4), g) == _star_formula(g, 6, 4)
@@ -402,20 +405,64 @@ def test_complement_color_swap_symmetry():
             )
 
 
-def test_flip_delta_matches_recount():
-    patterns = [
-        ap4_pattern(),
-        ac4_pattern(),
-        peenn_pattern(),
-        star_pattern(2, 1),
-        double_star_pattern(2),
-        tree_pattern([(0, 1), (1, 2), (1, 3), (3, 4)]),
-        parse_pattern("4 RFBFRF"),  # free pairs
-        PatternGraph.of(4, red=[(0, 1), (1, 2)], blue=[(0, 2)]),  # vertex 3 isolated
-        PatternGraph.of(2, blue=[(0, 1)]),
-        star_pattern(3, 1),  # pinned at the centre: a batch of three leaves
-        tree_pattern([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]),  # spider, legs of 2
+# patterns for the flip tests; their automorphism groups range from trivial
+# (peenn) to all of S_4 (the all-red K4)
+FLIP_PATTERNS = [
+    ap4_pattern(),
+    ac4_pattern(),
+    peenn_pattern(),
+    star_pattern(2, 1),
+    double_star_pattern(2),
+    tree_pattern([(0, 1), (1, 2), (1, 3), (3, 4)]),
+    parse_pattern("4 RFBFRF"),  # free pairs
+    PatternGraph.of(4, red=[(0, 1), (1, 2)], blue=[(0, 2)]),  # vertex 3 isolated
+    PatternGraph.of(2, blue=[(0, 1)]),
+    star_pattern(3, 1),  # pinned at the centre: a batch of three leaves
+    SPIDER,
+    parse_pattern("4 RRRRRR"),  # all-red K4
+    PatternGraph.of(4, red=[(0, 1), (1, 2), (2, 3), (0, 3)]),  # all-red C4
+    star_pattern(3, 0),
+    double_star_pattern(3),
+    # a red star with a blue pair between two leaves: the red layer alone
+    # makes all three leaves alike, the blue layer alone vertices 0 and 3
+    parse_pattern("4 RRRBFF"),
+]
+
+
+def _brute_orbits(h):
+    """The orbits of ordered constrained pairs under every vertex permutation
+    that carries h's red pairs onto red pairs and blue onto blue."""
+    layers = (h.red_pairs, h.blue_pairs)
+    auts = [
+        p for p in permutations(range(h.h))
+        if all({tuple(sorted((p[i], p[j]))) for i, j in pairs} == pairs for pairs in layers)
     ]
+    ordered = [q for a, b in h.red_pairs | h.blue_pairs for q in ((a, b), (b, a))]
+    return {frozenset((p[a], p[b]) for p in auts) for a, b in ordered}
+
+
+def test_flip_plans_orbits():
+    sizes = {}
+    for h in FLIP_PATTERNS:
+        pattern, orbits = flip_plans(h)
+        assert pattern is h
+        assert sum(size for _, _, size in orbits) == 2 * len(h.red_pairs | h.blue_pairs)
+        brute = _brute_orbits(h)
+        assert len(orbits) == len(brute), h.to_text()
+        for (a, b), pair_red, size in orbits:
+            (orbit,) = [o for o in brute if (a, b) in o]
+            assert size == len(orbit), (h.to_text(), a, b)
+            assert pair_red == ((min(a, b), max(a, b)) in h.red_pairs)
+        sizes[h.to_text()] = sorted(size for _, _, size in orbits)
+    assert sizes[ac4_pattern().to_text()] == [4, 4]
+    assert sizes[peenn_pattern().to_text()] == [1] * 8
+    assert sizes[double_star_pattern(2).to_text()] == [2, 4, 4]
+    assert sizes["4 RRRRRR"] == [12]
+    assert sizes["4 RRRBFF"] == [1, 1, 2, 2, 2]
+
+
+def test_flip_delta_matches_recount():
+    patterns = FLIP_PATTERNS
     rng = random.Random(29)
     for h in patterns:
         plans = flip_plans(h)
@@ -440,7 +487,7 @@ def test_flip_delta_matches_recount():
                             h.to_text(), n, density, u, v,
                         )
     # on 17 vertices the spider's pinned plans keep batches of two and three
-    h, n = patterns[-1], 17
+    h, n = SPIDER, 17
     full = (1 << n) - 1
     masks = [0] * n
     for i, j in rng.sample(lex_pairs(n), comb(n, 2) // 2):
@@ -454,3 +501,36 @@ def test_flip_delta_matches_recount():
         flipped[v] ^= 1 << u
         after = count_injections(h, HostGraph(n, tuple(flipped)))
         assert flip_delta(flip_plans(h), masks, blue, u, v) == after - before, (u, v)
+
+
+def test_fused_leaf_matches_reference():
+    """A batch of one is counted together with the last prefix level.  Its
+    vertex has a constraint to that level's position in the plans of ac4 and
+    4 RFBFRF, and none in those of ap4 and s:1,1 on small hosts."""
+    rng = random.Random(53)
+    fused = set()
+    for h in (ac4_pattern(), ap4_pattern(), star_pattern(1, 1), parse_pattern("4 RFBFRF")):
+        for n in range(h.h, 10):
+            for plan in (_plan(h, n), _pinned_plan(h, n)):
+                if len(plan.batch) == 1:
+                    fused.add((h.to_text(), plan.leaf[1] is not None))
+            for density in (0.2, 0.5, 0.8):
+                masks = [0] * n
+                for i, j in lex_pairs(n):
+                    if rng.random() < density:
+                        masks[i] |= 1 << j
+                        masks[j] |= 1 << i
+                g = HostGraph(n, tuple(masks))
+                assert count_injections(h, g) == _reference_count(h, g), (h.to_text(), n)
+            g = make_construction(circulant(0.5), n)
+            for host in (g, g.complement()):
+                want = _reference_count(h, host)
+                assert count_transitive(h, host) == count_injections(h, host) == want, (
+                    h.to_text(), n,
+                )
+    assert fused == {
+        (ac4_pattern().to_text(), True),
+        (ap4_pattern().to_text(), False),
+        (star_pattern(1, 1).to_text(), False),
+        ("4 RFBFRF", True),
+    }
