@@ -113,53 +113,58 @@ _PEENN_NAMES = ("a", "B", "C")
 _AP4_COLUMNS = ("O", "C1", "C2", "C3", "C4", "E")
 
 
-@lru_cache(maxsize=None)
-def ap4_reference_table() -> dict:
-    """Expected expansions {class code: {column: Poly in x}}."""
+def _class_table(fname: str, parse_row, classes: int) -> dict:
+    """{class code: value} from a data file whose rows parse_row splits into
+    (digit key, value); each key is canonicalized, and a duplicate class or a
+    class count other than `classes` is an error."""
     table = {}
-    for line in _data_lines("ap4_certificate_table.txt"):
-        cells = [c.strip() for c in line.split("|")]
-        digits, cols = cells[0], cells[1:]
-        if len(cols) != len(_AP4_COLUMNS):
-            raise ValueError(f"bad table row: {line!r}")
+    for line in _data_lines(fname):
+        digits, value = parse_row(line)
         code = _class_code(digits)
         if code in table:
-            raise ValueError(f"duplicate class {digits}")
-        table[code] = {
-            name: parse_poly(cell, _AP4_NAMES)
-            for name, cell in zip(_AP4_COLUMNS, cols)
-        }
-    if len(table) != 11:
-        raise ValueError("expected 11 classes in the reference table")
+            raise ValueError(f"duplicate class {digits} in {fname}")
+        table[code] = value
+    if len(table) != classes:
+        raise ValueError(f"expected {classes} classes in {fname}, found {len(table)}")
     return table
+
+
+def _ap4_row(line: str):
+    digits, *cols = (c.strip() for c in line.split("|"))
+    if len(cols) != len(_AP4_COLUMNS):
+        raise ValueError(f"bad table row: {line!r}")
+    return digits, {name: parse_poly(cell, _AP4_NAMES) for name, cell in zip(_AP4_COLUMNS, cols)}
+
+
+def _peenn_coeff_row(line: str):
+    digits, _, poly_text = line.partition("|")
+    return digits.strip(), parse_poly(poly_text.strip(), _PEENN_NAMES)
+
+
+def _expansion_row(line: str):
+    digits, cnt = line.split()
+    return digits, int(cnt)
+
+
+@lru_cache(maxsize=None)
+def ap4_reference_table() -> dict:
+    """Expected expansions {class code: {column: Poly in x}} of the 11
+    4-vertex classes."""
+    return _class_table("ap4_certificate_table.txt", _ap4_row, 11)
 
 
 @lru_cache(maxsize=None)
 def peenn_reference_coeffs() -> dict:
-    """Expected certificate coefficients {class code: Poly in (a, B, C)}."""
-    table = {}
-    for line in _data_lines("peenn_certificate_coeffs.txt"):
-        digits, _, poly_text = line.partition("|")
-        code = _class_code(digits.strip())
-        if code in table:
-            raise ValueError(f"duplicate class {digits.strip()}")
-        table[code] = parse_poly(poly_text.strip(), _PEENN_NAMES)
-    if len(table) != 34:
-        raise ValueError("expected all 34 classes in the reference list")
-    return table
+    """Expected certificate coefficients {class code: Poly in (a, B, C)} of
+    all 34 5-vertex classes."""
+    return _class_table("peenn_certificate_coeffs.txt", _peenn_coeff_row, 34)
 
 
 @lru_cache(maxsize=None)
 def peenn_expansion_reference() -> dict:
-    """Expected integer expansion {class code: injections} of the path pattern."""
-    table = {}
-    for line in _data_lines("peenn_expansion.txt"):
-        digits, cnt = line.split()
-        code = _class_code(digits)
-        if code in table:
-            raise ValueError(f"duplicate class {digits}")
-        table[code] = int(cnt)
-    return table
+    """Expected integer expansion {class code: injections} of the path
+    pattern: the 23 5-vertex classes with a nonzero count."""
+    return _class_table("peenn_expansion.txt", _expansion_row, 23)
 
 
 # ---------------------------------------------------------------------------
@@ -521,18 +526,6 @@ FAMILY_HALF_DIGITS = (
 )
 C5_DIGITS = "2112211212"
 FORBIDDEN_4_DIGITS = ("111122", "112211", "112212", "112222", "122221")
-
-
-def family_main() -> list[HostGraph]:
-    return [host_from_digits(d) for d in FAMILY_MAIN_DIGITS]
-
-
-def family_half() -> list[HostGraph]:
-    return [host_from_digits(d) for d in FAMILY_HALF_DIGITS]
-
-
-def family_forbidden() -> list[HostGraph]:
-    return [host_from_digits(d) for d in FORBIDDEN_4_DIGITS]
 
 
 def stability_family_check() -> CertReport:

@@ -242,12 +242,7 @@ def cmd_count(args, cfg: RunConfig) -> int:
         if parts is not None:
             count = blowup_injections(h, parts)
             npairs = args.n * (args.n - 1) // 2
-            red = sum(s * (s - 1) // 2 for s, r in zip(parts.sizes, parts.internal_red) if r)
-            for i in range(len(parts.sizes)):
-                for j in range(i + 1, len(parts.sizes)):
-                    if parts.cross_red[i][j]:
-                        red += parts.sizes[i] * parts.sizes[j]
-            beta = red / npairs
+            beta = parts.red_count() / npairs
             n = args.n
         else:  # circulants and their complements, which are vertex-transitive
             check_transitive_size(h, args.n)

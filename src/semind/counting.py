@@ -49,10 +49,6 @@ class DegreeStats:
     t: int
     s_open: int
 
-    @property
-    def n(self) -> int:
-        return len(self.degrees)
-
 
 def degree_stats(g: HostGraph) -> DegreeStats:
     n, masks = g.n, g.masks
@@ -413,14 +409,6 @@ def flip_delta(plans, red: list[int], blue: list[int], u: int, v: int) -> int:
         copies = size * _extend(plan, red, blue, [u, v] + [0] * (len(plan.cons) - 2), 2, used)
         delta += -copies if pair_red == now_red else copies
     return delta
-
-
-def ds_upper_bound(g: HostGraph, s: int) -> int:
-    """2 * sum over blue pairs of d_u^s d_v^s; an upper bound on the labeled
-    alternating double-star count with s arms per center."""
-    if s < 1:
-        raise ValueError("arm count must be at least 1")
-    return 2 * sum_blue_degree_products(g, power=s)
 
 
 @dataclass(frozen=True)

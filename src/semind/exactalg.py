@@ -399,11 +399,6 @@ def _root_counter(cs: Sequence[Q2]):
     return count
 
 
-def count_roots_open(cs: Sequence[Q2], lo: Q2, hi: Q2) -> int:
-    """Number of distinct real roots in the open interval (lo, hi)."""
-    return _root_counter(cs)(lo, hi) if lo < hi else 0
-
-
 def _no_positive_inside(cs, count, lo: Q2, hi: Q2, depth: int = 0) -> bool:
     """True iff cs(x) <= 0 for all x in the open interval (lo, hi).
 

@@ -201,9 +201,6 @@ class PatternGraph:
         pairs = (self.red_pairs, self.blue_pairs)
         return tuple(HostGraph.from_red_pairs(self.h, ps).masks for ps in pairs)
 
-    def free_pairs(self) -> frozenset:
-        return frozenset(lex_pairs(self.h)) - self.red_pairs - self.blue_pairs
-
     def to_text(self) -> str:
         chars = []
         for p in lex_pairs(self.h):
@@ -364,15 +361,6 @@ def canonical_form(g: HostGraph) -> bytes:
     code doubles as parseable host text.
     """
     return canonical_host(g).to_text().encode()
-
-
-def canonical_pattern(h: PatternGraph) -> bytes:
-    """Isomorphism-class code of a pattern: the text of its relabeling that
-    minimizes the colex (red, blue) string.  Equal codes iff some bijection
-    carries red pairs to red pairs and blue pairs to blue pairs."""
-    new = {v: i for i, v in enumerate(_min_placements(h.layers())[0])}
-    relabel = lambda pairs: [(new[i], new[j]) for i, j in pairs]
-    return PatternGraph.of(h.h, relabel(h.red_pairs), relabel(h.blue_pairs)).to_text().encode()
 
 
 def _placement_and_aut(masks) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
@@ -575,6 +563,16 @@ class PartedHost:
     @property
     def n(self) -> int:
         return sum(self.sizes)
+
+    def red_count(self) -> int:
+        """Red pairs of `to_host()`, counted from the parts without building it."""
+        p = len(self.sizes)
+        red = sum(s * (s - 1) // 2 for s, r in zip(self.sizes, self.internal_red) if r)
+        for i in range(p):
+            for j in range(i + 1, p):
+                if self.cross_red[i][j]:
+                    red += self.sizes[i] * self.sizes[j]
+        return red
 
     def complement(self) -> "PartedHost":
         return PartedHost(

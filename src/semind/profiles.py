@@ -1,4 +1,4 @@
-"""Closed-form density-profile curves and construction-value optimizers.
+"""Closed-form density-profile curves.
 
 Scalar curve math lives in double precision with 1e-10 root/optimum
 tolerances; exact rational arithmetic is reserved for the certificate
@@ -262,23 +262,7 @@ def ac4_clique_value(beta) -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# structured optimizer: all coordinates in {0, alpha} plus one remainder
-
-
-@dataclass(frozen=True)
-class OptStructure:
-    alpha: float
-    m: int
-    remainder: float
-    objective: float
-
-
-def double_star_leg(s: int):
-    """The coordinate function (1-x) x^(2s) and its convex/concave split point."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    gamma = (2 * s - 1) / (2 * s + 1)
-    return (lambda x: (1 - x) * x ** (2 * s)), gamma
+# one-dimensional maximization and bisection
 
 
 def _golden_max(h, a: float, b: float, steps: int, tol: float) -> tuple[float, float]:
@@ -350,81 +334,6 @@ def _bisect(above, lo: float, hi: float, steps: int) -> float:
         else:
             hi = mid
     return (lo + hi) / 2
-
-
-def opt_structure_max(f, gamma: float, D: float, n: int) -> OptStructure:
-    """Maximize sum f(x_i) over x in [0,1]^n with sum x_i = D, restricted to
-    the structured family: m coordinates at alpha >= gamma, at most one
-    remainder coordinate, the rest zero.
-
-    One-dimensional search over alpha in [max(gamma, D/n), 1]; for each alpha,
-    m = floor(D / alpha) and the remainder is D - m*alpha.  The objective is
-    located to within 1e-10.
-    """
-    if not 0 < gamma < 1:
-        raise CurveSpecError("gamma must lie in (0, 1)")
-    if not 0 <= D <= n:
-        raise ValueError("need 0 <= D <= n")
-    f0 = f(0.0)
-    if D == 0:
-        return OptStructure(gamma, 0, 0.0, n * f0)
-
-    alpha_lo = max(gamma, D / n)
-    if alpha_lo > 1:
-        raise ValueError("infeasible: D/n exceeds 1")
-
-    def objective_at(alpha: float) -> tuple[float, int, float]:
-        m = math.floor(D / alpha + 1e-15)
-        m = min(m, n)
-        rem = D - m * alpha
-        if rem < 0:
-            rem = 0.0
-        used = m + (1 if rem > 1e-15 else 0)
-        if used > n:
-            return (-math.inf, m, rem)
-        val = m * f(alpha) + (f(rem) if rem > 1e-15 else 0.0) + (n - used) * f0
-        return (val, m, rem)
-
-    # coarse scan to collect candidate m values
-    cand_m = set()
-    best = (-math.inf, alpha_lo, 0, 0.0)
-    for alpha in _linspace(alpha_lo, 1.0, 4001):
-        val, m, rem = objective_at(alpha)
-        cand_m.add(m)
-        if val > best[0]:
-            best = (val, alpha, m, rem)
-    extra = set()
-    for m in cand_m:
-        extra.update({m - 1, m + 1, m + 2})
-    cand_m |= {m for m in extra if 1 <= m <= n}
-
-    # per-m golden-section refinement on the alpha interval where floor(D/alpha) = m
-    for m in sorted(cand_m):
-        if m < 1 or m > n:
-            continue
-        lo = max(alpha_lo, D / (m + 1) + 1e-15)
-        hi = min(1.0, D / m) if m > 0 else 1.0
-        if lo > hi:
-            continue
-
-        def h(alpha, m=m):
-            rem = D - m * alpha
-            if rem < -1e-12:
-                return -math.inf
-            rem = max(rem, 0.0)
-            used = m + (1 if rem > 1e-15 else 0)
-            if used > n:
-                return -math.inf
-            return m * f(alpha) + (f(rem) if rem > 1e-15 else 0.0) + (n - used) * f0
-
-        alpha_star, _ = _scan_max(h, lo, hi, 201, 120, 1e-14)
-        for alpha in (alpha_star, lo, hi):
-            val, mm, rem = objective_at(alpha)
-            if val > best[0]:
-                best = (val, alpha, mm, rem)
-
-    val, alpha, m, rem = best[0], best[1], best[2], best[3]
-    return OptStructure(alpha, m, rem, val)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from semind import certificates
 from semind.certificates import (
     C5_DIGITS,
     FAMILY_HALF_DIGITS,
@@ -14,9 +15,6 @@ from semind.certificates import (
     REGIME_SQRT2,
     _class_code,
     ap4_reference_table,
-    family_forbidden,
-    family_half,
-    family_main,
     host_from_digits,
     parse_poly,
     peenn_expansion_reference,
@@ -146,6 +144,24 @@ def test_peenn_fails_below_exact_left_endpoint():
     assert any("positivity violation" in f for f in report.failures)
 
 
+@pytest.mark.parametrize(
+    "load, fname",
+    [
+        (ap4_reference_table, "ap4_certificate_table.txt"),
+        (peenn_reference_coeffs, "peenn_certificate_coeffs.txt"),
+        (peenn_expansion_reference, "peenn_expansion.txt"),
+    ],
+)
+@pytest.mark.parametrize("fault", ["duplicate", "missing"])
+def test_reference_tables_reject_duplicate_and_missing_rows(monkeypatch, load, fname, fault):
+    rows = list(certificates._data_lines(fname))
+    assert len(load.__wrapped__()) == len(rows)
+    rows = rows + rows[-1:] if fault == "duplicate" else rows[:-1]
+    monkeypatch.setattr(certificates, "_data_lines", lambda name: iter(rows))
+    with pytest.raises(ValueError, match="duplicate class" if fault == "duplicate" else "expected"):
+        load.__wrapped__()
+
+
 def test_peenn_reference_self_consistency():
     coeffs = peenn_reference_coeffs()
     assert len(coeffs) == 34
@@ -154,9 +170,9 @@ def test_peenn_reference_self_consistency():
 
 
 def test_stability_families():
-    assert len(family_main()) == 5
-    assert len(family_half()) == 4
-    assert len(family_forbidden()) == 5
+    assert [len(FAMILY_MAIN_DIGITS), len(FAMILY_HALF_DIGITS), len(FORBIDDEN_4_DIGITS)] == [5, 4, 5]
+    assert {host_from_digits(d).n for d in FAMILY_MAIN_DIGITS + FAMILY_HALF_DIGITS} == {5}
+    assert {host_from_digits(d).n for d in FORBIDDEN_4_DIGITS} == {4}
     report = stability_family_check()
     assert report.passed, report.failures
     assert len(report.lines) == 45
@@ -182,7 +198,8 @@ def test_stability_report_mentions_family_sizes():
 def test_family_half_members():
     # K5 minus one pair, complete split 2+3, the 4-leaf star, the 5-cycle
     stats = sorted(
-        (g.red_count(), sorted(g.degrees())) for g in family_half()
+        (g.red_count(), sorted(g.degrees()))
+        for g in map(host_from_digits, FAMILY_HALF_DIGITS)
     )
     assert stats == sorted(
         [

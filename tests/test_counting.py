@@ -18,7 +18,6 @@ from semind.counting import (
     count_transitive,
     degree_stats,
     double_star_pattern,
-    ds_upper_bound,
     flip_delta,
     flip_plans,
     induced_profile,
@@ -34,7 +33,6 @@ from semind.graphs import (
     PatternGraph,
     UnsupportedSizeError,
     canonical_form,
-    canonical_pattern,
     circulant,
     clique_plus_isolated,
     construction_parts,
@@ -170,17 +168,6 @@ def test_fast_paths_examples():
     assert count_injections(star_pattern(2, 1), K34) == _star_formula(K34, 2, 1) == 6
     assert count_injections(star_pattern(2, 1), K4) == _star_formula(K4, 2, 1) == 0
     assert count_injections(star_pattern(2, 2), C5) == _star_formula(C5, 2, 2) == 20
-    assert ds_upper_bound(C5, 1) == 40
-    assert ds_upper_bound(K4, 2) == 0
-
-
-def test_ds_upper_bound_circulant():
-    g = make_construction(circulant(4 / 5), 100)
-    d = g.degrees()[0]
-    beta = d / 100
-    bound = ds_upper_bound(g, 2)
-    target = 100**6 * beta**4 * (1 - beta)
-    assert abs(bound - target) / target < 0.05
 
 
 def test_fast_equals_generic_small():
@@ -198,7 +185,6 @@ def test_fast_equals_generic_small():
         assert _ac4_formula(g) == count_injections(ac4_pattern(), g)
         assert _star_formula(g, 2, 1) == count_injections(star_pattern(2, 1), g)
         assert _star_formula(g, 1, 2) == count_injections(star_pattern(1, 2), g)
-        assert ds_upper_bound(g, 2) >= count_injections(double_star_pattern(2), g)
 
 
 def test_bookkeeping_identity_small():
@@ -224,14 +210,12 @@ def _relabeled(h: PatternGraph, perm) -> PatternGraph:
     return PatternGraph.of(h.h, move(h.red_pairs), move(h.blue_pairs))
 
 
-def _oracle(h: PatternGraph) -> tuple[str, int]:
-    """Brute force over all h! relabelings: the least pattern text (equal
-    for isomorphic patterns only) and the number of automorphisms."""
-    relabelings = [_relabeled(h, p) for p in permutations(range(h.h))]
-    return min(r.to_text() for r in relabelings), sum(r == h for r in relabelings)
+def _oracle_automorphisms(h: PatternGraph) -> int:
+    """Brute force over all h! relabelings: the number that fix h."""
+    return sum(_relabeled(h, p) == h for p in permutations(range(h.h)))
 
 
-def test_canonical_pattern_matches_permutation_oracle():
+def test_automorphism_order_matches_permutation_oracle():
     rng = random.Random(6)
     pats = []
     for _ in range(150):
@@ -241,19 +225,12 @@ def test_canonical_pattern_matches_permutation_oracle():
         pats.append(PatternGraph.of(
             h, [p for p, c in pairs if c == "R"], [p for p, c in pairs if c == "B"],
         ))
-    codes, oracle = [], []
     for h in pats:
-        codes.append(canonical_pattern(h))
-        text, autos = _oracle(h)
-        oracle.append(text)
+        autos = _oracle_automorphisms(h)
         assert pattern_automorphism_order(h) == autos, h.to_text()
         perm = list(range(h.h))
         rng.shuffle(perm)
-        assert canonical_pattern(_relabeled(h, perm)) == codes[-1]
-    for c1, o1 in zip(codes, oracle):
-        for c2, o2 in zip(codes, oracle):
-            assert (c1 == c2) == (o1 == o2)
-    assert len(set(codes)) < len(set(p.to_text() for p in pats))  # some classes repeat
+        assert pattern_automorphism_order(_relabeled(h, perm)) == autos
     assert pattern_automorphism_order(double_star_pattern(3)) == 72
 
 

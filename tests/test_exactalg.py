@@ -12,12 +12,12 @@ from semind.exactalg import (
     Poly,
     Q2,
     SQRT2,
-    count_roots_open,
     isolate_roots,
     poly_eval,
     poly_nonnegative_on,
     poly_nonpositive_on,
     poly_squarefree,
+    sign_and_roots,
 )
 
 
@@ -61,13 +61,13 @@ def _upoly(*coeffs):
 def test_root_counting():
     # (x - 1)(x - 2)(x - 3) = x^3 - 6x^2 + 11x - 6
     p = _upoly(-6, 11, -6, 1)
-    assert count_roots_open(p, Q2.of(0), Q2.of(4)) == 3
-    assert count_roots_open(p, Q2.of(Fraction(3, 2)), Q2.of(4)) == 2
-    assert count_roots_open(p, Q2.of(1), Q2.of(3)) == 1  # open: excludes 1 and 3
+    assert sign_and_roots(p, Q2.of(0), Q2.of(4))[1] == 3
+    assert sign_and_roots(p, Q2.of(Fraction(3, 2)), Q2.of(4))[1] == 2
+    assert sign_and_roots(p, Q2.of(1), Q2.of(3))[1] == 1  # open: excludes 1 and 3
     # x^2 - 2 has the field element sqrt2 as root
     q = _upoly(-2, 0, 1)
-    assert count_roots_open(q, Q2.of(1), Q2.of(2)) == 1
-    assert count_roots_open(q, SQRT2, Q2.of(2)) == 0
+    assert sign_and_roots(q, Q2.of(1), Q2.of(2))[1] == 1
+    assert sign_and_roots(q, SQRT2, Q2.of(2))[1] == 0
 
 
 def test_isolate_roots():
@@ -162,7 +162,7 @@ def test_one_chain_root_counting_matches_known_roots(case):
     lo, hi, mults, lead = case
     cs = _expand(mults, lead)
     inside = sorted(r for r in mults if lo < r < hi)
-    assert count_roots_open(cs, lo, hi) == len(inside)
+    assert sign_and_roots(cs, lo, hi)[1] == len(inside)
 
     covered = []
     for a, b in isolate_roots(cs, lo, hi):

@@ -77,6 +77,25 @@ def test_parse_examples():
     assert not (g.red(0, 3) or g.red(1, 3) or g.red(2, 3))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: HostGraph(0, ()), "at least one vertex"),
+        (lambda: HostGraph(3, (0b110, 0b101)), "mask count"),
+        (lambda: HostGraph(2, (0b110, 0b001)), "outside vertex range"),
+        (lambda: HostGraph(2, (0b011, 0b001)), "self-pairs"),
+        (lambda: HostGraph(3, (0b010, 0b000, 0b000)), "symmetric"),
+        (lambda: HostGraph.from_red_pairs(3, [(0, 1), (1, 3)]), "bad pair"),
+        (lambda: HostGraph.from_red_pairs(3, [(2, 2)]), "bad pair"),
+    ],
+    ids=["no-vertex", "mask-count", "bit-out-of-range", "self-pair", "asymmetric",
+         "pair-out-of-range", "pair-self"],
+)
+def test_invalid_hosts_are_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_parse_errors_name_offsets():
     with pytest.raises(GraphFormatError) as e:
         parse_host("x RRR")
@@ -95,7 +114,7 @@ def test_pattern_parsing():
     h = parse_pattern("4 RFFBFR")
     assert (0, 1) in h.red_pairs and (2, 3) in h.red_pairs
     assert (1, 2) in h.blue_pairs
-    assert len(h.free_pairs()) == 3
+    assert h.to_text().split()[1].count("F") == 3
     assert parse_pattern(h.to_text()) == h
     swapped = h.color_swap()
     assert swapped.red_pairs == h.blue_pairs
@@ -447,4 +466,6 @@ def test_parted_host_matches_built_host():
     ]:
         parts = construction_parts(spec, n)
         assert parts.n == n
-        assert parts.to_host() == make_construction(spec, n)
+        host = parts.to_host()
+        assert host == make_construction(spec, n)
+        assert parts.red_count() == host.red_count()

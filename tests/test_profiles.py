@@ -1,7 +1,6 @@
-"""Closed-form curves, construction optimizers, polynomial programs, roots."""
+"""Closed-form curves, polynomial programs, roots."""
 
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -16,10 +15,8 @@ from semind.profiles import (
     ac4_clique_value,
     ac4_clique_value_exact,
     curve,
-    double_star_leg,
     eval_curve,
     find_crossover,
-    opt_structure_max,
     s21_prog_boundary,
     solve_prog_cs,
     solve_prog_s,
@@ -101,38 +98,6 @@ def test_ac4_clique_values():
         ac4_clique_value(0.0)
 
 
-def test_opt_structure_examples():
-    f, gamma = double_star_leg(1)
-    assert gamma == pytest.approx(1 / 3)
-    r = opt_structure_max(f, gamma, 2, 2)
-    assert r.objective == pytest.approx(0.0, abs=1e-12)
-    assert r.alpha == pytest.approx(1.0, abs=1e-9)
-    r = opt_structure_max(f, gamma, 1, 2)
-    assert r.objective == pytest.approx(0.25, abs=1e-10)
-    assert r.alpha == pytest.approx(0.5, abs=1e-6)
-    assert r.m * r.alpha + r.remainder == pytest.approx(1.0, abs=1e-12)
-    n = 2000
-    r = opt_structure_max(f, gamma, 2 * n / 3, n)
-    assert r.objective / n == pytest.approx(4 / 27, abs=1e-6)
-
-
-def test_opt_structure_dominates_random_feasible_points():
-    rng = random.Random(1234)
-    f, gamma = double_star_leg(2)
-    for n, D in ((6, 2.4), (9, 5.0)):
-        best = opt_structure_max(f, gamma, D, n).objective
-        for _ in range(10_000):
-            cuts = sorted(rng.random() * D for _ in range(n - 1))
-            xs = []
-            prev = 0.0
-            for c in cuts + [D]:
-                xs.append(c - prev)
-                prev = c
-            if max(xs) > 1:
-                continue
-            assert sum(f(x) for x in xs) <= best + 1e-10
-
-
 def test_linspace_matches_numpy():
     for lo, hi, num in ((0.0, 1.0, 11), (0.1, 0.9, 2049), (1e-14, 0.5, 401), (0.3, 0.3, 5)):
         assert _linspace(lo, hi, num) == np.linspace(lo, hi, num).tolist()
@@ -187,12 +152,6 @@ def test_scanned_objectives_are_never_nan(monkeypatch):
             for b in range(1, 6):
                 solve_prog_s(beta, a, b)
     assert len(seen) > 10**5 and all(math.isfinite(v) for v in seen)
-    seen.clear()
-    for s, D, n in ((1, 1, 2), (2, 2.4, 6), (2, 5.0, 9), (3, 0.5, 3)):
-        f, gamma = double_star_leg(s)
-        opt_structure_max(f, gamma, D, n)
-    # -inf marks an infeasible alpha
-    assert seen and all(math.isfinite(v) or v == -math.inf for v in seen)
 
 
 def test_prog_s_examples():

@@ -1,0 +1,42 @@
+"""Repository hygiene: the library keeps no code that only its tests call."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import semind
+
+PACKAGE = Path(semind.__file__).parent
+
+# Reference implementations with no caller in the package: the acceptance
+# criteria compare `count_injections` against them.
+TEST_ORACLES = {
+    "degree_stats",  # criterion 04 (path-count bound), criterion 12 (degree formulas)
+    "sum_blue_degree_products",  # criterion 12 (degree formulas)
+    "pattern_automorphism_order",  # criterion 12 (automorphism divisibility)
+}
+
+
+def _names_used(tree: ast.AST) -> Counter:
+    """How often each name or attribute is read in tree."""
+    used = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+    return used
+
+
+def test_every_top_level_name_has_a_caller_in_the_package():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    used = sum(map(_names_used, trees.values()), Counter())
+    unused = []
+    for fname, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            # a reference inside the definition itself (recursion) is no caller
+            if node.name not in TEST_ORACLES and used[node.name] == _names_used(node)[node.name]:
+                unused.append(f"{fname}: {node.name}")
+    assert not unused, f"no caller in the package: {unused}"
