@@ -28,15 +28,18 @@ from .counting import (
     ap4_pattern,
     ac4_pattern,
     blowup_injections,
+    blowup_work,
     check_profile_size,
-    check_transitive_size,
+    check_work,
     count_injections,
     count_transitive,
+    count_work,
     double_star_pattern,
     induced_profile,
     normalized_density,
     peenn_pattern,
     star_pattern,
+    transitive_work,
     tree_pattern,
 )
 from .certificates import (
@@ -62,6 +65,7 @@ from .graphs import (
     parse_host,
     parse_pattern,
     three_part,
+    transitive_degree,
 )
 from .profiles import curve, eval_curve
 from .search import brute_force_profile, exact_max, full_profile, hill_climb
@@ -220,6 +224,15 @@ _CURVE_FOR_PATTERN = {
 # commands
 
 
+def _reject_unread(args, flags, mode: str) -> None:
+    """A UsageError for the first of `flags` that was given although `mode`
+    does not read it."""
+    for flag in flags:
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if value is not None and value is not False:
+            raise UsageError(f"{flag} is not read {mode}")
+
+
 def _check_n(h, n: int) -> None:
     """Exact search and the oracle need a host at least as large as h."""
     if n < h.h:
@@ -240,23 +253,28 @@ def cmd_count(args, cfg: RunConfig) -> int:
         host_desc = f"{spec.describe()}:n={args.n}"
         host = None  # a blow-up is counted from its parts; built only for a profile
         if parts is not None:
+            check_work(blowup_work(h, parts), "the number of parts or the pattern's vertices")
             count = blowup_injections(h, parts)
             npairs = args.n * (args.n - 1) // 2
             beta = parts.red_count() / npairs
             n = args.n
         else:  # circulants and their complements, which are vertex-transitive
-            check_transitive_size(h, args.n)
+            degree = transitive_degree(spec, args.n)
+            # building the host costs about one unit per ordered pair
+            check_work(transitive_work(h, args.n, degree) + args.n**2, "n")
             host = make_construction(spec, args.n)
             n = host.n
             beta = host.red_density()
             count = count_transitive(h, host)
     elif args.host:
+        _reject_unread(args, ("--n",), "with --host")
         text = args.host
         if text.startswith("@"):
             text = _read_text(text[1:])
         host = parse_host(text)
         if args.profile_k is not None:
             check_profile_size(host.n, args.profile_k)
+        check_work(count_work(h, host), "the host or the pattern")
         host_desc = host.to_text()
         n = host.n
         beta = host.red_density()
@@ -297,6 +315,7 @@ def cmd_enumerate(args, cfg: RunConfig) -> int:
 def cmd_search(args, cfg: RunConfig) -> int:
     h = pattern_from_arg(args.pattern)
     if args.hill:
+        _reject_unread(args, ("--m",), "with --hill")
         seeds = [construct_from_arg(args.seed_construct)] if args.seed_construct else []
         res = hill_climb(
             h,
@@ -311,8 +330,10 @@ def cmd_search(args, cfg: RunConfig) -> int:
         m = parse_host(wit).red_count()
         print(f"n={args.n} m={m} best={res.best_count} rho={rho:.12g} witness={wit!r}")
         return 0
+    _reject_unread(args, ("--beta", "--seed-construct"), "without --hill")
     _check_n(h, args.n)
     if args.profile:
+        _reject_unread(args, ("--m",), "with --profile")
         res = full_profile(h, args.n)
         print("m,best,rho")
         for m in sorted(res.per_edge_count):
@@ -382,7 +403,18 @@ def _archive_report(cfg: RunConfig, argv, cmd: str, text: str) -> None:
             path = reports / f"{name}-{suffix}.txt"
 
 
+# the flags that each certificate of `verify` reads; it rejects the others
+_VERIFY_READS = {
+    "ap4": ("--alpha-max",),
+    "peenn": ("--B", "--C", "--interval", "--open-lo"),
+    "stability": (),
+}
+
+
 def cmd_verify(args, cfg: RunConfig) -> int:
+    reads = _VERIFY_READS[args.which]
+    unread = [flag for flags in _VERIFY_READS.values() for flag in flags if flag not in reads]
+    _reject_unread(args, unread, f"by verify {args.which}")
     if args.which == "ap4":
         hi = exact_from_arg(args.alpha_max) if args.alpha_max else Q2.of(Fraction(1, 2))
         if hi <= 0:

@@ -13,6 +13,10 @@ the count multiplied by n.  `flip_delta` gives the exact change of a count
 when one host pair flips colour, with one pinned count per automorphism
 orbit of the pattern's ordered constrained pairs.  The test suite checks the
 counter against a plain backtracker.
+
+One work budget, `WORK_BUDGET`, bounds every command whose cost grows with
+its input: each estimates its work before doing any and passes the estimate
+to `check_work`, which refuses it when it is over the budget.
 """
 
 from __future__ import annotations
@@ -91,6 +95,22 @@ def sum_blue_degree_products(g: HostGraph, power: int = 1) -> int:
     return total - red_part
 
 
+# The budget, in units of one vertex that `_extend` places in its prefix: about
+# 0.25-0.3 us each, so 5e7 units are about 12-16 s on a 2-core Intel Xeon
+# with Python 3.11.
+WORK_BUDGET = 5e7
+
+
+def check_work(units: float, what: str) -> None:
+    """Raise UnsupportedSizeError, a UsageError, unless an estimated `units`
+    of work fit the budget; `what` names what the user can reduce."""
+    if units > WORK_BUDGET:
+        raise UnsupportedSizeError(
+            f"estimated work {units:.3g} exceeds the work budget of {WORK_BUDGET:.0e}; "
+            f"reduce {what}"
+        )
+
+
 # Bell numbers: the set partitions of a batch of b.  A batch of 9 builds its
 # 21,147 partitions in 30-40 ms and about 6 MB; a 10th vertex would take 5.5x that.
 _BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147)
@@ -107,7 +127,7 @@ class _Plan(NamedTuple):
     leaf: tuple  # for a batch of one: (its constraints before the last prefix
     # position, is its pair to the last position red; None if unconstrained)
     tail: int  # number of unpinned vertices with no constraint
-    cost: float  # estimated work, in enumerated prefix vertices
+    cost: float  # estimated work, the mean over all colorings (see `_plan`)
 
 
 def _set_partitions(k: int) -> list[tuple[int, ...]]:
@@ -136,6 +156,17 @@ def _leaf_work(b: int) -> float:
     hosts of 12 to 60 vertices: half a vertex for a single popcount, and
     0.6 per subset and per set partition of a larger batch."""
     return 0.5 if b <= 1 else 0.6 * (2**b + _BELL[b])
+
+
+# Setting up one `_extend` call, in the same unit: timed as the pinned counts
+# of a climb's moves on patterns with small plans.
+_CALL_WORK = 10
+
+# A unit is timed on hosts of up to a few hundred vertices.  Intersections
+# and popcounts of n-bit masks cost more on larger ones: about 1 + n / 3000
+# units, as timed for ac4, peenn and ds:2 on random hosts of 60 to 3,300
+# vertices.
+_WIDE_HOST = 3000
 
 
 @lru_cache(maxsize=1024)
@@ -236,6 +267,29 @@ def _plan(h: PatternGraph, n: int, pinned: tuple[int, ...] = ()) -> _Plan:
     )
 
 
+def _work(plan: _Plan, n: int, start: int, red_max: int, blue_max: int) -> float:
+    """A bound on the work of `_extend(plan, ...)` from position `start` on an
+    n-vertex host whose red and blue degrees are at most red_max and
+    blue_max: the prefix vertices it places, plus the batch's work at each
+    prefix leaf (`_leaf_work`), plus the cost of one call.  The prefix
+    vertex at position p has at most n - p candidates, and at most red_max
+    (blue_max) when it has a red (blue) constraint to an earlier position.
+    A batch of one is counted with the last prefix level, one popcount per
+    vertex placed there, so it adds nothing.  `_plan`'s own estimate halves
+    the candidates per constraint instead, which is the mean over all
+    colorings but no bound for any one host."""
+    nodes = work = 1
+    for p in range(start, len(plan.cons)):
+        width = n - p
+        for _, isred in plan.cons[p]:
+            width = min(width, red_max if isred else blue_max)
+        nodes *= max(width, 0)
+        work += nodes
+    if not plan.leaf:
+        work += nodes * _leaf_work(len(plan.batch))
+    return _CALL_WORK + work * (1 + n / _WIDE_HOST)
+
+
 def _extend(plan: _Plan, red, blue, assign: list[int], pos: int, used: int) -> int:
     """Number of ways to place positions pos.. of `plan` into the host with
     red/blue masks `red`/`blue`, given assign[:pos] (bitset `used`).
@@ -325,9 +379,6 @@ def count_injections(h: PatternGraph, g: HostGraph) -> int:
     return _extend(plan, *_red_blue(g), [0] * len(plan.cons), 0, 0)
 
 
-_TRANSITIVE_BUDGET = 5e7
-
-
 def _pinned_plan(h: PatternGraph, n: int) -> _Plan:
     """The plan that pins h's most constrained vertex (the first of several)."""
     red, blue = h.layers()
@@ -335,15 +386,17 @@ def _pinned_plan(h: PatternGraph, n: int) -> _Plan:
     return _plan(h, n, (pin,))
 
 
-def check_transitive_size(h: PatternGraph, n: int) -> None:
-    """Raise unless count_transitive's plan for n-vertex hosts is within the
-    budget of 5e7 estimated prefix vertices (see `_plan`)."""
-    cost = _pinned_plan(h, n).cost
-    if cost > _TRANSITIVE_BUDGET:
-        raise UnsupportedSizeError(
-            f"estimated work {cost:.3g} exceeds the counting budget of "
-            f"{_TRANSITIVE_BUDGET:.0e} on a {n}-vertex vertex-transitive host; reduce n"
-        )
+def count_work(h: PatternGraph, g: HostGraph) -> float:
+    """A bound on the work of count_injections(h, g), for `check_work`,
+    from g's largest red and blue degrees."""
+    degrees = g.degrees()
+    return _work(_plan(h, g.n), g.n, 0, max(degrees), g.n - 1 - min(degrees))
+
+
+def transitive_work(h: PatternGraph, n: int, red_degree: int) -> float:
+    """A bound on the work of count_transitive(h, g), for `check_work`, when
+    every vertex of the n-vertex host g has red degree red_degree."""
+    return _work(_pinned_plan(h, n), n, 1, red_degree, n - 1 - red_degree)
 
 
 def count_transitive(h: PatternGraph, g: HostGraph) -> int:
@@ -432,26 +485,20 @@ def _mask_class_table(k: int) -> tuple[bytes, ...]:
     return tuple(table)
 
 
-_PROFILE_BUDGET = 8_000_000
-
-
 def check_profile_size(n: int, k: int) -> None:
-    """Raise unless induced_profile can take the k-profile of an n-vertex host.
+    """Raise unless induced_profile can take the k-profile of an n-vertex
+    host within the work budget.
 
-    The budget caps C(n, k - 2) * n: the prefixes that induced_profile
-    enumerates times the host vertices it counts by popcounts after each.
-    The largest random hosts it accepts took, in-process on a 2-core Intel
-    Xeon with Python 3.11: 4.3 s at n = 83, k = 5; 2.1 s at n = 252, k = 4;
-    and 4.7 s at n = 2828, k = 3."""
+    induced_profile enumerates C(n, k - 2) prefixes and counts the host
+    vertices after each by popcounts.  One prefix and host vertex costs
+    0.7-1.7 units of `check_work` on random hosts (more for larger k), so the
+    estimate is 2 C(n, k - 2) n, plus n^2 for reading or building the host,
+    about one unit per ordered pair."""
     if not 1 <= k <= 5:
         raise UnsupportedSizeError("profiles support 1 <= k <= 5")
     if k > n:
         raise UsageError("k exceeds host size")
-    if k >= 2 and comb(n, k - 2) * n > _PROFILE_BUDGET:
-        raise UnsupportedSizeError(
-            f"C({n},{k - 2}) prefixes times {n} vertices exceed the profile "
-            f"budget of {_PROFILE_BUDGET:,}; use a smaller host or k"
-        )
+    check_work(2 * comb(n, max(k - 2, 0)) * n + n * n, "the host size or k")
 
 
 def induced_profile(g: HostGraph, k: int) -> InducedProfile:
@@ -535,8 +582,15 @@ def normalized_density(count: int, n: int, h: int) -> float:
     return count / n**h
 
 
+def blowup_work(h: PatternGraph, parts: PartedHost) -> float:
+    """A bound on the work of blowup_injections(h, parts), for `check_work`:
+    each of its at most p^h leaves, for p parts, multiplies p falling
+    factorials, and each inner node tries p parts."""
+    return len(parts.sizes) ** (h.h + 1)
+
+
 def blowup_injections(h: PatternGraph, parts: PartedHost) -> int:
-    """Exact injection count into a parted host, in O(parts^h) time.
+    """Exact injection count into a parted host, in O(parts^(h+1)) time.
 
     Works for any pattern and any host size, since vertices inside a part are
     interchangeable."""

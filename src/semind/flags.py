@@ -34,6 +34,8 @@ from .graphs import (
 )
 from .counting import count_injections, induced_profile
 
+# A flag basis labels every rooted ordering of every k-vertex class, a cost
+# that no work estimate covers; the certificates need k <= 5.
 MAX_FLAG_K = 5
 
 
@@ -186,8 +188,6 @@ def flag_product(c1: GraphCombo, c2: GraphCombo, target_k: int) -> GraphCombo:
     r = c1.r
     if target_k != c1.k + c2.k - r:
         raise ValueError("target_k must equal k1 + k2 - |type|")
-    if target_k > MAX_FLAG_K:
-        raise UnsupportedSizeError(f"flag bases are capped at k <= {MAX_FLAG_K}")
     zero = Poly.const(c1.names, 0)
     denom = comb(target_k - r, c1.k - r)
     out = GraphCombo(target_k, r, c1.type_colors, c1.names, {})
@@ -242,8 +242,6 @@ def lift(c: GraphCombo, target_k: int) -> GraphCombo:
         raise FlagTypeError("lift applies to unrooted combos")
     if target_k < c.k:
         raise ValueError("cannot lift downward")
-    if target_k > MAX_FLAG_K:
-        raise UnsupportedSizeError(f"flag bases are capped at k <= {MAX_FLAG_K}")
     if target_k == c.k:
         return c
     out = GraphCombo(target_k, 0, (), c.names, {})
@@ -264,8 +262,6 @@ def lift(c: GraphCombo, target_k: int) -> GraphCombo:
 def expand_pattern(h: PatternGraph, k: int, names=("a",)) -> GraphCombo:
     """Pattern as an integer combination of the k-vertex classes: the class F
     carries the number of constraint-respecting vertex bijections into F."""
-    if k > MAX_FLAG_K:
-        raise UnsupportedSizeError(f"flag bases are capped at k <= {MAX_FLAG_K}")
     if h.h != k:
         raise ValueError("pattern must have exactly k vertices (no lifting)")
     items = []

@@ -36,9 +36,14 @@ from pathlib import Path
 from . import UsageError
 
 
+# Caps that no work estimate replaces.  Canonical labelling has no cost
+# estimate, and ties that nothing prunes make it exponential: a red path
+# takes about 3 s at n = 16.  Class lists are held in memory whole, so they
+# are capped for `enumerate` and, one size larger, for exact search: 1,044
+# classes at k = 7, 12,346 at k = 8 and 274,668 at k = 9.
 MAX_CANONICAL_N = 16
 MAX_ENUM_K = 7
-_MAX_INTERNAL_K = 8  # extremal search may stream classes one size past the public cap
+_MAX_INTERNAL_K = 8
 
 # OEIS A000088, indexed by k: colorings of K_k up to isomorphism
 CLASS_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
@@ -695,12 +700,23 @@ def construction_parts(spec: ConstructionSpec, n: int) -> PartedHost | None:
     raise ConstructionError(f"unknown construction kind {spec.kind!r}")
 
 
-def _circulant_host(n: int, frac: float) -> HostGraph:
+def _circulant_degree(n: int, frac: float) -> int:
     d = round(frac * (n - 1))
+    return d - 1 if d % 2 == 1 and n % 2 == 1 else d  # odd-regular graphs need an even n
+
+
+def transitive_degree(spec: ConstructionSpec, n: int) -> int:
+    """The red degree of every vertex of make_construction(spec, n), for a
+    circulant or a complement of one, without building the host."""
+    if spec.kind == "complement":
+        return n - 1 - transitive_degree(spec.inner, n)
+    return _circulant_degree(n, spec.fractions[0])
+
+
+def _circulant_host(n: int, frac: float) -> HostGraph:
+    d = _circulant_degree(n, frac)
     if d >= n:
         raise ConstructionError("circulant degree must be below n")
-    if d % 2 == 1 and n % 2 == 1:
-        d -= 1  # odd-regular graphs need an even vertex count
     offsets = set()
     half = d // 2
     for s in range(1, half + 1):

@@ -2,7 +2,7 @@
 
 `exact_max` and `full_profile` walk isomorphism classes (exact up to n = 8);
 `brute_force_profile` is the independent oracle that walks every raw coloring
-(n <= 6).  `hill_climb` generates lower-bound colorings at mid-size n by
+(n <= 6 within the work budget).  `hill_climb` generates lower-bound colorings by
 single-pair flips, or red/blue swaps when the density is pinned.  It scores
 each start in full and each move by its exact change in count (see
 `counting.flip_delta`), which counts only the copies that map a constrained
@@ -23,16 +23,22 @@ from .graphs import (
     HostGraph,
     PatternGraph,
     UnsupportedSizeError,
+    _MAX_INTERNAL_K,
     _graph_classes,
     canonical_form,
     lex_pairs,
     make_construction,
 )
-from .counting import count_injections, flip_delta, flip_plans
+from .counting import _plan, _work, check_work, count_injections, flip_delta, flip_plans
 
-MAX_EXACT_N = 8
-MAX_ORACLE_N = 6
-MAX_CLIMB_N = 200
+# Work of the climb and the oracle outside the counts, in `check_work`'s unit
+# (timed on a 2-vertex pattern, whose counts cost almost nothing): each host
+# pair that a raw host, a start or a restart walks (lex_pairs, sampling,
+# validating the host), and each flip's own bookkeeping.
+_PAIR_WORK = 5
+_FLIP_WORK = 12
+
+_STEPS_PER_VERTEX = 60  # a climb from one start proposes 60n moves
 
 
 @dataclass(frozen=True)
@@ -46,9 +52,9 @@ def _best_per_m(h: PatternGraph, n: int, m: int | None = None) -> dict:
     """The one class sweep: red-pair count -> (best injection count, canonical
     codes of the classes reaching it), over the classes with m red pairs
     only when m is given."""
-    if n > MAX_EXACT_N:
+    if n > _MAX_INTERNAL_K:
         raise UnsupportedSizeError(
-            f"exact search is capped at n <= {MAX_EXACT_N}; use hill_climb"
+            f"exact search is capped at n <= {_MAX_INTERNAL_K}; use hill_climb"
         )
     npairs = comb(n, 2)
     if m is not None and not 0 <= m <= npairs:
@@ -86,9 +92,11 @@ def full_profile(h: PatternGraph, n: int) -> SearchResult:
 
 def brute_force_profile(h: PatternGraph, n: int) -> dict:
     """Per-m maxima over every raw coloring of K_n.  Independent oracle: no
-    canonicalization, no class enumeration."""
-    if n > MAX_ORACLE_N:
-        raise UnsupportedSizeError(f"raw enumeration is capped at n <= {MAX_ORACLE_N}")
+    canonicalization, no class enumeration.  The work is checked first: each
+    of the 2^C(n,2) colorings is built pair by pair and counted, and `_plan`'s
+    estimate of a count is its mean over all colorings."""
+    npairs = comb(n, 2)
+    check_work(2**npairs * (npairs * _PAIR_WORK + _plan(h, n).cost), "n")
     prs = lex_pairs(n)
     per_m = {m: -1 for m in range(len(prs) + 1)}
     for colored in range(1 << len(prs)):
@@ -152,6 +160,20 @@ def _flip(masks: list[int], i: int, j: int):
     masks[j] ^= 1 << i
 
 
+def _climb_work(plans, n: int, starts: int, restarts: int, flips: int) -> float:
+    """A bound on hill_climb's work: a full count of each start and restart,
+    and 60n steps per restart of `flips` flips each, every flip paying its
+    bookkeeping and one pinned count per orbit of `plans` (see `flip_delta`),
+    plus the host pairs that each start and restart walks.  The host changes
+    as the climb goes, so the counts are bounded with n - p candidates at
+    prefix position p whatever the constraints."""
+    h, orbits = plans
+    full = _work(_plan(h, n), n, 0, n, n)
+    flip = _FLIP_WORK + sum(_work(_plan(h, n, pins), n, 2, n, n) for pins, _, _ in orbits)
+    walks = (1 + starts + restarts) * comb(n, 2) * _PAIR_WORK
+    return (starts + restarts) * full + restarts * _STEPS_PER_VERTEX * n * flips * flip + walks
+
+
 def hill_climb(
     h: PatternGraph,
     n: int,
@@ -167,9 +189,8 @@ def hill_climb(
     and each restart climbs from one of them by single-pair flips, or by
     red/blue swap moves when the density is pinned.  restarts=0 just scores
     the seeds.  Starts are counted in full, moves by their exact change in
-    count.  Deterministic for a fixed seed."""
-    if n > MAX_CLIMB_N:
-        raise UnsupportedSizeError(f"hill climbing is capped at n <= {MAX_CLIMB_N}")
+    count.  Deterministic for a fixed seed.  The work is checked before any
+    is done (`_climb_work`)."""
     if n < 2:
         raise UsageError(f"hill climbing needs n >= 2 (got n={n})")
     if n < h.h:
@@ -178,9 +199,11 @@ def hill_climb(
         raise UsageError(f"target density must lie in [0, 1] (got {target_density})")
     if restarts < 0:
         raise UsageError(f"restarts must be non-negative (got {restarts})")
+    plans = flip_plans(h)
+    flips = 1 if target_density is None else 2
+    check_work(_climb_work(plans, n, max(len(seeds), 1), restarts, flips), "n or restarts")
     rng = random.Random(seed)
     counter = _make_counter(h)
-    plans = flip_plans(h)
     npairs = comb(n, 2)
     full = (1 << n) - 1
     m_target = None
@@ -205,7 +228,6 @@ def hill_climb(
         if c > best:
             best, best_masks = c, list(masks)
 
-    budget = 60 * n
     plateau_cap = 2 * n
     prs = lex_pairs(n)
 
@@ -221,7 +243,7 @@ def hill_climb(
         cur = counter(HostGraph(n, tuple(red)))
         blue = [full ^ m ^ (1 << v) for v, m in enumerate(red)]
         plateau = 0
-        for _ in range(budget):
+        for _ in range(_STEPS_PER_VERTEX * n):
             if m_target is None:
                 moves = [prs[rng.randrange(npairs)]]
             else:

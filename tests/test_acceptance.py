@@ -10,8 +10,6 @@ import time
 from fractions import Fraction
 from math import comb, perm
 
-import pytest
-
 from semind.certificates import (
     FAMILY_HALF_DIGITS,
     FAMILY_MAIN_DIGITS,
@@ -41,7 +39,6 @@ from semind.exactalg import Poly
 from semind.graphs import (
     HostGraph,
     _graph_classes,
-    canonical_form,
     circulant,
     clique_plus_isolated,
     construction_parts,
@@ -53,7 +50,6 @@ from semind.profiles import (
     ac4_clique_value,
     ac4_clique_value_exact,
     curve,
-    eval_curve,
     find_crossover,
     solve_prog_cs,
     solve_prog_s,

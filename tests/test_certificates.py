@@ -1,6 +1,5 @@
 """Certificate verifiers: reproduction, fault detection, sign analysis."""
 
-import copy
 from fractions import Fraction
 
 import pytest
@@ -23,10 +22,9 @@ from semind.certificates import (
     verify_ap4_certificate,
     verify_peenn_certificate,
 )
-from semind.counting import count_injections, peenn_pattern
-from semind.exactalg import HALF_SQRT2, Poly, Q2, SQRT2
+from semind.counting import peenn_pattern
+from semind.exactalg import Poly, Q2
 from semind.flags import expand_pattern
-from semind.graphs import canonical_form, parse_host
 
 
 def test_parse_poly_round_trip():

@@ -65,7 +65,7 @@ def test_count_usage_errors(capsys, cache):
         capsys, "count", "--pattern", "6 RRRRRRRRRRRRRRR", "--construct", "circulant:0.5",
         "--n", "600",
     )
-    assert code == 2 and out == "" and "exceeds the counting budget of 5e+07" in err
+    assert code == 2 and out == "" and "exceeds the work budget of 5e+07; reduce n" in err
 
 
 @pytest.mark.parametrize("pattern,construct,n", [
@@ -88,7 +88,7 @@ def test_count_rejects_profile_k_before_counting(capsys, cache):
         (("--host", "5 RBBRBRRBBR", "--profile-k", "0"), "profiles support 1 <= k <= 5"),
         (("--host", "4 RBBRBR", "--profile-k", "5"), "k exceeds host size"),
         (("--construct", "cliques:0.5", "--n", "5000", "--profile-k", "5"),
-         "exceed the profile budget"),
+         "exceeds the work budget of 5e+07; reduce the host size or k"),
     )
     for extra, message in cases:
         code, out, err = run(capsys, "count", "--pattern", "ap4", *extra)
@@ -97,8 +97,8 @@ def test_count_rejects_profile_k_before_counting(capsys, cache):
 
 
 def test_count_profile_budget_counts_prefixes(capsys, cache):
-    # a 5-profile enumerates C(n, 3) prefixes: 80 vertices fit the budget,
-    # 400 do not
+    # a 5-profile enumerates C(n, 3) prefixes, each followed by n host
+    # vertices: 80 vertices fit the work budget, 400 do not
     code, out, err = run(
         capsys, "count", "--pattern", "ap4", "--construct", "circulant:0.5",
         "--n", "80", "--profile-k", "5",
@@ -111,7 +111,7 @@ def test_count_profile_budget_counts_prefixes(capsys, cache):
         "--n", "400", "--profile-k", "5",
     )
     assert code == 2 and out == ""
-    assert "C(400,3) prefixes times 400 vertices exceed the profile budget" in err
+    assert "estimated work 8.47e+09 exceeds the work budget of 5e+07" in err
 
 
 def test_verify_exit_codes(capsys, cache):
@@ -427,6 +427,28 @@ def test_usage_errors_share_one_class():
      "--interval '0.5,0.5' needs lo < hi"),
     (("verify", "ap4", "--alpha-max", "-1"), "--alpha-max must be positive (got '-1')"),
     (("verify", "ap4", "--alpha-max", "0"), "--alpha-max must be positive (got '0')"),
+    # flags that the chosen mode never reads
+    (("search", "--pattern", "ap4", "--n", "5", "--m", "3", "--hill"),
+     "--m is not read with --hill"),
+    (("search", "--pattern", "ap4", "--n", "5", "--m", "3", "--profile"),
+     "--m is not read with --profile"),
+    (("search", "--pattern", "ap4", "--n", "5", "--beta", "0.5"),
+     "--beta is not read without --hill"),
+    (("search", "--pattern", "ap4", "--n", "5", "--seed-construct", "cliques:0.5"),
+     "--seed-construct is not read without --hill"),
+    (("count", "--pattern", "ap4", "--host", "4 RBBRBR", "--n", "4"),
+     "--n is not read with --host"),
+    (("verify", "ap4", "--B", "1"), "--B is not read by verify ap4"),
+    (("verify", "ap4", "--C", "1"), "--C is not read by verify ap4"),
+    (("verify", "ap4", "--interval", "0,1"), "--interval is not read by verify ap4"),
+    (("verify", "ap4", "--open-lo"), "--open-lo is not read by verify ap4"),
+    (("verify", "peenn", "--alpha-max", "1/4"), "--alpha-max is not read by verify peenn"),
+    (("verify", "stability", "--B", "1"), "--B is not read by verify stability"),
+    (("verify", "stability", "--C", "1"), "--C is not read by verify stability"),
+    (("verify", "stability", "--interval", "0,1"), "--interval is not read by verify stability"),
+    (("verify", "stability", "--open-lo"), "--open-lo is not read by verify stability"),
+    (("verify", "stability", "--alpha-max", "1/4"),
+     "--alpha-max is not read by verify stability"),
 ])
 def test_bad_input_is_a_usage_error(capsys, cache, monkeypatch, argv, message):
     monkeypatch.chdir(cache)  # relative file names resolve inside the test directory
@@ -468,6 +490,39 @@ def test_search_and_oracle_reject_small_n_before_any_work(capsys, cache, monkeyp
     ):
         out, err = usage_error(capsys, *argv)
         assert out == "" and "--n must be at least the pattern's 4 vertices (got 3)" in err
+
+
+def test_work_budget_refuses_before_any_count(capsys, cache, monkeypatch):
+    def no_count(*args):
+        raise AssertionError("counted")
+
+    monkeypatch.setattr(counting, "_extend", no_count)
+    monkeypatch.setattr(cli, "blowup_injections", no_count)
+    iso = graphs.make_construction(graphs.clique_plus_isolated(0.7071), 60)
+    (cache / "iso60.txt").write_text(iso.to_text())
+    k6 = "6 " + "R" * 15
+    for argv in (
+        ("count", "--pattern", k6, "--host", "60 " + "R" * comb(60, 2)),
+        ("count", "--pattern", k6, "--host", f"@{cache / 'iso60.txt'}"),
+        ("count", "--pattern", "9 " + "F" * 36,
+         "--construct", "cliques:" + ",".join(["0.1"] * 10), "--n", "100"),
+        ("oracle", "--pattern", "ap4", "--n", "7"),
+        ("count", "--pattern", k6, "--construct", "circulant:0.5", "--n", "600"),
+        ("count", "--pattern", "ap4", "--construct", "cliques:0.5", "--n", "5000",
+         "--profile-k", "5"),
+        ("search", "--hill", "--pattern", "peenn", "--n", "120", "--beta", "0.3",
+         "--restarts", "1"),
+    ):
+        out, err = usage_error(capsys, *argv)
+        assert out == "" and "exceeds the work budget of 5e+07" in err
+
+
+def test_hill_climb_past_n_200(capsys, cache):
+    code, out, err = run(
+        capsys, "search", "--hill", "--pattern", "ac4", "--n", "300", "--beta", "0.4",
+        "--restarts", "0",
+    )
+    assert code == 0 and err == "" and out.startswith("n=300 m=17940 ")
 
 
 def test_verify_prints_a_report_it_cannot_archive(capsys, cache):

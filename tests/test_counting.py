@@ -7,15 +7,16 @@ from math import comb, perm
 import pytest
 
 from semind.counting import (
-    DegreeStats,
     _pinned_plan,
     _plan,
+    _work,
     ac4_pattern,
     ap4_pattern,
     blowup_injections,
-    check_transitive_size,
+    check_work,
     count_injections,
     count_transitive,
+    count_work,
     degree_stats,
     double_star_pattern,
     flip_delta,
@@ -26,6 +27,7 @@ from semind.counting import (
     peenn_pattern,
     star_pattern,
     sum_blue_degree_products,
+    transitive_work,
     tree_pattern,
 )
 from semind.graphs import (
@@ -336,9 +338,60 @@ def test_count_transitive_matches_count_injections():
 
 
 def test_transitive_budget():
-    check_transitive_size(tree_pattern([(i, i + 1) for i in range(6)]), 600)  # about 7e6
+    # a 600-vertex circulant of red degree 300
+    check_work(transitive_work(tree_pattern([(i, i + 1) for i in range(6)]), 600, 300), "n")  # 8e6
     with pytest.raises(UnsupportedSizeError, match="budget"):
-        check_transitive_size(parse_pattern("6 " + "R" * 15), 600)  # about 1.9e8
+        check_work(transitive_work(parse_pattern("6 " + "R" * 15), 600, 300), "n")  # about 1e10
+
+
+def _checked_prefix(plan, j: int, start: int) -> PatternGraph:
+    """The pattern that `_extend` checks on the plan's first j positions when
+    it starts at position `start`: the constraints of the rows it reads."""
+    rows = [(ep, p, isred) for p in range(start, j) for ep, isred in plan.cons[p]]
+    return PatternGraph.of(
+        j, red=[(ep, p) for ep, p, isred in rows if isred],
+        blue=[(ep, p) for ep, p, isred in rows if not isred],
+    )
+
+
+def test_work_estimate_bounds_prefix_nodes():
+    # _extend's prefix nodes at level j are the injections of the pattern it
+    # checks on the first j positions; pinned runs, one per image of the
+    # pinned vertices, add up to the injections over all images
+    rng = random.Random(41)
+    hosts = [
+        HostGraph.from_red_pairs(12, lex_pairs(12)),
+        HostGraph(11, (0,) * 11),
+        make_construction(clique_plus_isolated(0.7071), 12),
+        make_construction(disjoint_cliques([1 / 3, 1 / 3, 1 / 3]), 12),
+    ] + [
+        HostGraph.from_red_pairs(n, [pr for pr in lex_pairs(n) if rng.random() < beta])
+        for n, beta in ((12, 0.2), (10, 0.5), (12, 0.5), (12, 0.9))
+    ]
+    patterns = [
+        ap4_pattern(), ac4_pattern(), peenn_pattern(), double_star_pattern(2),
+        star_pattern(2, 1), parse_pattern("4 " + "R" * 6), parse_pattern("5 " + "R" * 10),
+        parse_pattern("4 RRBBFF"),
+    ]
+    for g in hosts:
+        n, degrees = g.n, g.degrees()
+        red_max, blue_max = max(degrees), n - 1 - min(degrees)
+        runs = [(h, _plan(h, n), 0, count_work(h, g)) for h in patterns]
+        runs += [
+            (h, plan, 1, n * _work(plan, n, 1, red_max, blue_max))
+            for h in patterns for plan in [_pinned_plan(h, n)]
+        ]
+        runs += [
+            (ac4_pattern(), plan, 2, n * (n - 1) * _work(plan, n, 2, red_max, blue_max))
+            for pins, _, _ in flip_plans(ac4_pattern())[1]
+            for plan in [_plan(ac4_pattern(), n, pins)]
+        ]
+        for h, plan, start, bound in runs:
+            nodes = sum(
+                count_injections(_checked_prefix(plan, j, start), g)
+                for j in range(start + 1, len(plan.cons) + 1)
+            )
+            assert nodes <= bound, (h.to_text(), g.to_text(), start, nodes, bound)
 
 
 def test_blowup_matches_generic():

@@ -3,7 +3,6 @@
 from fractions import Fraction
 from itertools import product
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 

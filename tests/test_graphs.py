@@ -16,7 +16,6 @@ from semind.graphs import (
     ConstructionError,
     GraphFormatError,
     HostGraph,
-    PatternGraph,
     UnsupportedSizeError,
     apportion,
     basis_text,
@@ -33,6 +32,7 @@ from semind.graphs import (
     parse_host,
     parse_pattern,
     three_part,
+    transitive_degree,
 )
 from semind.search import exact_max, full_profile
 
@@ -446,6 +446,10 @@ def test_circulant_regular_and_density():
     assert set(g3.degrees()) == {4}
     g4 = make_construction(circulant(0.52), 10)  # round(4.68)=5, odd ok on even n
     assert set(g4.degrees()) == {5}
+    for spec, n, g in ((circulant(2 / 3), 300, g), (circulant(0.5), 7, g2),
+                       (complement_of(circulant(0.5)), 8, g3.complement()),
+                       (complement_of(complement_of(circulant(0.52))), 10, g4)):
+        assert set(g.degrees()) == {transitive_degree(spec, n)}
 
 
 def test_construction_errors():

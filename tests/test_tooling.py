@@ -1,4 +1,5 @@
-"""Repository hygiene: the library keeps no code that only its tests call."""
+"""Repository hygiene: the library keeps no code that only its tests call,
+and no module imports a name it never reads."""
 
 import ast
 from collections import Counter
@@ -7,6 +8,7 @@ from pathlib import Path
 import semind
 
 PACKAGE = Path(semind.__file__).parent
+TESTS = Path(__file__).parent
 
 # Reference implementations with no caller in the package: the acceptance
 # criteria compare `count_injections` against them.
@@ -40,3 +42,19 @@ def test_every_top_level_name_has_a_caller_in_the_package():
             if node.name not in TEST_ORACLES and used[node.name] == _names_used(node)[node.name]:
                 unused.append(f"{fname}: {node.name}")
     assert not unused, f"no caller in the package: {unused}"
+
+
+def test_every_imported_name_is_read():
+    unread = []
+    for path in sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]):
+        tree = ast.parse(path.read_text())
+        used = Counter(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if not used[name]:
+                        unread.append(f"{path.parent.name}/{path.name}: {name}")
+    assert not unread, f"imported but never read: {unread}"
