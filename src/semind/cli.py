@@ -29,7 +29,6 @@ from .counting import (
     ac4_pattern,
     blowup_injections,
     blowup_work,
-    check_profile_size,
     check_work,
     count_injections,
     count_transitive,
@@ -38,6 +37,7 @@ from .counting import (
     induced_profile,
     normalized_density,
     peenn_pattern,
+    profile_work,
     star_pattern,
     transitive_work,
     tree_pattern,
@@ -239,6 +239,12 @@ def _check_n(h, n: int) -> None:
         raise UsageError(f"--n must be at least the pattern's {h.h} vertices (got {n})")
 
 
+def _check_count_work(units: float, profile: float, what: str) -> None:
+    """One budget check for a count and the profile that `--profile-k` adds
+    to it; the message names what to reduce for the larger of the two."""
+    check_work(units + profile, what if units >= profile else "the host size or k")
+
+
 def cmd_count(args, cfg: RunConfig) -> int:
     h = pattern_from_arg(args.pattern)
     if args.host and args.construct:
@@ -247,13 +253,14 @@ def cmd_count(args, cfg: RunConfig) -> int:
         if not args.n:
             raise UsageError("--construct requires --n")
         spec = construct_from_arg(args.construct)
-        if args.profile_k is not None:
-            check_profile_size(args.n, args.profile_k)
+        profile = 0 if args.profile_k is None else profile_work(args.n, args.profile_k)
         parts = construction_parts(spec, args.n)
         host_desc = f"{spec.describe()}:n={args.n}"
         host = None  # a blow-up is counted from its parts; built only for a profile
         if parts is not None:
-            check_work(blowup_work(h, parts), "the number of parts or the pattern's vertices")
+            _check_count_work(
+                blowup_work(h, parts), profile, "the number of parts or the pattern's vertices"
+            )
             count = blowup_injections(h, parts)
             npairs = args.n * (args.n - 1) // 2
             beta = parts.red_count() / npairs
@@ -261,7 +268,7 @@ def cmd_count(args, cfg: RunConfig) -> int:
         else:  # circulants and their complements, which are vertex-transitive
             degree = transitive_degree(spec, args.n)
             # building the host costs about one unit per ordered pair
-            check_work(transitive_work(h, args.n, degree) + args.n**2, "n")
+            _check_count_work(transitive_work(h, args.n, degree) + args.n**2, profile, "n")
             host = make_construction(spec, args.n)
             n = host.n
             beta = host.red_density()
@@ -272,9 +279,8 @@ def cmd_count(args, cfg: RunConfig) -> int:
         if text.startswith("@"):
             text = _read_text(text[1:])
         host = parse_host(text)
-        if args.profile_k is not None:
-            check_profile_size(host.n, args.profile_k)
-        check_work(count_work(h, host), "the host or the pattern")
+        profile = 0 if args.profile_k is None else profile_work(host.n, args.profile_k)
+        _check_count_work(count_work(h, host), profile, "the host or the pattern")
         host_desc = host.to_text()
         n = host.n
         beta = host.red_density()

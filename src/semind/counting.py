@@ -485,9 +485,9 @@ def _mask_class_table(k: int) -> tuple[bytes, ...]:
     return tuple(table)
 
 
-def check_profile_size(n: int, k: int) -> None:
-    """Raise unless induced_profile can take the k-profile of an n-vertex
-    host within the work budget.
+def profile_work(n: int, k: int) -> float:
+    """The work, for `check_work`, of induced_profile taking the k-profile of
+    an n-vertex host; raises for a k it does not support.
 
     induced_profile enumerates C(n, k - 2) prefixes and counts the host
     vertices after each by popcounts.  One prefix and host vertex costs
@@ -498,11 +498,11 @@ def check_profile_size(n: int, k: int) -> None:
         raise UnsupportedSizeError("profiles support 1 <= k <= 5")
     if k > n:
         raise UsageError("k exceeds host size")
-    check_work(2 * comb(n, max(k - 2, 0)) * n + n * n, "the host size or k")
+    return 2 * comb(n, max(k - 2, 0)) * n + n * n
 
 
 def induced_profile(g: HostGraph, k: int) -> InducedProfile:
-    """Exact induced k-profile; k <= 5, within the budget of check_profile_size.
+    """Exact induced k-profile; k <= 5, within the work budget (`profile_work`).
 
     Only the first k - 2 vertices of each k-subset are enumerated.  The host
     vertices after such a prefix fall into 2^(k-2) bitmask sets S_s by their
@@ -511,7 +511,7 @@ def induced_profile(g: HostGraph, k: int) -> InducedProfile:
     pairs as |S_s| |S_t|, or C(|S_s|, 2) within one set.  Swapping d and e
     does not change the induced class, so one order of each pair of sets is
     enough."""
-    check_profile_size(g.n, k)
+    check_work(profile_work(g.n, k), "the host size or k")
     n, masks = g.n, g.masks
     table = _mask_class_table(k)
     raw = [0] * len(table)  # by the mask of the k-subset's red pairs

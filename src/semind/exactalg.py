@@ -7,14 +7,17 @@ Three layers, all free of floating point:
   analysis, so Q2 values can serve as interval endpoints.
 * ``Poly`` -- sparse multivariate polynomials with Q2 coefficients over a
   fixed tuple of variable names.
-* univariate helpers -- square-free reduction, Sturm chains and an exact
-  decision procedure for "p <= 0 on [lo, hi]" with endpoints in Q2.
+* univariate helpers -- an exact decision procedure for "p <= 0 on
+  [lo, hi]" with endpoints in Q2, root counting and isolation.  They clear
+  denominators once and run on ints: one fraction-free Sturm chain over
+  Z[sqrt2] per polynomial, evaluated at points (r + s*sqrt2) / t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 
@@ -24,6 +27,20 @@ def _frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def _sign(u, v) -> int:
+    """Sign of u + v*sqrt2 for rational u, v."""
+    if u >= 0 and v >= 0:
+        return 1 if u or v else 0
+    if u <= 0 and v <= 0:
+        return -1
+    # mixed signs: compare |u| against |v|*sqrt2 by squaring; the squares
+    # differ because sqrt2 is irrational
+    s = u * u - 2 * v * v
+    if u > 0:  # v < 0
+        return 1 if s > 0 else -1
+    return -1 if s > 0 else 1  # u < 0 < v
 
 
 @dataclass(frozen=True)
@@ -76,19 +93,7 @@ class Q2:
         return Q2.of(other) * self.inverse()
 
     def sign(self) -> int:
-        p, q = self.p, self.q
-        if p == 0 and q == 0:
-            return 0
-        if p >= 0 and q >= 0:
-            return 1
-        if p <= 0 and q <= 0:
-            return -1
-        # mixed signs: compare |p| against |q|*sqrt2 by squaring
-        s = p * p - 2 * q * q
-        assert s != 0, "sqrt2 cannot be rational"
-        if p > 0:  # q < 0
-            return 1 if s > 0 else -1
-        return -1 if s > 0 else 1  # p < 0 < q
+        return _sign(self.p, self.q)
 
     def __bool__(self):
         return self.p != 0 or self.q != 0
@@ -314,57 +319,122 @@ def poly_eval(cs: Sequence[Q2], x: Q2) -> Q2:
     return acc
 
 
-def poly_deriv(cs: Sequence[Q2]) -> list[Q2]:
-    return poly_trim([cs[i] * i for i in range(1, len(cs))])
+# The sign analysis runs on plain ints.  An element u + v*sqrt2 of Z[sqrt2] is
+# the pair (u, v); a polynomial is a list of pairs in ascending degree whose
+# last pair is nonzero; a point (r + s*sqrt2) / t with t > 0 is the triple
+# (r, s, t) in lowest terms, so equal points are equal triples.
 
 
-def poly_divmod(num: Sequence[Q2], den: Sequence[Q2]) -> tuple[list[Q2], list[Q2]]:
-    num = poly_trim(num)
-    den = poly_trim(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [ZERO] * max(0, len(num) - len(den) + 1)
-    rem = list(num)
-    inv_lead = den[-1].inverse()
-    while len(rem) >= len(den):
-        k = len(rem) - len(den)
-        f = rem[-1] * inv_lead
-        q[k] = f
-        for i, dc in enumerate(den):
-            rem[k + i] = rem[k + i] - f * dc
-        rem = poly_trim(rem)
-        if not rem:
-            break
-    return poly_trim(q), rem
-
-
-def poly_gcd(a: Sequence[Q2], b: Sequence[Q2]) -> list[Q2]:
-    a, b = poly_trim(a), poly_trim(b)
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if a:
-        inv = a[-1].inverse()
-        a = [c * inv for c in a]
-    return a
-
-
-def poly_squarefree(cs: Sequence[Q2]) -> list[Q2]:
+def _int_poly(cs: Sequence[Q2]) -> list[tuple[int, int]]:
+    """The Q2 polynomial cs times the positive rational that makes its
+    coefficients coprime pairs of ints."""
     cs = poly_trim(cs)
-    if len(cs) <= 1:
-        return list(cs)
-    g = poly_gcd(cs, poly_deriv(cs))
-    if len(g) <= 1:
-        return list(cs)
-    return poly_divmod(cs, g)[0]
+    den = lcm(*(f.denominator for c in cs for f in (c.p, c.q)))
+    return _primitive([
+        (c.p.numerator * (den // c.p.denominator), c.q.numerator * (den // c.q.denominator))
+        for c in cs
+    ])
 
 
-def sturm_chain(cs: Sequence[Q2]) -> list[list[Q2]]:
-    """Sturm sequence of a square-free polynomial."""
-    chain = [poly_trim(cs), poly_deriv(cs)]
-    while chain[-1]:
-        rem = poly_divmod(chain[-2], chain[-1])[1]
-        chain.append([-c for c in rem])
-    chain.pop()
+def _primitive(cs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """cs divided by the gcd of all its ints, which is positive."""
+    g = gcd(*(x for c in cs for x in c))
+    return [(u // g, v // g) for u, v in cs] if g > 1 else cs
+
+
+def _point(x: Q2) -> tuple[int, int, int]:
+    t = lcm(x.p.denominator, x.q.denominator)
+    return x.p.numerator * (t // x.p.denominator), x.q.numerator * (t // x.q.denominator), t
+
+
+def _q2(x: tuple[int, int, int]) -> Q2:
+    r, s, t = x
+    return Q2(Fraction(r, t), Fraction(s, t))
+
+
+def _midpoint(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    (r1, s1, t1), (r2, s2, t2) = a, b
+    r, s, t = r1 * t2 + r2 * t1, s1 * t2 + s2 * t1, 2 * t1 * t2
+    g = gcd(r, s, t)
+    return r // g, s // g, t // g
+
+
+def _sign_at(cs: list[tuple[int, int]], x: tuple[int, int, int]) -> int:
+    """Sign of cs at the point x = (r + s*sqrt2) / t, which is the sign of
+    t^deg * cs(x), by Horner's rule on the homogenized polynomial."""
+    r, s, t = x
+    u, v = cs[-1]
+    tk = 1
+    for cu, cv in reversed(cs[:-1]):
+        tk *= t
+        u, v = u * r + 2 * v * s + cu * tk, u * s + v * r + cv * tk
+    return _sign(u, v)
+
+
+def _remainders(cs: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """Signed remainder sequence of cs and cs', each element a positive int
+    multiple of the one over Q(sqrt2), so their signs agree everywhere.
+
+    Each elimination step multiplies the remainder by the divisor's leading
+    coefficient lc, so the pseudo-remainder is lc^steps times the remainder:
+    it is negated when that power is negative, and then made primitive."""
+    chain = [cs, _primitive([(i * u, i * v) for i, (u, v) in enumerate(cs) if i])]
+    while True:
+        num, den = chain[-2], chain[-1]
+        lu, lv = den[-1]
+        rem = num
+        steps = 0
+        while len(rem) >= len(den):
+            au, av = rem[-1]
+            k = len(rem) - len(den)
+            rem = [(u * lu + 2 * v * lv, u * lv + v * lu) for u, v in rem[:k]] + [
+                (u * lu + 2 * v * lv - au * du - 2 * av * dv, u * lv + v * lu - au * dv - av * du)
+                for (u, v), (du, dv) in zip(rem[k:-1], den)
+            ]
+            while rem and rem[-1] == (0, 0):
+                rem.pop()
+            steps += 1
+        if not rem:
+            return chain
+        flip = 1 if steps % 2 and _sign(lu, lv) < 0 else -1  # the Sturm chain takes -rem
+        chain.append(_primitive([(flip * u, flip * v) for u, v in rem]))
+
+
+def _exact_quotient(num: list[tuple[int, int]], den: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """A primitive int polynomial that is a nonzero multiple of num / den,
+    for den dividing num.
+
+    den is first multiplied by the conjugate of its leading coefficient, so
+    that the coefficient becomes the nonzero int norm L, and negated if L < 0.
+    Then L^(deg num - deg den + 1) * num / den has int coefficients, and long
+    division finds them with exact int division by L."""
+    u, v = den[-1]
+    flip = -1 if u * u - 2 * v * v < 0 else 1
+    den = _primitive([(flip * (a * u - 2 * b * v), flip * (b * u - a * v)) for a, b in den])
+    lead = den[-1][0]
+    d = len(num) - len(den)
+    scale = lead ** (d + 1)
+    rem = [(a * scale, b * scale) for a, b in num]
+    quot = [(0, 0)] * (d + 1)
+    for k in range(d, -1, -1):
+        a, b = rem[k + len(den) - 1]
+        qu, qv = quot[k] = a // lead, b // lead
+        for i, (du, dv) in enumerate(den):
+            a, b = rem[k + i]
+            rem[k + i] = (a - qu * du - 2 * qv * dv, b - qu * dv - qv * du)
+    return _primitive(quot)
+
+
+def sturm_chain(cs: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """Sturm chain of the square-free part of cs, an int polynomial (see
+    `_int_poly`) of degree >= 1.
+
+    When cs has repeated roots, its remainder sequence ends in their gcd g
+    of degree >= 1, and the chain of cs / g, which is square-free, is built
+    instead."""
+    chain = _remainders(cs)
+    if len(chain[-1]) > 1:
+        chain = _remainders(_exact_quotient(cs, chain[-1]))
     return chain
 
 
@@ -373,45 +443,45 @@ def _variations(signs: Iterable[int]) -> int:
     return sum(1 for a, b in zip(seq, seq[1:]) if a * b < 0)
 
 
-def _root_counter(cs: Sequence[Q2]):
-    """count(a, b): the number of distinct real roots of cs in the open
-    interval (a, b), for a < b, from one square-free part and one Sturm chain.
+def _root_counter(cs: list[tuple[int, int]]):
+    """count(a, b): the number of distinct real roots of the int polynomial
+    cs in the open interval (a, b) between points a < b, from one Sturm chain.
 
     With zeros left out of the sign sequences, V(a) - V(b) counts the roots
     in (a, b] also when a or b is a root, so a root at b is taken off.  Each
     point's sign variations are computed once."""
-    sf = poly_squarefree(cs)
-    if len(sf) <= 1:
+    if len(cs) <= 1:
         return lambda a, b: 0
-    chain = sturm_chain(sf)
-    seen: dict[Q2, tuple[int, bool]] = {}
+    chain = sturm_chain(cs)
+    seen: dict[tuple[int, int, int], tuple[int, bool]] = {}
 
-    def at(x: Q2) -> tuple[int, bool]:
+    def at(x):
         if x not in seen:
-            signs = [poly_eval(p, x).sign() for p in chain]
+            signs = [_sign_at(p, x) for p in chain]
             seen[x] = (_variations(signs), signs[0] == 0)
         return seen[x]
 
-    def count(a: Q2, b: Q2) -> int:
+    def count(a, b) -> int:
         (va, _), (vb, b_is_root) = at(a), at(b)
         return va - vb - b_is_root
 
     return count
 
 
-def _no_positive_inside(cs, count, lo: Q2, hi: Q2, depth: int = 0) -> bool:
-    """True iff cs(x) <= 0 for all x in the open interval (lo, hi).
+def _no_positive_inside(cs, count, lo, hi, depth: int = 0) -> bool:
+    """True iff the int polynomial cs is <= 0 on the open interval between
+    the points lo < hi.
 
     count is the `_root_counter` of cs."""
     if depth > 200:  # pragma: no cover - structural safeguard
         raise RuntimeError("root separation failed to converge")
     k = count(lo, hi)
     if k == 1:  # with neither end a root, each side of the one root has its end's sign
-        ends = poly_eval(cs, lo).sign(), poly_eval(cs, hi).sign()
+        ends = _sign_at(cs, lo), _sign_at(cs, hi)
         if 0 not in ends:
             return ends == (-1, -1)
-    mid = (lo + hi) * Q2.of(Fraction(1, 2))
-    smid = poly_eval(cs, mid).sign()
+    mid = _midpoint(lo, hi)
+    smid = _sign_at(cs, mid)
     if k == 0:
         # constant sign throughout; mid cannot be a root here
         return smid < 0 if smid != 0 else True
@@ -432,19 +502,20 @@ def sign_and_roots(
     """Exact decision of `p(x) <= 0 for all x in the interval [lo, hi]`,
     together with the number of distinct roots of p in the open (lo, hi).
 
-    Both come from one square-free part and one Sturm chain.  Endpoint
-    inclusion is controlled by the flags; the interior is always checked.
-    No floating point is involved.
+    Both come from one Sturm chain over Z[sqrt2].  Endpoint inclusion is
+    controlled by the flags; the interior is always checked.  No floating
+    point is involved.
     """
-    cs = poly_trim(cs)
+    cs = _int_poly(cs)
     if not cs:
         return True, 0
-    ok = not (include_lo and poly_eval(cs, lo).sign() > 0)
-    ok = ok and not (include_hi and poly_eval(cs, hi).sign() > 0)
+    a, b = _point(lo), _point(hi)
+    ok = not (include_lo and _sign_at(cs, a) > 0)
+    ok = ok and not (include_hi and _sign_at(cs, b) > 0)
     if lo >= hi:
         return ok, 0
     count = _root_counter(cs)
-    return ok and _no_positive_inside(cs, count, lo, hi), count(lo, hi)
+    return ok and _no_positive_inside(cs, count, a, b), count(a, b)
 
 
 def poly_nonpositive_on(
@@ -465,27 +536,28 @@ def poly_nonnegative_on(cs, lo, hi, include_lo=True, include_hi=True) -> bool:
 
 def isolate_roots(cs: Sequence[Q2], lo: Q2, hi: Q2) -> list[tuple[Q2, Q2]]:
     """Isolating intervals (or exact points as (x, x)) for the distinct roots
-    of cs inside the open interval (lo, hi)."""
+    of cs inside the open interval (lo, hi), in increasing order."""
+    cs = _int_poly(cs)
     count = _root_counter(cs)
     out: list[tuple[Q2, Q2]] = []
 
-    def rec(a: Q2, b: Q2, depth: int):
+    def rec(a, b, depth: int):
         if depth > 200:  # pragma: no cover
             raise RuntimeError("root isolation failed to converge")
         k = count(a, b)
         if k == 0:
             return
-        m = (a + b) * Q2.of(Fraction(1, 2))
-        if not poly_eval(cs, m):
-            out.append((m, m))
-        elif k == 1:
+        m = _midpoint(a, b)
+        m_is_root = _sign_at(cs, m) == 0
+        if k == 1 and not m_is_root:
             # a single root strictly inside (a, m) or (m, b)
-            out.append((a, m) if count(a, m) else (m, b))
+            out.append((_q2(a), _q2(m)) if count(a, m) else (_q2(m), _q2(b)))
             return
         rec(a, m, depth + 1)
+        if m_is_root:
+            out.append((_q2(m), _q2(m)))
         rec(m, b, depth + 1)
 
     if lo < hi:
-        rec(lo, hi, 0)
-    out.sort(key=lambda ab: (float(ab[0]), float(ab[1])))
+        rec(_point(lo), _point(hi), 0)
     return out

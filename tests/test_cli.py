@@ -517,6 +517,32 @@ def test_work_budget_refuses_before_any_count(capsys, cache, monkeypatch):
         assert out == "" and "exceeds the work budget of 5e+07" in err
 
 
+def test_count_and_profile_share_one_work_budget(capsys, cache, monkeypatch):
+    def no_count(*args):
+        raise AssertionError("counted")
+
+    monkeypatch.setattr(counting, "_extend", no_count)
+    monkeypatch.setattr(cli, "blowup_injections", no_count)
+    monkeypatch.setattr(cli, "induced_profile", no_count)
+    free7, k5 = cli.pattern_from_arg("7 " + "F" * 21), cli.pattern_from_arg("5 " + "R" * 10)
+    nine_parts = "cliques:" + ",".join(["0.1"] * 8)
+    host = graphs.parse_host("110 " + ("RB" * 3000)[:comb(110, 2)])
+    parts = graphs.construction_parts(cli.construct_from_arg(nine_parts), 100)
+    # each estimate fits the budget on its own, but not their sum
+    for count_units, profile_units in (
+        (counting.blowup_work(free7, parts), counting.profile_work(100, 5)),
+        (counting.count_work(k5, host), counting.profile_work(110, 5)),
+    ):
+        assert max(count_units, profile_units) <= counting.WORK_BUDGET
+        assert count_units + profile_units > counting.WORK_BUDGET
+    for argv in (
+        ("--pattern", free7.to_text(), "--construct", nine_parts, "--n", "100"),
+        ("--pattern", k5.to_text(), "--host", host.to_text()),
+    ):
+        out, err = usage_error(capsys, "count", *argv, "--profile-k", "5")
+        assert out == "" and "exceeds the work budget of 5e+07" in err
+
+
 def test_hill_climb_past_n_200(capsys, cache):
     code, out, err = run(
         capsys, "search", "--hill", "--pattern", "ac4", "--n", "300", "--beta", "0.4",

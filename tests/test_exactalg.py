@@ -15,7 +15,6 @@ from semind.exactalg import (
     poly_eval,
     poly_nonnegative_on,
     poly_nonpositive_on,
-    poly_squarefree,
     sign_and_roots,
 )
 
@@ -100,8 +99,19 @@ def test_nonpositive_with_sqrt2_endpoints():
     p = _upoly(-2, 0, 1)
     assert poly_nonpositive_on(p, Q2.of(0), SQRT2)
     assert not poly_nonpositive_on(p, Q2.of(0), Q2.of(Fraction(3, 2)))
-    sf = poly_squarefree(_upoly(4, -4, 1))  # (x-2)^2 -> x-2
-    assert len(sf) == 2
+    # (x - 2)^2 counts its double root once and touches zero there
+    sq = _upoly(4, -4, 1)
+    assert sign_and_roots(sq, Q2.of(0), Q2.of(3))[1] == 1
+    assert poly_nonnegative_on(sq, Q2.of(0), Q2.of(3))
+
+
+def test_sign_analysis_separates_roots_1e15_apart():
+    # -(x - (sqrt2 - 1))^2 + eps: two roots 2e-15 apart around sqrt2 - 1 with
+    # a positive hump between them, or no root at all
+    r = SQRT2 - Q2.of(1)
+    for eps, want in ((Fraction(1, 10**30), (False, 2)), (Fraction(-1, 10**30), (True, 0))):
+        cs = [-(r * r) + eps, r * 2, Q2.of(-1)]
+        assert sign_and_roots(cs, Q2.of(0), Q2.of(1)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +122,9 @@ _Q2S = st.one_of(
     _FRACS.map(Q2.of),
     st.builds(Q2, _FRACS, st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2)])),
 )
+# roots with denominators up to 50 give large int coefficients
+_FINE = st.fractions(min_value=-2, max_value=2, max_denominator=50)
+_FINE_Q2S = st.one_of(_FINE.map(Q2.of), st.builds(Q2, _FINE, _FINE))
 
 
 @st.composite
@@ -122,10 +135,13 @@ def _rooted_polys(draw):
     midpoints."""
     lo, hi = sorted(draw(st.lists(_Q2S, min_size=2, max_size=2, unique=True)))
     mids = [lo + (hi - lo) * Fraction(j, 8) for j in range(1, 8)]
-    roots = draw(st.lists(st.one_of(st.sampled_from([lo, hi] + mids), _Q2S),
+    roots = draw(st.lists(st.one_of(st.sampled_from([lo, hi] + mids), _Q2S, _FINE_Q2S),
                           max_size=4, unique=True))
     mults = {r: draw(st.integers(1, 3)) for r in roots}
-    lead = draw(st.sampled_from([Q2.of(1), Q2.of(-1), Q2.of(Fraction(-2, 3)), SQRT2 + 1]))
+    # negative irrational leading coefficients flip the sign of odd powers
+    # in the pseudo-remainders
+    lead = draw(st.sampled_from([Q2.of(1), Q2.of(-1), Q2.of(Fraction(-2, 3)), SQRT2 + 1,
+                                 1 - SQRT2, Q2(Fraction(7, 3), Fraction(-5, 2))]))
     return lo, hi, mults, lead
 
 
@@ -154,9 +170,24 @@ def _touching_roots(test):
     return test
 
 
+def _odd_step_remainders(test):
+    """Roots that sum to zero, so that p has no x^(deg - 1) term.  Then the
+    first elimination step of the pseudo-remainder of p by p' drops two
+    degrees, and the remainder is multiplied by an odd power of lc(p'),
+    whose sign must be undone when it is negative."""
+    one, half = Q2.of(1), Q2.of(Fraction(1, 2))
+    for lo, hi, roots in ((Q2.of(0), Q2.of(2), (one, -one)),
+                          (Q2.of(0), Q2.of(2), (one, Q2.of(0), -one)),
+                          (Q2.of(-1), Q2.of(1), (half, -half))):
+        for lead in (Q2.of(-1), 1 - SQRT2, Q2(Fraction(7, 3), Fraction(-5, 2))):
+            test = example((lo, hi, dict.fromkeys(roots, 1), lead))(test)
+    return test
+
+
 @settings(max_examples=150, deadline=None)
 @given(_rooted_polys())
 @_touching_roots
+@_odd_step_remainders
 def test_one_chain_root_counting_matches_known_roots(case):
     lo, hi, mults, lead = case
     cs = _expand(mults, lead)
@@ -164,7 +195,9 @@ def test_one_chain_root_counting_matches_known_roots(case):
     assert sign_and_roots(cs, lo, hi)[1] == len(inside)
 
     covered = []
-    for a, b in isolate_roots(cs, lo, hi):
+    intervals = isolate_roots(cs, lo, hi)
+    assert all(b1 <= a2 for (_, b1), (a2, _) in zip(intervals, intervals[1:]))
+    for a, b in intervals:
         assert lo <= a <= b <= hi
         hits = [r for r in inside if (r == a if a == b else a < r < b)]
         assert len(hits) == 1, (a, b, inside)
