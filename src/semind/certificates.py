@@ -462,8 +462,8 @@ def verify_peenn_certificate(
             report.lines.append(CertLine(code, "0", "zero"))
             continue
         ok, n_inside = sign_and_roots(cs, lo, hi, include_lo, include_hi)
-        at_lo = poly_eval(cs, lo).sign() == 0
-        if at_lo and include_lo:
+        sign_lo = poly_eval(cs, lo).sign()
+        if sign_lo == 0 and include_lo:
             lo_zero.append(code)
         if n_inside:
             interior[code] = n_inside
@@ -472,7 +472,7 @@ def verify_peenn_certificate(
         if not ok:
             report.passed = False
             where = []
-            if include_lo and poly_eval(cs, lo).sign() > 0:
+            if include_lo and sign_lo > 0:
                 where.append(f"at a={float(lo):.6f}")
             if include_hi and poly_eval(cs, hi).sign() > 0:
                 where.append(f"at a={float(hi):.6f}")

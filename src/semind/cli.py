@@ -50,7 +50,7 @@ from .certificates import (
     verify_peenn_certificate,
 )
 from .exactalg import Q2, SQRT2
-from .figures import emit_figure
+from .figures import Series, csv_text, emit_figure, series_rows
 from .graphs import (
     ConstructionSpec,
     basis_cache,
@@ -67,7 +67,7 @@ from .graphs import (
     three_part,
     transitive_degree,
 )
-from .profiles import curve, eval_curve
+from .profiles import curve, eval_curve, known_curves
 from .search import brute_force_profile, exact_max, full_profile, hill_climb
 
 
@@ -357,20 +357,11 @@ def cmd_search(args, cfg: RunConfig) -> int:
 
 
 def cmd_profile(args, cfg: RunConfig) -> int:
-    step = cfg.beta_grid_step
     cids = [curve(c) for c in args.curve.split("+")]
-    lo = args.beta_min
-    hi = args.beta_max
+    lo, hi = args.beta_min, args.beta_max
     if not 0 <= lo <= hi <= 1:
         raise UsageError("need 0 <= --beta-min <= --beta-max <= 1")
-    rows = []
-    npts = round((hi - lo) / step)
-    betas = [min(lo + i * step, hi) for i in range(npts + 1)]
-    for cid in cids:
-        for b in betas:
-            cv = eval_curve(cid, b)
-            rows.append(f"{b:.12g},{cv.value:.12g},{cid.label()},{int(cv.in_range)}")
-    body = "beta,value,curve,flag\n" + "\n".join(rows) + "\n"
+    body = csv_text(series_rows([Series(cid, lo, hi) for cid in cids], cfg.beta_grid_step))
     if args.out:
         Path(args.out).write_text(body)
         print(f"wrote {args.out}")
@@ -518,7 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_search)
 
     pr = sub.add_parser("profile", help="curve values on a beta grid (CSV)")
-    pr.add_argument("--curve", required=True, help="curve id, '+'-separated for several")
+    pr.add_argument(
+        "--curve", required=True, help=f"curve id, '+'-separated for several: {known_curves()}"
+    )
     pr.add_argument("--beta-min", type=float, default=0.0)
     pr.add_argument("--beta-max", type=float, default=1.0)
     pr.add_argument("--beta-grid-step", type=float, default=None)

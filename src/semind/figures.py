@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from .counting import check_work
 from .profiles import CurveId, curve, eval_curve, find_crossover, s21_prog_boundary
 
 _COLORS = (
@@ -28,37 +29,44 @@ class Series:
     hi: float
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def series_rows(all_series, step: float) -> list[list[tuple]]:
+    """Rows (beta, value, label, flag) of each series on its grid: every
+    lo + i*step that is at most hi, a point within 1e-12 past hi set to hi.
+    The work of every row is checked before any is computed."""
+    check_work(
+        sum(((s.hi - s.lo) / step + 2) * s.curve_id.work for s in all_series),
+        "the beta range, or raise --beta-grid-step",
+    )
+    out = []
+    for series in all_series:
+        cid, label = series.curve_id, series.curve_id.label()
+        rows = []
+        for i in range(max(1, round((series.hi - series.lo) / step)) + 1):
+            beta = series.lo + i * step
+            if beta > series.hi + 1e-12:
+                break
+            beta = min(beta, series.hi)
+            cv = eval_curve(cid, beta)
+            rows.append((beta, cv.value, label, 1 if cv.in_range else 0))
+        out.append(rows)
+    return out
 
 
-def series_rows(series: Series, step: float):
-    rows = []
-    n = max(1, round((series.hi - series.lo) / step))
-    for i in range(n + 1):
-        beta = series.lo + i * step
-        if beta > series.hi + 1e-12:
-            break
-        beta = min(beta, series.hi)
-        cv = eval_curve(series.curve_id, beta)
-        rows.append((beta, cv.value, series.curve_id.label(), 1 if cv.in_range else 0))
-    return rows
-
-
-def write_csv(path: Path, rows) -> None:
+def csv_text(per_series) -> str:
+    """The `beta,value,curve,flag` CSV of `series_rows`' rows."""
     lines = ["beta,value,curve,flag"]
-    for beta, value, label, flag in rows:
-        lines.append(f"{_fmt(beta)},{_fmt(value)},{label},{flag}")
-    path.write_text("\n".join(lines) + "\n")
+    for rows in per_series:
+        lines += (f"{beta:.12g},{value:.12g},{label},{flag}" for beta, value, label, flag in rows)
+    return "\n".join(lines) + "\n"
 
 
-def render_svg(path: Path, all_series, rows_by_label, markers, title: str) -> None:
+def render_svg(path: Path, all_series, per_series, markers, title: str) -> None:
     width, height = 640, 440
     ml, mr, mt, mb = 60, 20, 34, 44
     plot_w, plot_h = width - ml - mr, height - mt - mb
 
-    xs = [r[0] for rows in rows_by_label.values() for r in rows if r[3]]
-    ys = [r[1] for rows in rows_by_label.values() for r in rows if r[3]]
+    xs = [r[0] for rows in per_series for r in rows if r[3]]
+    ys = [r[1] for rows in per_series for r in rows if r[3]]
     if not xs:
         xs, ys = [0.0, 1.0], [0.0, 1.0]
     x0, x1 = min(xs), max(xs)
@@ -115,12 +123,12 @@ def render_svg(path: Path, all_series, rows_by_label, markers, title: str) -> No
         f'font-size="11" font-family="sans-serif">red density</text>'
     )
 
-    for idx, series in enumerate(all_series):
+    for idx, (series, rows) in enumerate(zip(all_series, per_series)):
         label = series.curve_id.label()
         color = _COLORS[idx % len(_COLORS)]
         pts = [
             f"{px(beta):.2f},{py(value):.2f}"
-            for beta, value, _, flag in rows_by_label[label]
+            for beta, value, _, flag in rows
             if flag
         ]
         if pts:
@@ -198,14 +206,9 @@ def emit_figure(fig_id: int, outdir: Path, step: float = 0.001) -> list[Path]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     series, markers, title = figure_definition(fig_id, step)
-    rows_by_label = {}
-    all_rows = []
-    for s in series:
-        rows = series_rows(s, step)
-        rows_by_label[s.curve_id.label()] = rows
-        all_rows.extend(rows)
+    per_series = series_rows(series, step)
     csv_path = outdir / f"figure{fig_id}.csv"
     svg_path = outdir / f"figure{fig_id}.svg"
-    write_csv(csv_path, all_rows)
-    render_svg(svg_path, series, rows_by_label, markers, title)
+    csv_path.write_text(csv_text(per_series))
+    render_svg(svg_path, series, per_series, markers, title)
     return [csv_path, svg_path]

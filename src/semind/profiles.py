@@ -6,6 +6,10 @@ verifiers.  Evaluating a curve outside its validity interval returns a
 flagged value instead of clamping, so figures can restrict drawing to the
 valid range.
 
+Every curve tag is declared once, in `_CURVES`.  `profile` and `figure`
+evaluate curves on one grid (`figures.series_rows`): every lo + i*step at
+most hi, a point past hi dropped (one within 1e-12 of hi is set to hi).
+
 Everything is plain Python floats; the module needs no third-party package.
 Maxima are found by one grid scan with golden-section refinement
 (`_scan_max`), and crossovers and the s21 program boundary by one bisection.
@@ -17,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from . import UsageError
 
@@ -29,77 +34,60 @@ class CurveSpecError(UsageError):
     pass
 
 
-_SIMPLE_TAGS = {
-    "ap4",
-    "ac4",
-    "peenn",
-    "peenn_hi",
-    "peenn_lo",
-    "s21",
-    "ac4_cliques",
-    "conj_s21",
-}
-_AB_TAGS = {"ell", "ellc", "r", "c", "cc", "prog_s", "prog_cs"}
+def _form(tag: str) -> str:
+    names = _CURVES[tag].params
+    return f"{tag}:" + ",".join(f"<{p}>" for p in names) if names else tag
+
+
+def known_curves() -> str:
+    """Every curve tag with its parameters, as in 'ap4, ..., ds:<s>, ...'."""
+    return ", ".join(map(_form, _CURVES))
+
+
+def _entry(tag: str) -> _Curve:
+    entry = _CURVES.get(tag)
+    if entry is None:
+        raise CurveSpecError(f"unknown curve tag {tag!r}; known: {known_curves()}")
+    return entry
 
 
 @dataclass(frozen=True)
 class CurveId:
-    """Identifier of a closed-form profile curve plus its parameters."""
+    """Identifier of a closed-form profile curve plus its integer parameters."""
 
     tag: str
-    a: int = 0
-    b: int = 0
-    s: int = 0
-    k: int = 0
+    params: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.tag in _SIMPLE_TAGS:
-            return
-        if self.tag == "ds":
-            if self.s < 1:
-                raise CurveSpecError("ds needs s >= 1")
-        elif self.tag == "rw_star":
-            if self.k < 1:
-                raise CurveSpecError("rw_star needs k >= 1")
-        elif self.tag in _AB_TAGS:
-            if self.a < 1 or self.b < 1:
-                raise CurveSpecError(f"{self.tag} needs a, b >= 1")
-            if self.tag in ("ell", "ellc") and self.a < self.b:
-                raise CurveSpecError(f"{self.tag} expects a >= b")
-        else:
-            raise CurveSpecError(f"unknown curve tag {self.tag!r}")
+        entry = _entry(self.tag)
+        if len(self.params) != len(entry.params):
+            raise CurveSpecError(f"{self.tag} takes {len(entry.params)} parameters")
+        if any(p < 1 for p in self.params):
+            raise CurveSpecError(f"{self.tag} needs {', '.join(entry.params)} >= 1")
+        if entry.rule and not entry.rule[1](*self.params):
+            raise CurveSpecError(f"{self.tag} expects {entry.rule[0]}")
 
     def label(self) -> str:
-        if self.tag == "ds":
-            return f"ds:{self.s}"
-        if self.tag == "rw_star":
-            return f"rw_star:{self.k}"
-        if self.tag in _AB_TAGS:
-            return f"{self.tag}:{self.a},{self.b}"
-        return self.tag
+        return f"{self.tag}:{','.join(map(str, self.params))}" if self.params else self.tag
 
-
-_PARAMS = {"ds": ("s",), "rw_star": ("k",), **{t: ("a", "b") for t in _AB_TAGS}}
+    @property
+    def work(self) -> float:
+        """Estimated work of one evaluation, in `counting.check_work`'s unit."""
+        return _CURVES[self.tag].work
 
 
 def curve(text: str) -> CurveId:
     """Parse 'ap4', 'ds:2', 'ell:2,1', 'rw_star:3', ..."""
-    tag, _, rest = text.partition(":")
-    if tag in _SIMPLE_TAGS:
-        return CurveId(tag)
-    params = _PARAMS.get(tag)
-    if params is None:
-        raise CurveSpecError(f"unknown curve tag {tag!r}")
+    tag, sep, rest = text.partition(":")
+    names = _entry(tag).params
     try:
-        values = [int(v) for v in rest.split(",")]
+        values = tuple(int(v) for v in rest.split(",")) if sep else ()
     except ValueError:
-        values = []
-    if len(values) != len(params):
-        form = f"{tag}:" + ",".join(f"<{p}>" for p in params)
-        raise CurveSpecError(
-            f"bad curve {text!r}: expected {form} with integer {' and '.join(params)}"
-        )
-    return CurveId(tag, **dict(zip(params, values)))
+        values = None
+    if values is None or len(values) != len(names):
+        with_ints = f" with integer {' and '.join(names)}" if names else ""
+        raise CurveSpecError(f"bad curve {text!r}: expected {_form(tag)}{with_ints}")
+    return CurveId(tag, values)
 
 
 @dataclass(frozen=True)
@@ -108,77 +96,98 @@ class CurveValue:
     in_range: bool
 
 
+def _ap4(beta: float) -> float:
+    return beta * beta * (1 - beta)
+
+
+def _peenn_hi(beta: float) -> float:
+    return beta ** 1.5 - beta**2
+
+
+def _peenn_lo(beta: float) -> float:
+    return (1 - beta) ** 1.5 - (1 - beta) ** 2
+
+
+def _s21(beta: float) -> float:
+    return beta / 4 if beta <= 0.5 else _ap4(beta)
+
+
+def _conj_s21(beta: float) -> float:
+    return solve_prog_s(beta, 2, 1)[2] if beta <= 0.25 else _s21(beta)
+
+
+def _rw_star(beta: float, k: int) -> float:
+    eta = 1 - math.sqrt(1 - beta)
+    return max(beta ** ((k + 1) / 2), eta + (1 - eta) * eta**k)
+
+
+def _c(beta: float, a: int, b: int) -> float:
+    rt = math.sqrt(beta)
+    return rt * beta ** (a / 2) * (1 - rt) ** b
+
+
+def _cc(beta: float, a: int, b: int) -> float:
+    rt = math.sqrt(1 - beta)
+    return rt * (1 - rt) ** a * (1 - beta) ** (b / 2)
+
+
+class _Curve(NamedTuple):
+    params: tuple[str, ...]  # parameter names
+    value: Callable[..., float]  # value(beta, *params)
+    interval: Callable[..., tuple[float, float]] | None  # interval(*params); None is [0, 1]
+    # one value with its CSV row, in `counting.check_work`'s unit; timed at 3.7-4.7
+    # for the closed forms, 11 ac4_cliques, 120-130 conj_s21, 440-480 the programs
+    work: float = 5
+    rule: tuple[str, Callable[..., bool]] | None = None  # a check besides params >= 1
+
+
+_AB = ("a", "b")
+_A_GE_B = ("a >= b", lambda a, b: a >= b)
+
+# The one declaration of every curve tag; nothing else branches on a tag.
+_CURVES = {
+    "ap4": _Curve((), _ap4, None),
+    "ac4": _Curve((), _ap4, None),
+    "peenn": _Curve((), lambda beta: max(_peenn_hi(beta), _peenn_lo(beta)), None),
+    "peenn_hi": _Curve((), _peenn_hi, None),
+    "peenn_lo": _Curve((), _peenn_lo, None),
+    "s21": _Curve((), _s21, lambda: (0.25, 1.0)),
+    "ac4_cliques": _Curve(
+        (), lambda beta: ac4_clique_value(min(beta, 1 - beta))[2] if 0 < beta < 1 else 0.0,
+        lambda: (0.0, 0.5), work=16,
+    ),
+    "conj_s21": _Curve((), _conj_s21, None, work=150),
+    "ds": _Curve(
+        ("s",), lambda beta, s: beta ** (2 * s) * (1 - beta), lambda s: (1 - 1 / (2 * s), 1.0)
+    ),
+    "rw_star": _Curve(("k",), _rw_star, None),
+    "ell": _Curve(
+        _AB,
+        lambda beta, a, b: beta * (a - 1) ** (a - 1) * b**b / (a + b - 1) ** (a + b - 1),
+        lambda a, b: ((a - 1) ** 2 / (a + b - 1) ** 2, (a - 1) / (a + b - 1)),
+        rule=_A_GE_B,
+    ),
+    "ellc": _Curve(
+        _AB,
+        lambda beta, a, b: (1 - beta) * a**a * (b - 1) ** (b - 1) / (a + b - 1) ** (a + b - 1),
+        lambda a, b: (1 - (b - 1) / (a + b - 1), 1 - (b - 1) ** 2 / (a + b - 1) ** 2),
+        rule=_A_GE_B,
+    ),
+    "r": _Curve(_AB, lambda beta, a, b: beta**a * (1 - beta) ** b, None),
+    "c": _Curve(_AB, _c, None),
+    "cc": _Curve(_AB, _cc, None),
+    "prog_s": _Curve(_AB, lambda beta, a, b: solve_prog_s(beta, a, b)[2], None, work=620),
+    "prog_cs": _Curve(_AB, lambda beta, a, b: solve_prog_cs(beta, a, b)[2], None, work=620),
+}
+
+
 def validity_interval(cid: CurveId) -> tuple[float, float]:
-    t = cid.tag
-    if t == "ds":
-        return (1 - 1 / (2 * cid.s), 1.0)
-    if t == "s21":
-        return (0.25, 1.0)
-    if t == "ell":
-        a, b = cid.a, cid.b
-        return ((a - 1) ** 2 / (a + b - 1) ** 2, (a - 1) / (a + b - 1))
-    if t == "ellc":
-        a, b = cid.a, cid.b
-        return (1 - (b - 1) / (a + b - 1), 1 - (b - 1) ** 2 / (a + b - 1) ** 2)
-    if t == "ac4_cliques":
-        return (0.0, 0.5)
-    return (0.0, 1.0)
+    interval = _CURVES[cid.tag].interval
+    return (0.0, 1.0) if interval is None else interval(*cid.params)
 
 
 def _raw_value(cid: CurveId, beta: float) -> float:
-    t = cid.tag
-    if t == "ap4":
-        return beta * beta * (1 - beta)
-    if t == "ds":
-        return beta ** (2 * cid.s) * (1 - beta)
-    if t == "ac4":
-        return beta * beta * (1 - beta)
-    if t == "peenn":
-        return max(
-            beta ** 1.5 - beta**2,
-            (1 - beta) ** 1.5 - (1 - beta) ** 2,
-        )
-    if t == "peenn_hi":
-        return beta ** 1.5 - beta**2
-    if t == "peenn_lo":
-        return (1 - beta) ** 1.5 - (1 - beta) ** 2
-    if t == "s21":
-        if beta <= 0.5:
-            return beta / 4
-        return beta * beta * (1 - beta)
-    if t == "rw_star":
-        eta = 1 - math.sqrt(1 - beta)
-        return max(beta ** ((cid.k + 1) / 2), eta + (1 - eta) * eta**cid.k)
-    if t == "ell":
-        a, b = cid.a, cid.b
-        return beta * (a - 1) ** (a - 1) * b**b / (a + b - 1) ** (a + b - 1)
-    if t == "ellc":
-        a, b = cid.a, cid.b
-        return (1 - beta) * a**a * (b - 1) ** (b - 1) / (a + b - 1) ** (a + b - 1)
-    if t == "r":
-        return beta**cid.a * (1 - beta) ** cid.b
-    if t == "c":
-        rt = math.sqrt(beta)
-        return rt * beta ** (cid.a / 2) * (1 - rt) ** cid.b
-    if t == "cc":
-        rt = math.sqrt(1 - beta)
-        return rt * (1 - rt) ** cid.a * (1 - beta) ** (cid.b / 2)
-    if t == "prog_s":
-        return solve_prog_s(beta, cid.a, cid.b)[2]
-    if t == "prog_cs":
-        return solve_prog_cs(beta, cid.a, cid.b)[2]
-    if t == "ac4_cliques":
-        b = min(beta, 1 - beta)
-        if b <= 0:
-            return 0.0
-        return ac4_clique_value(b)[2]
-    if t == "conj_s21":
-        if beta <= 0.25:
-            return solve_prog_s(beta, 2, 1)[2]
-        if beta <= 0.5:
-            return beta / 4
-        return beta * beta * (1 - beta)
-    raise CurveSpecError(f"unknown curve tag {t!r}")
+    return _CURVES[cid.tag].value(beta, *cid.params)
 
 
 def eval_curve(cid: CurveId, beta: float) -> CurveValue:
@@ -387,7 +396,7 @@ def s21_prog_boundary() -> float:
 
     def interior_gap(beta: float) -> float:
         x, y, val = solve_prog_s(beta, 2, 1)
-        c_val = _raw_value(CurveId("c", a=2, b=1), beta)
+        c_val = _raw_value(CurveId("c", (2, 1)), beta)
         return val - c_val
 
     lo, hi = 1e-6, 0.25

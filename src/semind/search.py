@@ -105,9 +105,7 @@ def brute_force_profile(h: PatternGraph, n: int) -> dict:
         idx = 0
         while rest:
             if rest & 1:
-                i, j = prs[idx]
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
+                _flip(masks, *prs[idx])
             rest >>= 1
             idx += 1
         g = HostGraph(n, tuple(masks))
@@ -129,9 +127,7 @@ def _random_masks(n: int, m: int, rng: random.Random) -> list[int]:
     chosen = rng.sample(range(len(prs)), m)
     masks = [0] * n
     for t in chosen:
-        i, j = prs[t]
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
+        _flip(masks, *prs[t])
     return masks
 
 
@@ -144,20 +140,27 @@ def _adjust_edge_count(masks: list[int], n: int, m_target: int, rng: random.Rand
     rng.shuffle(red)
     rng.shuffle(blue)
     while current > m_target:
-        i, j = prs[red.pop()]
-        masks[i] &= ~(1 << j)
-        masks[j] &= ~(1 << i)
+        _flip(masks, *prs[red.pop()])
         current -= 1
     while current < m_target:
-        i, j = prs[blue.pop()]
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
+        _flip(masks, *prs[blue.pop()])
         current += 1
 
 
 def _flip(masks: list[int], i: int, j: int):
     masks[i] ^= 1 << j
     masks[j] ^= 1 << i
+
+
+def _sample_pair(red: list[int], prs, rng: random.Random, color: int):
+    """A uniform pair of the given colour (1 red, 0 blue) by rejection
+    sampling, which keeps the rng stream deterministic; None after 64 tries
+    per pair."""
+    for _ in range(64 * len(prs)):
+        a, b = prs[rng.randrange(len(prs))]
+        if red[a] >> b & 1 == color:
+            return a, b
+    return None
 
 
 def _climb_work(plans, n: int, starts: int, restarts: int, flips: int) -> float:
@@ -247,22 +250,9 @@ def hill_climb(
             if m_target is None:
                 moves = [prs[rng.randrange(npairs)]]
             else:
-                # swap one red and one blue pair; rejection sampling keeps
-                # the proposal uniform and the rng stream deterministic
-                pick = None
-                for _ in range(64 * npairs):
-                    a, b = prs[rng.randrange(npairs)]
-                    if red[a] >> b & 1:
-                        pick = (a, b)
-                        break
-                if pick is None:
-                    break
-                pick2 = None
-                for _ in range(64 * npairs):
-                    c, d = prs[rng.randrange(npairs)]
-                    if not red[c] >> d & 1:
-                        pick2 = (c, d)
-                        break
+                # swap one red and one blue pair
+                pick = _sample_pair(red, prs, rng, 1)
+                pick2 = None if pick is None else _sample_pair(red, prs, rng, 0)
                 if pick2 is None:
                     break
                 moves = [pick, pick2]

@@ -172,6 +172,41 @@ def test_profile_rejects_bad_beta_range(capsys, cache, tmp_path):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("step", ["1e-8", "5e-324"])  # 1 / 5e-324 overflows to inf
+def test_profile_refuses_a_grid_over_the_work_budget(capsys, cache, monkeypatch, step):
+    calls = []
+    monkeypatch.setattr(profiles, "_raw_value", lambda *a: calls.append(a))
+    out, err = usage_error(capsys, "profile", "--curve", "ap4", "--beta-grid-step", step)
+    assert out == "" and "exceeds the work budget" in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("fig_id, step", [(4, "0.03"), (5, "0.03"), (7, "0.02")])
+def test_profile_and_figure_emit_the_same_rows(capsys, cache, tmp_path, fig_id, step):
+    """Each series of a figure equals `profile` of its curve on its range,
+    including ranges whose last grid point would overshoot hi: ac4 on
+    [0, 0.5] at step 0.03 ends at 0.48."""
+    from semind.figures import figure_definition
+
+    assert run(capsys, "figure", "--id", str(fig_id), "--out", str(tmp_path),
+               "--beta-grid-step", step)[0] == 0
+    fig_rows = (tmp_path / f"figure{fig_id}.csv").read_text().splitlines()[1:]
+
+    def rows_of(label):  # a label may hold a comma: beta,value,<label>,flag
+        return [r for r in fig_rows if r.split(",", 2)[2].rpartition(",")[0] == label]
+
+    series, _, _ = figure_definition(fig_id, float(step))
+    for s in series:
+        label = s.curve_id.label()
+        code, out, _ = run(capsys, "profile", "--curve", label, "--beta-min", repr(s.lo),
+                           "--beta-max", repr(s.hi), "--beta-grid-step", step)
+        assert code == 0
+        assert out.splitlines()[1:] == rows_of(label)
+    assert sum(map(len, map(rows_of, {s.curve_id.label() for s in series}))) == len(fig_rows)
+    if fig_id == 4:
+        assert rows_of("ac4")[-1].startswith("0.48,")
+
+
 def test_search_loads_enumerated_basis(capsys, cache, monkeypatch):
     args = ("search", "--pattern", "ap4", "--n", "6", "--profile")
     code, want, _ = run(capsys, *args)
@@ -372,6 +407,7 @@ def test_count_tree_builtin(capsys, cache):
     ("count", "--pattern", "ap4", "--construct", "cliques:a", "--n", "10"),
     ("profile", "--curve", "ds:x"),
     ("profile", "--curve", "ell:2"),
+    ("profile", "--curve", "ap4:junk"),
 ])
 def test_malformed_arguments_are_named(capsys, cache, argv):
     code, out, err = run(capsys, *argv)

@@ -25,15 +25,31 @@ from semind.profiles import (
 
 
 def test_curve_parsing_and_validation():
-    assert curve("ds:2").s == 2
-    assert curve("ell:2,1").a == 2
-    assert curve("rw_star:3").k == 3
+    assert curve("ds:2").params == (2,)
+    assert curve("ell:2,1").params == (2, 1)
+    assert curve("rw_star:3").params == (3,)
     with pytest.raises(CurveSpecError):
         curve("nope")
     with pytest.raises(CurveSpecError):
         curve("ds:0")
     with pytest.raises(CurveSpecError):
         curve("ell:1,2")  # needs a >= b
+
+
+# sample parameters per parameter count; ell and ellc need a >= b
+_SAMPLE_PARAMS = {0: [()], 1: [(1,), (3,)], 2: [(1, 1), (2, 1), (3, 2), (4, 4)]}
+
+
+@pytest.mark.parametrize("tag", list(profiles._CURVES))
+def test_every_curve_tag_round_trips_and_has_a_valid_interval(tag):
+    for params in _SAMPLE_PARAMS[len(profiles._CURVES[tag].params)]:
+        cid = profiles.CurveId(tag, params)
+        assert curve(cid.label()) == cid
+        lo, hi = validity_interval(cid)
+        assert 0 <= lo <= hi <= 1, (cid, lo, hi)
+        assert cid.work > 0
+    with pytest.raises(CurveSpecError, match=f"bad curve '{tag}:x': expected {tag}"):
+        curve(f"{tag}:x")
 
 
 def test_eval_curve_examples():

@@ -58,3 +58,11 @@ def test_every_imported_name_is_read():
                     if not used[name]:
                         unread.append(f"{path.parent.name}/{path.name}: {name}")
     assert not unread, f"imported but never read: {unread}"
+
+
+def test_readme_lists_every_curve_tag():
+    from semind.profiles import _CURVES, _form
+
+    readme = (TESTS.parent / "README.md").read_text()
+    missing = [tag for tag in _CURVES if f"`{_form(tag)}`" not in readme]
+    assert not missing, f"curve tags missing from README: {missing}"
