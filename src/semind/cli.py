@@ -5,70 +5,31 @@ Configuration comes from an optional key=value file plus flags (flags win);
 the SEMIND_CACHE environment variable selects the cache directory, which
 holds enumerated bases (loaded back after validation, see `graphs`) and
 archived verification reports.  Exit codes: 0 success / verification PASS,
-1 verification FAIL, 2 usage error (a `semind.UsageError` or an unreadable or
-unwritable file the user named; one `error:` line on stderr), 3 internal fault
-(its traceback on stderr).
+1 verification FAIL, 2 usage error (a `semind.UsageError`, a malformed
+command line, or an unreadable or unwritable file the user named; one
+`error:` line on stderr), 3 internal fault (its traceback on stderr).
+
+Import rule: each command imports, inside its own function, the package
+modules it runs, so that a short run pays the import time of those modules
+only (`profile` and `figure` load no graph or counting code).  The one
+module imported here is `profiles`: the parser's `profile --curve` help
+lists `known_curves()`, and the benchmark's traced mode reads the import
+time of `semind.profiles` from a bare `import semind.cli`.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import shlex
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
-from . import UsageError, __version__
-from .counting import (
-    ap4_pattern,
-    ac4_pattern,
-    blowup_injections,
-    blowup_work,
-    check_work,
-    count_injections,
-    count_transitive,
-    count_work,
-    double_star_pattern,
-    induced_profile,
-    normalized_density,
-    peenn_pattern,
-    profile_work,
-    star_pattern,
-    transitive_work,
-    tree_pattern,
-)
-from .certificates import (
-    REGIME_RATIONAL,
-    REGIME_SQRT2,
-    stability_family_check,
-    verify_ap4_certificate,
-    verify_peenn_certificate,
-)
-from .exactalg import Q2, SQRT2
-from .figures import Series, csv_text, emit_figure, series_rows
-from .graphs import (
-    ConstructionSpec,
-    basis_cache,
-    basis_text,
-    circulant,
-    clique_plus_isolated,
-    complement_of,
-    construction_parts,
-    disjoint_cliques,
-    enumerate_colored_graphs,
-    make_construction,
-    parse_host,
-    parse_pattern,
-    three_part,
-    transitive_degree,
-)
+from . import UsageError, __version__, check_work
 from .profiles import curve, eval_curve, known_curves
-from .search import brute_force_profile, exact_max, full_profile, hill_climb
 
 
 @dataclass
@@ -150,6 +111,16 @@ def _numbers(what: str, arg: str, text: str, form: str, count=None, convert=int,
 def pattern_from_arg(text: str):
     """Builtin names (ap4, ac4, ds:<s>, peenn, s:<a>,<b>, tree:<edges>),
     @file, or literal pattern text."""
+    from .counting import (
+        ac4_pattern,
+        ap4_pattern,
+        double_star_pattern,
+        peenn_pattern,
+        star_pattern,
+        tree_pattern,
+    )
+    from .graphs import parse_pattern
+
     if text.startswith("@"):
         return parse_pattern(_read_text(text[1:]))
     name, _, rest = text.partition(":")
@@ -175,7 +146,10 @@ def pattern_from_arg(text: str):
     raise UsageError(f"unknown pattern {text!r}")
 
 
-def construct_from_arg(text: str) -> ConstructionSpec:
+def construct_from_arg(text: str):
+    """A `graphs.ConstructionSpec` from its spec text."""
+    from .graphs import circulant, clique_plus_isolated, complement_of, disjoint_cliques, three_part
+
     kind, _, rest = text.partition(":")
     if kind == "complement":
         return complement_of(construct_from_arg(rest))
@@ -195,8 +169,11 @@ def construct_from_arg(text: str) -> ConstructionSpec:
     raise UsageError(f"unknown construction {text!r}")
 
 
-def exact_from_arg(text: str) -> Q2:
-    """Exact values: 'sqrt2-1', '1/sqrt2', 'sqrt2/2', fractions, decimals."""
+def exact_from_arg(text: str):
+    """An exact `exactalg.Q2` value: 'sqrt2-1', '1/sqrt2', 'sqrt2/2',
+    fractions, decimals."""
+    from .exactalg import Q2, SQRT2
+
     t = text.strip().replace(" ", "")
     if t == "sqrt2":
         return SQRT2
@@ -246,11 +223,24 @@ def _check_count_work(units: float, profile: float, what: str) -> None:
 
 
 def cmd_count(args, cfg: RunConfig) -> int:
+    from .counting import (
+        blowup_injections,
+        blowup_work,
+        count_injections,
+        count_transitive,
+        count_work,
+        induced_profile,
+        normalized_density,
+        profile_work,
+        transitive_work,
+    )
+    from .graphs import construction_parts, make_construction, parse_host, transitive_degree
+
     h = pattern_from_arg(args.pattern)
     if args.host and args.construct:
         raise UsageError("give either --host or --construct, not both")
     if args.construct:
-        if not args.n:
+        if args.n is None:
             raise UsageError("--construct requires --n")
         spec = construct_from_arg(args.construct)
         profile = 0 if args.profile_k is None else profile_work(args.n, args.profile_k)
@@ -309,6 +299,8 @@ def cmd_count(args, cfg: RunConfig) -> int:
 
 
 def cmd_enumerate(args, cfg: RunConfig) -> int:
+    from .graphs import basis_text, enumerate_colored_graphs
+
     k = args.k
     classes = enumerate_colored_graphs(k)
     out = Path(args.out) if args.out else cfg.cache_dir / f"basis-k{k}.txt"
@@ -319,6 +311,10 @@ def cmd_enumerate(args, cfg: RunConfig) -> int:
 
 
 def cmd_search(args, cfg: RunConfig) -> int:
+    from .counting import normalized_density
+    from .graphs import parse_host
+    from .search import exact_max, full_profile, hill_climb
+
     h = pattern_from_arg(args.pattern)
     if args.hill:
         _reject_unread(args, ("--m",), "with --hill")
@@ -357,6 +353,8 @@ def cmd_search(args, cfg: RunConfig) -> int:
 
 
 def cmd_profile(args, cfg: RunConfig) -> int:
+    from .figures import Series, csv_text, series_rows
+
     cids = [curve(c) for c in args.curve.split("+")]
     lo, hi = args.beta_min, args.beta_max
     if not 0 <= lo <= hi <= 1:
@@ -372,6 +370,9 @@ def cmd_profile(args, cfg: RunConfig) -> int:
 
 def _report_header(argv) -> list[str]:
     """Version, command line and reference-table digests of a report."""
+    import hashlib
+    from importlib import resources
+
     lines = [f"# semind {__version__}", f"# argv: {shlex.join(argv)}"]
     data = resources.files("semind").joinpath("data")
     for entry in sorted(data.iterdir(), key=lambda e: e.name):
@@ -409,11 +410,19 @@ _VERIFY_READS = {
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
+    from .certificates import (
+        REGIME_RATIONAL,
+        REGIME_SQRT2,
+        stability_family_check,
+        verify_ap4_certificate,
+        verify_peenn_certificate,
+    )
+
     reads = _VERIFY_READS[args.which]
     unread = [flag for flags in _VERIFY_READS.values() for flag in flags if flag not in reads]
     _reject_unread(args, unread, f"by verify {args.which}")
     if args.which == "ap4":
-        hi = exact_from_arg(args.alpha_max) if args.alpha_max else Q2.of(Fraction(1, 2))
+        hi = exact_from_arg(args.alpha_max or "1/2")
         if hi <= 0:
             raise UsageError(f"--alpha-max must be positive (got {args.alpha_max!r})")
         reports = [verify_ap4_certificate(alpha_interval=(Fraction(0), hi))]
@@ -453,6 +462,8 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 
 def cmd_figure(args, cfg: RunConfig) -> int:
+    from .figures import emit_figure
+
     paths = emit_figure(args.id, Path(args.out), step=cfg.beta_grid_step)
     for p in paths:
         print(p)
@@ -460,6 +471,9 @@ def cmd_figure(args, cfg: RunConfig) -> int:
 
 
 def cmd_oracle(args, cfg: RunConfig) -> int:
+    from .counting import normalized_density
+    from .search import brute_force_profile
+
     h = pattern_from_arg(args.pattern)
     _check_n(h, args.n)
     per_m = brute_force_profile(h, args.n)
@@ -473,8 +487,19 @@ def cmd_oracle(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flags must be spelled out, not abbreviated, and a malformed command
+    line is a UsageError like any other bad input."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="semind",
         description="semi-inducibility workbench for red/blue colored complete graphs",
     )
@@ -540,18 +565,24 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the commands that read class lists, which a basis in the cache directory serves
+_READS_CLASSES = ("enumerate", "search", "verify")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    args.argv = argv
-    try:
+        args = build_parser().parse_args(argv)
+        args.argv = argv
         cfg = load_config(args)
+        if args.cmd not in _READS_CLASSES:
+            return args.func(args, cfg)
+        from .graphs import basis_cache
+
         with basis_cache(cfg.cache_dir):
             return args.func(args, cfg)
+    except SystemExit as exc:  # --help
+        return exc.code if isinstance(exc.code, int) else 2
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

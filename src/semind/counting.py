@@ -12,11 +12,8 @@ host (`count_transitive`) one pattern vertex is pinned to host vertex 0 and
 the count multiplied by n.  `flip_delta` gives the exact change of a count
 when one host pair flips colour, with one pinned count per automorphism
 orbit of the pattern's ordered constrained pairs.  The test suite checks the
-counter against a plain backtracker.
-
-One work budget, `WORK_BUDGET`, bounds every command whose cost grows with
-its input: each estimates its work before doing any and passes the estimate
-to `check_work`, which refuses it when it is over the budget.
+counter against a plain backtracker.  The `*_work` functions estimate the
+work of a count for the package's `check_work`.
 """
 
 from __future__ import annotations
@@ -26,12 +23,11 @@ from functools import lru_cache
 from math import comb, factorial, perm
 from typing import NamedTuple
 
-from . import UsageError
+from . import UnsupportedSizeError, UsageError, check_work
 from .graphs import (
     HostGraph,
     PartedHost,
     PatternGraph,
-    UnsupportedSizeError,
     _min_placements,
     _relabel_masks,
     _twins,
@@ -93,22 +89,6 @@ def sum_blue_degree_products(g: HostGraph, power: int = 1) -> int:
             m >>= 1
             v += 1
     return total - red_part
-
-
-# The budget, in units of one vertex that `_extend` places in its prefix: about
-# 0.25-0.3 us each, so 5e7 units are about 12-16 s on a 2-core Intel Xeon
-# with Python 3.11.
-WORK_BUDGET = 5e7
-
-
-def check_work(units: float, what: str) -> None:
-    """Raise UnsupportedSizeError, a UsageError, unless an estimated `units`
-    of work fit the budget; `what` names what the user can reduce."""
-    if units > WORK_BUDGET:
-        raise UnsupportedSizeError(
-            f"estimated work {units:.3g} exceeds the work budget of {WORK_BUDGET:.0e}; "
-            f"reduce {what}"
-        )
 
 
 # Bell numbers: the set partitions of a batch of b.  A batch of 9 builds its

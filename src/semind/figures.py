@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .counting import check_work
+from . import check_work
 from .profiles import CurveId, curve, eval_curve, find_crossover, s21_prog_boundary
 
 _COLORS = (

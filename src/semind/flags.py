@@ -23,11 +23,11 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, perm
 
+from . import UnsupportedSizeError
 from .exactalg import Poly, Q2
 from .graphs import (
     HostGraph,
     PatternGraph,
-    UnsupportedSizeError,
     _graph_classes,
     _min_placements,
     canonical_host,

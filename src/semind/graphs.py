@@ -26,14 +26,13 @@ enumerated.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from . import UsageError
+from . import UnsupportedSizeError, UsageError
 
 
 # Caps that no work estimate replaces.  Canonical labelling has no cost
@@ -71,10 +70,6 @@ class GraphFormatError(UsageError):
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
         self.offset = offset
-
-
-class UnsupportedSizeError(UsageError):
-    pass
 
 
 class ConstructionError(UsageError):
@@ -420,6 +415,8 @@ def _load_basis(k: int) -> tuple[HostGraph, ...] | None:
         data = (_basis_dir / f"basis-k{k}.txt").read_bytes()
     except OSError:
         return None
+    import hashlib  # only a cached basis is digested; it costs import time
+
     if hashlib.sha256(data).hexdigest() != digest:
         return None
     header, *lines = data.decode("ascii").splitlines()

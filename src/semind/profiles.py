@@ -72,7 +72,7 @@ class CurveId:
 
     @property
     def work(self) -> float:
-        """Estimated work of one evaluation, in `counting.check_work`'s unit."""
+        """Estimated work of one evaluation, in `check_work`'s unit."""
         return _CURVES[self.tag].work
 
 
@@ -135,7 +135,7 @@ class _Curve(NamedTuple):
     params: tuple[str, ...]  # parameter names
     value: Callable[..., float]  # value(beta, *params)
     interval: Callable[..., tuple[float, float]] | None  # interval(*params); None is [0, 1]
-    # one value with its CSV row, in `counting.check_work`'s unit; timed at 3.7-4.7
+    # one value with its CSV row, in `check_work`'s unit; timed at 3.7-4.7
     # for the closed forms, 11 ac4_cliques, 120-130 conj_s21, 440-480 the programs
     work: float = 5
     rule: tuple[str, Callable[..., bool]] | None = None  # a check besides params >= 1

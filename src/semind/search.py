@@ -16,20 +16,19 @@ import random
 from dataclasses import dataclass
 from math import comb
 
-from . import UsageError
+from . import UnsupportedSizeError, UsageError, check_work
 from .graphs import (
     MAX_CANONICAL_N,
     ConstructionSpec,
     HostGraph,
     PatternGraph,
-    UnsupportedSizeError,
     _MAX_INTERNAL_K,
     _graph_classes,
     canonical_form,
     lex_pairs,
     make_construction,
 )
-from .counting import _plan, _work, check_work, count_injections, flip_delta, flip_plans
+from .counting import _plan, _work, count_injections, flip_delta, flip_plans
 
 # Work of the climb and the oracle outside the counts, in `check_work`'s unit
 # (timed on a 2-vertex pattern, whose counts cost almost nothing): each host

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, determinism, formats."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import semind
-from semind import cli, counting, flags, graphs, profiles
+from semind import cli, counting, flags, graphs, profiles, search
 from semind.cli import main
 
 
@@ -229,28 +230,24 @@ def test_search_loads_enumerated_basis(capsys, cache, monkeypatch):
 
 
 def test_cli_paths_load_neither_numpy_nor_scipy(tmp_path):
+    # each command runs in a fresh process, which then lists the modules it
+    # loaded: numpy and scipy never, and of the package only what it runs
     script = textwrap.dedent("""
+        import json
         import sys
 
         def loaded(*roots):
             return sorted(m for m in sys.modules if m.partition(".")[0] in roots)
 
-        def heavy():
-            return loaded("numpy", "scipy")
-
         def lazy_import():
             import colorsys
 
+        argv, expected = json.loads(sys.argv[1])
         import semind.cli
-        assert not heavy(), heavy()
-        for argv in (
-            ["count", "--pattern", "peenn", "--construct", "clique_iso:0.8", "--n", "1000"],
-            ["search", "--pattern", "ap4", "--n", "5", "--profile"],
-            ["figure", "--id", "6", "--beta-grid-step", "0.05"],
-            ["profile", "--curve", "prog_s:2,1+conj_s21", "--beta-grid-step", "0.05"],
-        ):
+        if argv:
             assert semind.cli.main(argv) == 0
-            assert not heavy(), (argv, heavy())
+        assert not loaded("numpy", "scipy"), loaded("numpy", "scipy")
+        assert loaded("semind") == sorted(expected), loaded("semind")
         assert not loaded("colorsys")
         lazy_import()
         assert loaded("colorsys") == ["colorsys"]  # the probe sees lazy imports
@@ -258,11 +255,25 @@ def test_cli_paths_load_neither_numpy_nor_scipy(tmp_path):
     src = str(Path(semind.__file__).resolve().parent.parent)
     env = dict(os.environ, SEMIND_CACHE=str(tmp_path / "cache"))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    search_modules = ("graphs", "counting", "search")
+    for argv, modules in (
+        ((), ()),  # a bare `import semind.cli`
+        (("enumerate", "--k", "4"), ("graphs",)),
+        (("count", "--pattern", "peenn", "--construct", "clique_iso:0.8", "--n", "1000"),
+         ("graphs", "counting")),
+        (("search", "--pattern", "ap4", "--n", "5", "--profile"), search_modules),
+        (("oracle", "--pattern", "ap4", "--n", "4"), search_modules),
+        (("figure", "--id", "6", "--beta-grid-step", "0.05"), ("figures",)),
+        (("profile", "--curve", "prog_s:2,1+conj_s21", "--beta-grid-step", "0.05"),
+         ("figures",)),
+        (("verify", "stability"), ("graphs", "counting", "exactalg", "flags", "certificates")),
+    ):
+        expected = ["semind", "semind.cli", "semind.profiles", *(f"semind.{m}" for m in modules)]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps([argv, expected])], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
 
 
 def test_profile_deterministic_and_threaded(capsys, cache, tmp_path):
@@ -418,12 +429,13 @@ def test_malformed_arguments_are_named(capsys, cache, argv):
 
 def test_count_builds_a_constructed_host_once(capsys, cache, monkeypatch):
     calls = []
+    make_construction = graphs.make_construction
 
     def counted(spec, n):
         calls.append((spec, n))
-        return graphs.make_construction(spec, n)
+        return make_construction(spec, n)
 
-    monkeypatch.setattr(cli, "make_construction", counted)
+    monkeypatch.setattr(graphs, "make_construction", counted)
     code, out, _ = run(
         capsys, "count", "--pattern", "ap4", "--construct", "circulant:0.5",
         "--n", "40", "--profile-k", "3",
@@ -437,7 +449,7 @@ def test_count_builds_a_constructed_host_once(capsys, cache, monkeypatch):
 
 
 def test_usage_errors_share_one_class():
-    for exc in (graphs.GraphFormatError, graphs.UnsupportedSizeError,
+    for exc in (graphs.GraphFormatError, semind.UnsupportedSizeError,
                 graphs.ConstructionError, profiles.CurveSpecError):
         assert issubclass(exc, semind.UsageError)
     for exc in (profiles.BracketError, flags.FlagTypeError):
@@ -485,6 +497,17 @@ def test_usage_errors_share_one_class():
     (("verify", "stability", "--open-lo"), "--open-lo is not read by verify stability"),
     (("verify", "stability", "--alpha-max", "1/4"),
      "--alpha-max is not read by verify stability"),
+    # flags are spelled out: a prefix of a flag is no flag
+    (("search", "--pattern", "ap4", "--n", "5", "--pro"), "unrecognized arguments: --pro"),
+    (("count", "--pattern", "ap4", "--host", "3 RRR", "--profile", "3"),
+     "unrecognized arguments: --profile 3"),
+    (("--cache=cache2", "verify", "stability"), "unrecognized arguments: --cache=cache2"),
+    (("--cache", "cache2", "verify", "stability"), "invalid choice: 'cache2'"),
+    (("search", "--hill", "--pattern", "ac4", "--n", "20", "--beta", "0.4", "--seed", "1"),
+     "unrecognized arguments: --seed 1"),
+    # --n 0 is given, so it reaches the constructions' own check
+    (("count", "--pattern", "ap4", "--construct", "cliques:0.5,0.5", "--n", "0"),
+     "constructions need n >= 2"),
 ])
 def test_bad_input_is_a_usage_error(capsys, cache, monkeypatch, argv, message):
     monkeypatch.chdir(cache)  # relative file names resolve inside the test directory
@@ -518,7 +541,7 @@ def test_search_and_oracle_reject_small_n_before_any_work(capsys, cache, monkeyp
         raise AssertionError("swept")
 
     for name in ("exact_max", "full_profile", "brute_force_profile"):
-        monkeypatch.setattr(cli, name, no_sweep)
+        monkeypatch.setattr(search, name, no_sweep)
     for argv in (
         ("search", "--pattern", "ap4", "--n", "3"),
         ("search", "--pattern", "ap4", "--n", "3", "--profile"),
@@ -533,7 +556,7 @@ def test_work_budget_refuses_before_any_count(capsys, cache, monkeypatch):
         raise AssertionError("counted")
 
     monkeypatch.setattr(counting, "_extend", no_count)
-    monkeypatch.setattr(cli, "blowup_injections", no_count)
+    monkeypatch.setattr(counting, "blowup_injections", no_count)
     iso = graphs.make_construction(graphs.clique_plus_isolated(0.7071), 60)
     (cache / "iso60.txt").write_text(iso.to_text())
     k6 = "6 " + "R" * 15
@@ -558,8 +581,8 @@ def test_count_and_profile_share_one_work_budget(capsys, cache, monkeypatch):
         raise AssertionError("counted")
 
     monkeypatch.setattr(counting, "_extend", no_count)
-    monkeypatch.setattr(cli, "blowup_injections", no_count)
-    monkeypatch.setattr(cli, "induced_profile", no_count)
+    monkeypatch.setattr(counting, "blowup_injections", no_count)
+    monkeypatch.setattr(counting, "induced_profile", no_count)
     free7, k5 = cli.pattern_from_arg("7 " + "F" * 21), cli.pattern_from_arg("5 " + "R" * 10)
     nine_parts = "cliques:" + ",".join(["0.1"] * 8)
     host = graphs.parse_host("110 " + ("RB" * 3000)[:comb(110, 2)])
@@ -569,8 +592,8 @@ def test_count_and_profile_share_one_work_budget(capsys, cache, monkeypatch):
         (counting.blowup_work(free7, parts), counting.profile_work(100, 5)),
         (counting.count_work(k5, host), counting.profile_work(110, 5)),
     ):
-        assert max(count_units, profile_units) <= counting.WORK_BUDGET
-        assert count_units + profile_units > counting.WORK_BUDGET
+        assert max(count_units, profile_units) <= semind.WORK_BUDGET
+        assert count_units + profile_units > semind.WORK_BUDGET
     for argv in (
         ("--pattern", free7.to_text(), "--construct", nine_parts, "--n", "100"),
         ("--pattern", k5.to_text(), "--host", host.to_text()),
