@@ -411,24 +411,25 @@ _VERIFY_READS = {
 
 def cmd_verify(args, cfg: RunConfig) -> int:
     from .certificates import (
-        REGIME_RATIONAL,
-        REGIME_SQRT2,
+        AP4,
+        PEENN_RATIONAL,
+        PEENN_SQRT2,
+        check_certificate,
         stability_family_check,
-        verify_ap4_certificate,
-        verify_peenn_certificate,
     )
 
     reads = _VERIFY_READS[args.which]
     unread = [flag for flags in _VERIFY_READS.values() for flag in flags if flag not in reads]
     _reject_unread(args, unread, f"by verify {args.which}")
-    if args.which == "ap4":
-        hi = exact_from_arg(args.alpha_max or "1/2")
-        if hi <= 0:
-            raise UsageError(f"--alpha-max must be positive (got {args.alpha_max!r})")
-        reports = [verify_ap4_certificate(alpha_interval=(Fraction(0), hi))]
-    elif args.which == "stability":
+    if args.which == "stability":
         reports = [stability_family_check()]
-    else:  # peenn; argparse restricts the choices
+    else:
+        certs = [AP4] if args.which == "ap4" else [PEENN_SQRT2, PEENN_RATIONAL]
+        if args.alpha_max:
+            hi = exact_from_arg(args.alpha_max)
+            if hi <= 0:
+                raise UsageError(f"--alpha-max must be positive (got {args.alpha_max!r})")
+            certs = [AP4._replace(interval=(AP4.interval[0], hi, True, True))]
         if args.B or args.C or args.interval:
             if not (args.B and args.C and args.interval):
                 raise UsageError("peenn overrides need --B, --C and --interval")
@@ -436,25 +437,15 @@ def cmd_verify(args, cfg: RunConfig) -> int:
             lo, hi = _numbers("--interval", args.interval, args.interval, form, 2, exact_from_arg)
             if lo >= hi:
                 raise UsageError(f"--interval {args.interval!r} needs lo < hi")
-            reports = [
-                verify_peenn_certificate(
-                    B=exact_from_arg(args.B),
-                    C=exact_from_arg(args.C),
-                    interval=(lo, hi),
-                    include_lo=not args.open_lo,
+            fixed = (("B", exact_from_arg(args.B)), ("C", exact_from_arg(args.C)))
+            certs = [PEENN_SQRT2._replace(fixed=fixed, interval=(lo, hi, not args.open_lo, True))]
+        for cert in certs:
+            (lo, hi, *_), (d_lo, d_hi) = cert.interval, cert.domain
+            if not (d_lo <= lo and hi <= d_hi):
+                raise UsageError(
+                    f"the interval [{lo}, {hi}] of {cert.var} leaves its domain [{d_lo}, {d_hi}]"
                 )
-            ]
-        else:
-            reports = [
-                verify_peenn_certificate(
-                    B=R["B"],
-                    C=R["C"],
-                    interval=(R["lo"], R["hi"]),
-                    include_lo=R["include_lo"],
-                    include_hi=R["include_hi"],
-                )
-                for R in (REGIME_SQRT2, REGIME_RATIONAL)
-            ]
+        reports = [check_certificate(cert) for cert in certs]
     text = "\n".join(r.render() for r in reports)
     print(text)
     _archive_report(cfg, args.argv, f"verify-{args.which}", text)
@@ -494,8 +485,28 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
 
+    def parse_known_args(self, args=None, namespace=None):
+        self._args = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
+    def _unknown_flag(self):
+        """The first unknown flag before the first positional argument."""
+        args = iter(getattr(self, "_args", ()))
+        for arg in args:
+            if not arg.startswith("-"):
+                return None
+            action = self._option_string_actions.get(arg.partition("=")[0])
+            if action is None:
+                return arg
+            if action.nargs != 0 and "=" not in arg:
+                next(args, None)  # its value
+        return None
+
     def error(self, message):
-        raise UsageError(message)
+        # an unknown flag leaves its value to be read as the command (or
+        # another choice), so the error about that value names the flag too
+        flag = self._unknown_flag() if "invalid choice" in message else None
+        raise UsageError(f"unrecognized arguments: {flag}; {message}" if flag else message)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,15 +11,16 @@ from fractions import Fraction
 from math import comb, perm
 
 from semind.certificates import (
+    AP4,
     FAMILY_HALF_DIGITS,
     FAMILY_MAIN_DIGITS,
-    REGIME_RATIONAL,
-    REGIME_SQRT2,
+    PEENN_RATIONAL,
+    PEENN_SQRT2,
+    Reference,
     _class_code,
     ap4_reference_table,
+    check_certificate,
     stability_family_check,
-    verify_ap4_certificate,
-    verify_peenn_certificate,
 )
 from semind.counting import (
     ac4_pattern,
@@ -73,7 +74,7 @@ def test_criterion_01_basis_counts():
 
 def test_criterion_02_ap4_certificate():
     t0 = time.time()
-    report = verify_ap4_certificate()
+    report = check_certificate(AP4)
     assert report.passed, report.failures
     assert len(report.lines) == 11
     # injected fault must be detected and named
@@ -81,7 +82,7 @@ def test_criterion_02_ap4_certificate():
     victim = sorted(table)[5]
     table[victim] = dict(table[victim])
     table[victim]["O"] = table[victim]["O"] + Poly.const(("x",), 1)
-    broken = verify_ap4_certificate(reference=table)
+    broken = check_certificate(AP4._replace(references=(Reference(lambda: table),)))
     assert not broken.passed
     assert any(victim in f for f in broken.failures)
     _report(2, "alternating-3-path certificate exact + fault detection", t0, 60)
@@ -92,22 +93,13 @@ def test_criterion_03_peenn_certificate():
     main_codes = {_class_code(d) for d in FAMILY_MAIN_DIGITS}
     half_codes = {_class_code(d) for d in FAMILY_HALF_DIGITS}
 
-    rep1 = verify_peenn_certificate(
-        B=REGIME_SQRT2["B"],
-        C=REGIME_SQRT2["C"],
-        interval=(REGIME_SQRT2["lo"], REGIME_SQRT2["hi"]),
-    )
+    rep1 = check_certificate(PEENN_SQRT2)
     assert rep1.passed, rep1.failures
     assert set(rep1.zero_classes) == main_codes
     assert set(rep1.boundary_zero_classes) == half_codes
     assert rep1.interior_root_classes == {}
 
-    rep2 = verify_peenn_certificate(
-        B=REGIME_RATIONAL["B"],
-        C=REGIME_RATIONAL["C"],
-        interval=(REGIME_RATIONAL["lo"], REGIME_RATIONAL["hi"]),
-        include_lo=False,
-    )
+    rep2 = check_certificate(PEENN_RATIONAL)
     assert rep2.passed, rep2.failures
     assert set(rep2.zero_classes) == main_codes
     assert rep2.interior_root_classes == {}

@@ -1,4 +1,4 @@
-"""Certificate verifiers: reproduction, fault detection, sign analysis."""
+"""Certificate checker: reproduction, fault detection, sign analysis."""
 
 from fractions import Fraction
 
@@ -6,25 +6,29 @@ import pytest
 
 from semind import certificates
 from semind.certificates import (
+    AP4,
     C5_DIGITS,
     FAMILY_HALF_DIGITS,
     FAMILY_MAIN_DIGITS,
     FORBIDDEN_4_DIGITS,
-    REGIME_RATIONAL,
-    REGIME_SQRT2,
+    PEENN_RATIONAL,
+    PEENN_SQRT2,
+    Certificate,
+    Reference,
+    Term,
     _class_code,
+    _term_combo,
     ap4_reference_table,
+    check_certificate,
     host_from_digits,
     parse_poly,
     peenn_expansion_reference,
     peenn_reference_coeffs,
     stability_family_check,
-    verify_ap4_certificate,
-    verify_peenn_certificate,
 )
-from semind.counting import peenn_pattern
+from semind.counting import ap4_pattern, peenn_pattern
 from semind.exactalg import Poly, Q2
-from semind.flags import expand_pattern
+from semind.flags import basis_combo, expand_pattern, lift, unit_flag
 
 
 def test_parse_poly_round_trip():
@@ -53,7 +57,7 @@ def test_host_from_digits():
 
 
 def test_ap4_certificate_passes():
-    report = verify_ap4_certificate()
+    report = check_certificate(AP4)
     assert report.passed, report.failures
     assert len(report.lines) == 11
     assert all(ln.status == "zero" for ln in report.lines)
@@ -68,15 +72,13 @@ def test_ap4_fault_injection_detected():
     victim = sorted(table)[3]
     table[victim] = dict(table[victim])
     table[victim]["C3"] = table[victim]["C3"] + Poly.const(("x",), 1)
-    report = verify_ap4_certificate(reference=table)
+    report = check_certificate(AP4._replace(references=(Reference(lambda: table),)))
     assert not report.passed
     assert any(victim in f and "C3" in f for f in report.failures)
 
 
 def test_ap4_multiplier_fails_past_half():
-    report = verify_ap4_certificate(
-        alpha_interval=(Fraction(0), Fraction(3, 5))
-    )
+    report = check_certificate(AP4._replace(interval=(Q2.of(0), Q2.of(Fraction(3, 5)), True, True)))
     assert not report.passed
     assert any("C4" in f for f in report.failures)
     assert not any("C3" in f for f in report.failures)
@@ -85,7 +87,7 @@ def test_ap4_multiplier_fails_past_half():
 def test_peenn_expansion_matches_reference():
     combo = expand_pattern(peenn_pattern(), 5, ("a", "B", "C"))
     got = {fl.graph.to_text(): poly for fl, poly in combo.terms.items()}
-    want = peenn_expansion_reference()
+    want = {code: int(str(row["P"])) for code, row in peenn_expansion_reference().items()}
     assert set(got) == set(want)
     for code, cnt in want.items():
         assert got[code] == Poly.const(("a", "B", "C"), cnt)
@@ -95,11 +97,7 @@ def test_peenn_expansion_matches_reference():
 
 
 def test_peenn_sqrt2_regime_passes_with_expected_zero_set():
-    report = verify_peenn_certificate(
-        B=REGIME_SQRT2["B"],
-        C=REGIME_SQRT2["C"],
-        interval=(REGIME_SQRT2["lo"], REGIME_SQRT2["hi"]),
-    )
+    report = check_certificate(PEENN_SQRT2)
     assert report.passed, report.failures
     main_codes = {_class_code(d) for d in FAMILY_MAIN_DIGITS}
     half_codes = {_class_code(d) for d in FAMILY_HALF_DIGITS}
@@ -109,12 +107,7 @@ def test_peenn_sqrt2_regime_passes_with_expected_zero_set():
 
 
 def test_peenn_rational_regime_passes():
-    report = verify_peenn_certificate(
-        B=REGIME_RATIONAL["B"],
-        C=REGIME_RATIONAL["C"],
-        interval=(REGIME_RATIONAL["lo"], REGIME_RATIONAL["hi"]),
-        include_lo=False,
-    )
+    report = check_certificate(PEENN_RATIONAL)
     assert report.passed, report.failures
     main_codes = {_class_code(d) for d in FAMILY_MAIN_DIGITS}
     assert set(report.zero_classes) == main_codes
@@ -122,24 +115,112 @@ def test_peenn_rational_regime_passes():
 
 
 def test_peenn_negative_multiplier_fails():
-    report = verify_peenn_certificate(
-        B=REGIME_SQRT2["B"],
-        C=Q2.of(Fraction(-1, 10)),
-        interval=(REGIME_SQRT2["lo"], REGIME_SQRT2["hi"]),
-    )
+    B = dict(PEENN_SQRT2.fixed)["B"]
+    report = check_certificate(PEENN_SQRT2._replace(fixed=(("B", B), ("C", Q2.of(Fraction(-1, 10))))))
     assert not report.passed
     assert any("30*C" in f for f in report.failures)
 
 
 def test_peenn_fails_below_exact_left_endpoint():
     # just below 1/sqrt2 several class coefficients turn positive
-    report = verify_peenn_certificate(
-        B=REGIME_SQRT2["B"],
-        C=REGIME_SQRT2["C"],
-        interval=(Q2.of(Fraction(705, 1000)), Q2.of(Fraction(4, 5))),
+    report = check_certificate(
+        PEENN_SQRT2._replace(interval=(Q2.of(Fraction(705, 1000)), Q2.of(Fraction(4, 5)), True, True))
     )
     assert not report.passed
     assert any("positivity violation" in f for f in report.failures)
+
+
+def _with_term(cert, name, **changes):
+    return cert._replace(
+        terms=tuple(t._replace(**changes) if t.name == name else t for t in cert.terms)
+    )
+
+
+def test_ap4_vanishing_term_is_six_times_blue_density_minus_x():
+    names = AP4.names
+    (E,) = (t for t in AP4.terms if t.name == "E")
+    blue_pair = unit_flag(host_from_digits("1"), (), names)
+    x = Poly.var(names, "x")
+    want = lift(blue_pair, 4).scale(6) - basis_combo(4, names).scale(x * 6)
+    assert _term_combo(E, AP4.pattern, 4, names).terms == want.terms
+
+
+def test_entry_patterns_are_the_builtin_patterns():
+    assert AP4.pattern == ap4_pattern().to_text()
+    assert PEENN_SQRT2.pattern == peenn_pattern().to_text()
+
+
+def test_peenn_regimes_build_each_term_once():
+    _term_combo.cache_clear()
+    for cert in (PEENN_SQRT2, PEENN_RATIONAL):
+        assert check_certificate(cert).passed
+    assert _term_combo.cache_info().misses == len(PEENN_SQRT2.terms)
+
+
+def test_mutated_multiplier_fails_on_a_named_class():
+    # E's multiplier plus 1 adds E = 6 (blue density - x) > 0 on the all-blue class
+    report = check_certificate(_with_term(AP4, "E", multiplier="-12*x^2+16*x-3"))
+    assert report.passed is False
+    assert any(f.startswith("positivity violation class='4 BBBBBB'") for f in report.failures)
+
+
+def test_mutated_square_vector_fails_on_the_named_term():
+    vector = (("222", "-x+1/100"), ("221", "1-2*x"), ("211", "1-x"))
+    report = check_certificate(_with_term(AP4, "C3", vector=vector))
+    assert report.passed is False
+    assert any(f.startswith("C3 mismatch class=") for f in report.failures)
+
+
+def test_lowered_bound_fails_on_every_class():
+    report = check_certificate(AP4._replace(bound="24*x^3-48*x^2+24*x-1/100"))
+    assert report.passed is False
+    named = {f.split("'")[1] for f in report.failures if f.startswith("positivity violation")}
+    assert named == {ln.code for ln in report.lines} and len(named) == 11
+
+
+def test_mutated_vanishing_coefficient_fails_on_named_classes():
+    (V,) = (t for t in PEENN_SQRT2.terms if t.name == "V")
+    vector = tuple(
+        (d, c.replace("-120*a^6", "-119*a^6")) if d == "112" else (d, c) for d, c in V.vector
+    )
+    assert vector != V.vector
+    report = check_certificate(_with_term(PEENN_SQRT2, "V", vector=vector))
+    assert report.passed is False
+    assert any(f.startswith("total mismatch class=") for f in report.failures)
+
+
+# The red-pair pattern has density exactly b, its red density: twice the
+# density minus twice the vanishing term (red density - b) is 2b on every
+# 3-vertex class.
+RED_PAIR = Certificate(
+    name="red-pair",
+    pattern="2 R",
+    k=3,
+    names=("b",),
+    var="b",
+    fixed=(),
+    interval=(Q2.of(0), Q2.of(1), True, True),
+    domain=(Q2.of(0), Q2.of(1)),
+    bound="2*b",
+    terms=(
+        Term("R", "1", "pattern"),
+        Term("V", "-2", "vanishing", (("", "1"),), pair=("2", "b")),
+    ),
+)
+
+
+def test_red_pair_certificate_passes():
+    report = check_certificate(RED_PAIR)
+    assert report.passed, report.failures
+    assert [ln.status for ln in report.lines] == ["zero"] * 4
+    assert "verdict=PASS classes=4 max_coeff=0" in report.render()
+
+
+def test_red_pair_certificate_with_a_lower_bound_fails():
+    report = check_certificate(RED_PAIR._replace(bound="2*b-1/100"))
+    assert report.passed is False
+    assert len(report.failures) == 4
+    assert all(f.startswith("positivity violation class=") for f in report.failures)
 
 
 @pytest.mark.parametrize(
@@ -163,7 +244,7 @@ def test_reference_tables_reject_duplicate_and_missing_rows(monkeypatch, load, f
 def test_peenn_reference_self_consistency():
     coeffs = peenn_reference_coeffs()
     assert len(coeffs) == 34
-    zero = sum(1 for p in coeffs.values() if p.is_zero())
+    zero = sum(1 for row in coeffs.values() if row["total"].is_zero())
     assert zero == 5
 
 

@@ -121,6 +121,8 @@ def test_verify_exit_codes(capsys, cache):
     assert "verdict=PASS" in out
     code, out, _ = run(capsys, "verify", "ap4", "--alpha-max", "1/4")
     assert code == 0 and "verdict=PASS" in out
+    code, out, _ = run(capsys, "verify", "ap4", "--alpha-max", "1")  # the domain's end
+    assert code == 1 and "verdict=FAIL" in out
     code, out, _ = run(
         capsys, "verify", "peenn", "--B", "sqrt2-1", "--C", "-0.1",
         "--interval", "1/sqrt2,0.8",
@@ -128,6 +130,51 @@ def test_verify_exit_codes(capsys, cache):
     assert code == 1
     code, out, _ = run(capsys, "verify", "stability")
     assert code == 0
+
+
+# sha256 of the full stdout of each passing `verify` run, recorded before
+# the two certificates became data entries of one checker
+VERIFY_GOLDEN = {
+    ("verify", "ap4"): "ca3b9d24e61b697e91b221e4caf6be104c3896fe8c6dce410eb173a1206a84d4",
+    ("verify", "ap4", "--alpha-max", "1/4"):
+        "0a0ed284c69dee12006d01fc8d74dc93a83af4e8b876495230f0a8ac708f2133",
+    ("verify", "peenn"): "63e662fbcd9b079090bd8159639bbf54d73c24c25bcffe107624d7442bc5765a",
+    ("verify", "peenn", "--B", "sqrt2-1", "--C", "sqrt2-1", "--interval", "1/sqrt2,0.8"):
+        "7337ffb2750c5510f47ad58a5dac6fd03a1b941f872001e4b607a6e4eda4436d",
+    ("verify", "stability"): "a9c1ef2df4cc95c7f3b72e08798c4330167890faef3f255b2a557d90e1bef3ef",
+}
+
+
+@pytest.mark.parametrize("argv", list(VERIFY_GOLDEN), ids=" ".join)
+def test_verify_output_is_unchanged(capsys, cache, tmp_path, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_GOLDEN[argv]
+    (report,) = (tmp_path / "cache" / "reports").iterdir()
+    body = report.read_text()
+    assert body.endswith("\n" + out) and body.count("\n# sha256 data/") == 3
+
+
+@pytest.mark.parametrize("argv,class_lines,verdict,named,unnamed", [
+    (("verify", "ap4", "--alpha-max", "3/5"),
+     "7ee976f33b6d5709549a435328fd2bb8b47bd2fc8e6cefbc206d90a50a255d3a",
+     "verdict=FAIL classes=11 max_coeff=VIOLATION", ("C4",), ("C3", "class=")),
+    (("verify", "peenn", "--B", "sqrt2-1", "--C", "-0.1", "--interval", "1/sqrt2,0.8"),
+     "951d711f0281470a4dc6e7ceeca97b4559afb71573e092fc34613143f9c9e61d",
+     "verdict=FAIL classes=34 max_coeff=VIOLATION",
+     ("class='5 BBRRBRRRRR'", "30*C"), ()),
+], ids=["ap4", "peenn"])
+def test_verify_failing_runs(capsys, cache, argv, class_lines, verdict, named, unnamed):
+    code, out, _ = run(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 1 and lines[-1] == verdict
+    got = "".join(ln + "\n" for ln in lines if ln.startswith("class="))
+    assert hashlib.sha256(got.encode()).hexdigest() == class_lines
+    failures = [ln for ln in lines if ln.startswith("FAIL ")]
+    assert len(failures) == len(named)
+    for word in named:
+        assert any(word in f for f in failures), (word, failures)
+    assert not any(word in f for f in failures for word in unnamed)
 
 
 def test_verify_reports_archived(capsys, cache, tmp_path, monkeypatch):
@@ -508,6 +555,16 @@ def test_usage_errors_share_one_class():
     # --n 0 is given, so it reaches the constructions' own check
     (("count", "--pattern", "ap4", "--construct", "cliques:0.5,0.5", "--n", "0"),
      "constructions need n >= 2"),
+    # certificate intervals outside the parameter's domain [0, 1]
+    (("verify", "peenn", "--B", "0", "--C", "0", "--interval=-1,1/2"),
+     "the interval [-1, 1/2] of a leaves its domain [0, 1]"),
+    (("verify", "peenn", "--B", "0", "--C", "0", "--interval", "1,2"),
+     "the interval [1, 2] of a leaves its domain [0, 1]"),
+    (("verify", "ap4", "--alpha-max", "5"), "the interval [0, 5] of x leaves its domain [0, 1]"),
+    # an unknown flag is named, not only the value it leaves behind
+    (("--cache", "x", "verify", "stability"), "unrecognized arguments: --cache;"),
+    (("--cache", "x"), "unrecognized arguments: --cache;"),
+    (("--cache", "verify", "stability"), "unrecognized arguments: --cache"),
 ])
 def test_bad_input_is_a_usage_error(capsys, cache, monkeypatch, argv, message):
     monkeypatch.chdir(cache)  # relative file names resolve inside the test directory

@@ -192,7 +192,8 @@ def test_evaluation_homomorphism_random_hosts():
 
 def test_unlabeled_square_nearly_nonnegative_on_hosts():
     # finite-size slack: an unlabeled square evaluates to >= -10/n on hosts
-    from semind.certificates import _flag4
+    def _flag4(digits):
+        return RootedFlag(host_from_digits(digits), (0, 1, 2))
 
     a_val = Q2.of(Fraction(7, 10))
     d1 = GraphCombo.build(
