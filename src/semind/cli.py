@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import UsageError, __version__, check_work
+from . import UsageError, __version__
 from .profiles import curve, eval_curve, known_curves
 
 
@@ -216,25 +216,11 @@ def _check_n(h, n: int) -> None:
         raise UsageError(f"--n must be at least the pattern's {h.h} vertices (got {n})")
 
 
-def _check_count_work(units: float, profile: float, what: str) -> None:
-    """One budget check for a count and the profile that `--profile-k` adds
-    to it; the message names what to reduce for the larger of the two."""
-    check_work(units + profile, what if units >= profile else "the host size or k")
-
-
 def cmd_count(args, cfg: RunConfig) -> int:
     from .counting import (
-        blowup_injections,
-        blowup_work,
-        count_injections,
-        count_transitive,
-        count_work,
-        induced_profile,
-        normalized_density,
-        profile_work,
-        transitive_work,
+        check_count, count_injections, induced_profile, normalized_density, profile_work,
     )
-    from .graphs import construction_parts, make_construction, parse_host, transitive_degree
+    from .graphs import parse_host, realize
 
     h = pattern_from_arg(args.pattern)
     if args.host and args.construct:
@@ -243,46 +229,26 @@ def cmd_count(args, cfg: RunConfig) -> int:
         if args.n is None:
             raise UsageError("--construct requires --n")
         spec = construct_from_arg(args.construct)
-        profile = 0 if args.profile_k is None else profile_work(args.n, args.profile_k)
-        parts = construction_parts(spec, args.n)
+        g = realize(spec, args.n)  # a blow-up or a circulant, built only for a profile
         host_desc = f"{spec.describe()}:n={args.n}"
-        host = None  # a blow-up is counted from its parts; built only for a profile
-        if parts is not None:
-            _check_count_work(
-                blowup_work(h, parts), profile, "the number of parts or the pattern's vertices"
-            )
-            count = blowup_injections(h, parts)
-            npairs = args.n * (args.n - 1) // 2
-            beta = parts.red_count() / npairs
-            n = args.n
-        else:  # circulants and their complements, which are vertex-transitive
-            degree = transitive_degree(spec, args.n)
-            # building the host costs about one unit per ordered pair
-            _check_count_work(transitive_work(h, args.n, degree) + args.n**2, profile, "n")
-            host = make_construction(spec, args.n)
-            n = host.n
-            beta = host.red_density()
-            count = count_transitive(h, host)
     elif args.host:
         _reject_unread(args, ("--n",), "with --host")
         text = args.host
         if text.startswith("@"):
             text = _read_text(text[1:])
-        host = parse_host(text)
-        profile = 0 if args.profile_k is None else profile_work(host.n, args.profile_k)
-        _check_count_work(count_work(h, host), profile, "the host or the pattern")
-        host_desc = host.to_text()
-        n = host.n
-        beta = host.red_density()
-        count = count_injections(h, host)
+        g = parse_host(text)
+        host_desc = g.to_text()
     else:
         raise UsageError("count needs --host or --construct")
+    n = g.n
+    check_count(h, g, 0 if args.profile_k is None else profile_work(n, args.profile_k))
+    count = count_injections(h, g)
     rho = normalized_density(count, n, h.h) if n >= h.h else 0.0
+    npairs = n * (n - 1) // 2
+    beta = g.red_count() / npairs if npairs else 0.0
     print(f"pattern={h.to_text()!r} host={host_desc!r} count={count} rho={rho:.12g}")
     if args.profile_k is not None:
-        if host is None:
-            host = make_construction(spec, args.n)
-        prof = induced_profile(host, args.profile_k)
+        prof = induced_profile(g.to_host(), args.profile_k)
         print("class_code,count")
         for code in sorted(prof.counts):
             print(f"{code.decode()},{prof.counts[code]}")
@@ -323,7 +289,7 @@ def cmd_search(args, cfg: RunConfig) -> int:
             h,
             args.n,
             target_density=args.beta,
-            restarts=args.restarts,
+            restarts=2 if args.restarts is None else args.restarts,
             seed=cfg.seed,
             seeds=seeds,
         )
@@ -332,7 +298,7 @@ def cmd_search(args, cfg: RunConfig) -> int:
         m = parse_host(wit).red_count()
         print(f"n={args.n} m={m} best={res.best_count} rho={rho:.12g} witness={wit!r}")
         return 0
-    _reject_unread(args, ("--beta", "--seed-construct"), "without --hill")
+    _reject_unread(args, ("--beta", "--seed-construct", "--restarts"), "without --hill")
     _check_n(h, args.n)
     if args.profile:
         _reject_unread(args, ("--m",), "with --profile")
@@ -430,7 +396,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
             if hi <= 0:
                 raise UsageError(f"--alpha-max must be positive (got {args.alpha_max!r})")
             certs = [AP4._replace(interval=(AP4.interval[0], hi, True, True))]
-        if args.B or args.C or args.interval:
+        if args.B or args.C or args.interval or args.open_lo:
             if not (args.B and args.C and args.interval):
                 raise UsageError("peenn overrides need --B, --C and --interval")
             form = "lo,hi with exact endpoints (e.g. 1/sqrt2,4/5)"
@@ -540,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--profile", action="store_true", help="full per-m profile CSV")
     s.add_argument("--hill", action="store_true", help="hill climb instead of exact")
     s.add_argument("--beta", type=float, help="pinned red density for --hill")
-    s.add_argument("--restarts", type=int, default=2)
+    s.add_argument("--restarts", type=int, help="climb restarts for --hill (default 2)")
     s.add_argument("--seed-construct", help="construction spec used as climb seed")
     s.set_defaults(func=cmd_search)
 

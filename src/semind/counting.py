@@ -7,13 +7,13 @@ pattern's constraints and counts the remaining constrained vertices at each
 leaf in one step, by Moebius inversion over set partitions, with popcounts of
 candidate masks.  On all but the smallest hosts a tree-shaped pattern such as
 peenn or a double star therefore costs O(n^2) popcount steps instead of the
-O(n^(h-1)) of enumerating every vertex but the last.  On a vertex-transitive
-host (`count_transitive`) one pattern vertex is pinned to host vertex 0 and
-the count multiplied by n.  `flip_delta` gives the exact change of a count
-when one host pair flips colour, with one pinned count per automorphism
+O(n^(h-1)) of enumerating every vertex but the last.  `count_injections` and
+`count_work` also take a blow-up (`graphs.PartedHost`), counted from its
+parts, and a vertex-transitive `graphs.Circulant`, counted with one pattern
+vertex pinned to host vertex 0.  `flip_delta` gives the exact change of a
+count when one host pair flips colour, with one pinned count per automorphism
 orbit of the pattern's ordered constrained pairs.  The test suite checks the
-counter against a plain backtracker.  The `*_work` functions estimate the
-work of a count for the package's `check_work`.
+counters against a plain backtracker.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 from . import UnsupportedSizeError, UsageError, check_work
 from .graphs import (
+    Circulant,
     HostGraph,
     PartedHost,
     PatternGraph,
@@ -74,10 +75,9 @@ def degree_stats(g: HostGraph) -> DegreeStats:
     return DegreeStats(degs, m_edges, t, s_open)
 
 
-def sum_blue_degree_products(g: HostGraph, power: int = 1) -> int:
-    """Sum of d_u^power * d_v^power over blue pairs uv."""
-    degs = g.degrees()
-    dp = [d**power for d in degs]
+def sum_blue_degree_products(g: HostGraph) -> int:
+    """Sum of d_u * d_v over blue pairs uv."""
+    dp = g.degrees()
     total = (sum(dp) ** 2 - sum(x * x for x in dp)) // 2
     red_part = 0
     for u in range(g.n):
@@ -343,20 +343,27 @@ def _extend(plan: _Plan, red, blue, assign: list[int], pos: int, used: int) -> i
     return scale * rec(pos, used)
 
 
-def _red_blue(g: HostGraph) -> tuple:
-    """The host's red masks and blue masks."""
-    full = (1 << g.n) - 1
-    return g.masks, tuple(full ^ m ^ (1 << v) for v, m in enumerate(g.masks))
+def _red_blue(masks) -> tuple:
+    """The red masks and blue masks of a host with the given red masks."""
+    full = (1 << len(masks)) - 1
+    return masks, tuple(full ^ m ^ (1 << v) for v, m in enumerate(masks))
 
 
-def count_injections(h: PatternGraph, g: HostGraph) -> int:
+def count_injections(h: PatternGraph, g: HostGraph | PartedHost | Circulant) -> int:
     """Number of injections respecting red->red and blue->blue on constrained
     pairs; free pairs are unconstrained.  Returns 0 when h has more vertices
-    than g."""
+    than g.  In a circulant each host vertex is the image of a given pattern
+    vertex equally often: the count is n times the injections that send the
+    most constrained one to host vertex 0."""
     if h.h > g.n:
         return 0
+    if isinstance(g, PartedHost):
+        return blowup_injections(h, g)
+    if isinstance(g, Circulant):
+        plan = _pinned_plan(h, g.n)
+        return g.n * _extend(plan, *_red_blue(g.masks), [0] * len(plan.cons), 1, 1)
     plan = _plan(h, g.n)
-    return _extend(plan, *_red_blue(g), [0] * len(plan.cons), 0, 0)
+    return _extend(plan, *_red_blue(g.masks), [0] * len(plan.cons), 0, 0)
 
 
 def _pinned_plan(h: PatternGraph, n: int) -> _Plan:
@@ -366,26 +373,29 @@ def _pinned_plan(h: PatternGraph, n: int) -> _Plan:
     return _plan(h, n, (pin,))
 
 
-def count_work(h: PatternGraph, g: HostGraph) -> float:
-    """A bound on the work of count_injections(h, g), for `check_work`,
-    from g's largest red and blue degrees."""
+def count_work(h: PatternGraph, g: HostGraph | PartedHost | Circulant) -> float:
+    """A bound on the work of count_injections(h, g), for `check_work`: a
+    blow-up of p parts has at most p^h leaves, each multiplying p falling
+    factorials; other counts are bounded from the largest red and blue
+    degrees, plus one unit per ordered pair for a circulant's masks."""
+    if isinstance(g, PartedHost):
+        return len(g.sizes) ** (h.h + 1)
+    if isinstance(g, Circulant):
+        return _work(_pinned_plan(h, g.n), g.n, 1, g.degree, g.n - 1 - g.degree) + g.n**2
     degrees = g.degrees()
     return _work(_plan(h, g.n), g.n, 0, max(degrees), g.n - 1 - min(degrees))
 
 
-def transitive_work(h: PatternGraph, n: int, red_degree: int) -> float:
-    """A bound on the work of count_transitive(h, g), for `check_work`, when
-    every vertex of the n-vertex host g has red degree red_degree."""
-    return _work(_pinned_plan(h, n), n, 1, red_degree, n - 1 - red_degree)
+# what to reduce when a count in each host shape is over the work budget
+_REDUCE = {HostGraph: "the host or the pattern", Circulant: "n",
+           PartedHost: "the number of parts or the pattern's vertices"}
 
 
-def count_transitive(h: PatternGraph, g: HostGraph) -> int:
-    """count_injections for a vertex-transitive host g, such as a circulant:
-    each host vertex is the image of a given pattern vertex equally often, so
-    the count is n times the injections that send the pattern's most
-    constrained vertex to host vertex 0."""
-    plan = _pinned_plan(h, g.n)
-    return g.n * _extend(plan, *_red_blue(g), [0] * len(plan.cons), 1, 1)
+def check_count(h: PatternGraph, g: HostGraph | PartedHost | Circulant, profile=0) -> None:
+    """One budget check for count_injections(h, g) plus `profile` units of an
+    induced profile; the message names what to reduce for the larger."""
+    units = count_work(h, g)
+    check_work(units + profile, _REDUCE[type(g)] if units >= profile else "the host size or k")
 
 
 def is_induced_subgraph(small: HostGraph, big: HostGraph) -> bool:
@@ -560,13 +570,6 @@ def normalized_density(count: int, n: int, h: int) -> float:
     if n < h:
         raise ValueError("host smaller than pattern")
     return count / n**h
-
-
-def blowup_work(h: PatternGraph, parts: PartedHost) -> float:
-    """A bound on the work of blowup_injections(h, parts), for `check_work`:
-    each of its at most p^h leaves, for p parts, multiplies p falling
-    factorials, and each inner node tries p parts."""
-    return len(parts.sizes) ** (h.h + 1)
 
 
 def blowup_injections(h: PatternGraph, parts: PartedHost) -> int:

@@ -31,6 +31,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 from . import UnsupportedSizeError, UsageError
 
@@ -142,16 +143,14 @@ class HostGraph:
     def red_count(self) -> int:
         return sum(m.bit_count() for m in self.masks) // 2
 
-    def red_density(self) -> float:
-        if self.n < 2:
-            return 0.0
-        return self.red_count() / (self.n * (self.n - 1) / 2)
-
     def complement(self) -> "HostGraph":
         full = (1 << self.n) - 1
         return HostGraph(
             self.n, tuple((full ^ m ^ (1 << i)) for i, m in enumerate(self.masks))
         )
+
+    def to_host(self) -> "HostGraph":
+        return self
 
     def relabel(self, perm) -> "HostGraph":
         """New graph where new vertex i is old vertex perm[i]."""
@@ -548,20 +547,6 @@ class PartedHost:
     internal_red: tuple[bool, ...]
     cross_red: tuple[tuple[bool, ...], ...]
 
-    def __post_init__(self):
-        p = len(self.sizes)
-        if len(self.internal_red) != p or len(self.cross_red) != p:
-            raise ValueError("part metadata shape mismatch")
-        for row in self.cross_red:
-            if len(row) != p:
-                raise ValueError("cross matrix must be square")
-        for i in range(p):
-            for j in range(p):
-                if self.cross_red[i][j] != self.cross_red[j][i]:
-                    raise ValueError("cross matrix must be symmetric")
-        if any(s < 0 for s in self.sizes):
-            raise ValueError("part sizes must be nonnegative")
-
     @property
     def n(self) -> int:
         return sum(self.sizes)
@@ -599,6 +584,43 @@ class PartedHost:
         return HostGraph(n, tuple(masks))
 
 
+class Circulant(NamedTuple):
+    """The circulant coloring of Z_n whose pairs at offsets +-1..near // 2 (and
+    n / 2 when near is odd) are red when `near_red` and blue otherwise, and
+    all other pairs the other colour.  Each vertex's red mask is the red
+    offset mask rotated to it; masks are made only when read, so a circulant
+    on any n is small until it is counted or built."""
+
+    n: int
+    near: int
+    near_red: bool = True
+
+    @property
+    def degree(self) -> int:
+        """The red degree of every vertex."""
+        return self.near if self.near_red else self.n - 1 - self.near
+
+    def red_count(self) -> int:
+        return self.n * self.degree // 2
+
+    def complement(self) -> "Circulant":
+        return self._replace(near_red=not self.near_red)
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """The red masks: vertex i is red to i + s (mod n) for each red offset s."""
+        n, half = self.n, self.near // 2
+        low = (1 << half) - 1
+        offsets = low << 1 | low << (n - half) | (self.near & 1) << (n // 2)
+        if not self.near_red:
+            offsets ^= (1 << n) - 2
+        full = (1 << n) - 1
+        return tuple((offsets << i | offsets >> (n - i)) & full for i in range(n))
+
+    def to_host(self) -> HostGraph:
+        return HostGraph(self.n, self.masks)
+
+
 @dataclass(frozen=True)
 class ConstructionSpec:
     """Parametric extremal-construction family.
@@ -625,7 +647,7 @@ def clique_plus_isolated(a: float) -> ConstructionSpec:
 
 def disjoint_cliques(fractions) -> ConstructionSpec:
     fs = tuple(float(f) for f in fractions)
-    if any(f < 0 for f in fs):
+    if not all(0 <= f for f in fs):
         raise ConstructionError("clique fractions must be nonnegative")
     if sum(fs) > 1 + 1e-9:
         raise ConstructionError("clique fractions must sum to at most 1")
@@ -639,7 +661,7 @@ def circulant(degree_fraction: float) -> ConstructionSpec:
 
 
 def three_part(x: float, y: float) -> ConstructionSpec:
-    if x < 0 or y < 0 or x + y > 1 + 1e-9:
+    if not (0 <= x and 0 <= y and x + y <= 1 + 1e-9):
         raise ConstructionError("three_part needs x, y >= 0 and x + y <= 1")
     return ConstructionSpec("three_part", (float(x), float(y)))
 
@@ -663,10 +685,16 @@ def apportion(fractions, n: int) -> list[int]:
     return base
 
 
-def construction_parts(spec: ConstructionSpec, n: int) -> PartedHost | None:
-    """Part structure of the construction, or None for the circulant family."""
+def realize(spec: ConstructionSpec, n: int) -> PartedHost | Circulant:
+    """The construction on n vertices, as the parts of a blow-up (part sizes by
+    largest-remainder rounding) or as a circulant; `.to_host()` builds it."""
     if n < 2:
         raise ConstructionError("constructions need n >= 2")
+    if spec.kind == "complement":
+        return realize(spec.inner, n).complement()
+    if spec.kind == "circulant":
+        d = round(spec.fractions[0] * (n - 1))
+        return Circulant(n, d - 1 if d % 2 == 1 and n % 2 == 1 else d)  # odd-regular needs even n
     if spec.kind == "clique_plus_isolated":
         a = spec.fractions[0]
         sizes = apportion([a, 1 - a], n)
@@ -678,63 +706,16 @@ def construction_parts(spec: ConstructionSpec, n: int) -> PartedHost | None:
         sizes = apportion(parts, n)
         p = len(sizes)
         internal = [True] * len(fs) + [False] * (p - len(fs))
-        cross = tuple(tuple(False for _ in range(p)) for _ in range(p))
+        cross = ((False,) * p,) * p
         return PartedHost(tuple(sizes), tuple(internal), cross)
     if spec.kind == "three_part":
         x, y = spec.fractions
         sizes = apportion([x, y, 1 - x - y], n)
-        cross = (
-            (False, True, False),
-            (True, True, False),
-            (False, False, False),
-        )
+        cross = ((False, True, False), (True, True, False), (False, False, False))
         return PartedHost(tuple(sizes), (False, True, False), cross)
-    if spec.kind == "complement":
-        inner = construction_parts(spec.inner, n)
-        return None if inner is None else inner.complement()
-    if spec.kind == "circulant":
-        return None
     raise ConstructionError(f"unknown construction kind {spec.kind!r}")
 
 
-def _circulant_degree(n: int, frac: float) -> int:
-    d = round(frac * (n - 1))
-    return d - 1 if d % 2 == 1 and n % 2 == 1 else d  # odd-regular graphs need an even n
-
-
-def transitive_degree(spec: ConstructionSpec, n: int) -> int:
-    """The red degree of every vertex of make_construction(spec, n), for a
-    circulant or a complement of one, without building the host."""
-    if spec.kind == "complement":
-        return n - 1 - transitive_degree(spec.inner, n)
-    return _circulant_degree(n, spec.fractions[0])
-
-
-def _circulant_host(n: int, frac: float) -> HostGraph:
-    d = _circulant_degree(n, frac)
-    if d >= n:
-        raise ConstructionError("circulant degree must be below n")
-    offsets = set()
-    half = d // 2
-    for s in range(1, half + 1):
-        offsets.add(s)
-        offsets.add(n - s)
-    if d % 2 == 1:
-        offsets.add(n // 2)
-    masks = [0] * n
-    for i in range(n):
-        acc = 0
-        for s in offsets:
-            acc |= 1 << ((i + s) % n)
-        masks[i] = acc
-    return HostGraph(n, tuple(masks))
-
-
 def make_construction(spec: ConstructionSpec, n: int) -> HostGraph:
-    """Realize the construction on n vertices (largest-remainder part sizes)."""
-    parts = construction_parts(spec, n)
-    if parts is not None:
-        return parts.to_host()
-    if spec.kind == "circulant":
-        return _circulant_host(n, spec.fractions[0])
-    return make_construction(spec.inner, n).complement()  # around a circulant
+    """The construction on n vertices, built."""
+    return realize(spec, n).to_host()

@@ -19,7 +19,6 @@ from math import comb
 from . import UnsupportedSizeError, UsageError, check_work
 from .graphs import (
     MAX_CANONICAL_N,
-    ConstructionSpec,
     HostGraph,
     PatternGraph,
     _MAX_INTERNAL_K,
@@ -186,7 +185,7 @@ def hill_climb(
 ) -> SearchResult:
     """Stochastic local search for high-count colorings.
 
-    Seeds may be ConstructionSpec or HostGraph values; they are evaluated
+    Seeds are ConstructionSpec values, built on n vertices and evaluated
     as-is (after pinning the red-pair count when target_density is given),
     and each restart climbs from one of them by single-pair flips, or by
     red/blue swap moves when the density is pinned.  restarts=0 just scores
@@ -212,10 +211,7 @@ def hill_climb(
     if target_density is not None:
         m_target = round(target_density * npairs)
 
-    starts: list[list[int]] = []
-    for s in seeds:
-        host = make_construction(s, n) if isinstance(s, ConstructionSpec) else s
-        starts.append(list(host.masks))
+    starts = [list(make_construction(s, n).masks) for s in seeds]
     if not starts:
         m0 = m_target if m_target is not None else npairs // 2
         starts.append(_random_masks(n, m0, rng))

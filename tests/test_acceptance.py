@@ -25,9 +25,7 @@ from semind.certificates import (
 from semind.counting import (
     ac4_pattern,
     ap4_pattern,
-    blowup_injections,
     count_injections,
-    count_transitive,
     degree_stats,
     induced_profile,
     normalized_density,
@@ -42,10 +40,9 @@ from semind.graphs import (
     _graph_classes,
     circulant,
     clique_plus_isolated,
-    construction_parts,
     disjoint_cliques,
     enumerate_colored_graphs,
-    make_construction,
+    realize,
 )
 from semind.profiles import (
     ac4_clique_value,
@@ -191,26 +188,26 @@ def test_criterion_05_degree_product_lower_bound():
 def test_criterion_06_construction_convergence():
     t0 = time.time()
     # (a) circulant at 2/3, n = 600: alternating path density near 4/27
-    g = make_construction(circulant(2 / 3), 600)
-    rho = normalized_density(count_transitive(ap4_pattern(), g), 600, 4)
+    g = realize(circulant(2 / 3), 600)
+    rho = normalized_density(count_injections(ap4_pattern(), g), 600, 4)
     assert abs(rho - 4 / 27) / (4 / 27) < 0.02
 
     # (b) three equal cliques, n = 999: alternating 4-cycle density near 2/27
-    parts = construction_parts(disjoint_cliques([1 / 3, 1 / 3, 1 / 3]), 999)
-    cnt = blowup_injections(ac4_pattern(), parts)
+    parts = realize(disjoint_cliques([1 / 3, 1 / 3, 1 / 3]), 999)
+    cnt = count_injections(ac4_pattern(), parts)
     rho = normalized_density(cnt, 999, 4)
     assert abs(rho - 2 / 27) / (2 / 27) < 0.02
 
     # (c) clique fraction 0.8, n = 1000: 5-vertex path density near 0.1024
-    parts = construction_parts(clique_plus_isolated(0.8), 1000)
-    cnt = blowup_injections(peenn_pattern(), parts)
+    parts = realize(clique_plus_isolated(0.8), 1000)
+    cnt = count_injections(peenn_pattern(), parts)
     rho = normalized_density(cnt, 1000, 5)
     assert abs(rho - 0.1024) / 0.1024 < 0.01
 
     # (d) clique fraction 0.75 (beta = 9/16), n = 1000: density near 27/256,
     # resolving the 27/252-vs-27/256 question in favor of 27/256
-    parts = construction_parts(clique_plus_isolated(0.75), 1000)
-    cnt = blowup_injections(peenn_pattern(), parts)
+    parts = realize(clique_plus_isolated(0.75), 1000)
+    cnt = count_injections(peenn_pattern(), parts)
     rho = normalized_density(cnt, 1000, 5)
     assert abs(rho - 27 / 256) / (27 / 256) < 0.01
     assert abs(rho - 27 / 252) / (27 / 252) > 0.01  # the alternative is excluded

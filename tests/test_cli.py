@@ -476,13 +476,13 @@ def test_malformed_arguments_are_named(capsys, cache, argv):
 
 def test_count_builds_a_constructed_host_once(capsys, cache, monkeypatch):
     calls = []
-    make_construction = graphs.make_construction
+    to_host = graphs.Circulant.to_host
 
-    def counted(spec, n):
-        calls.append((spec, n))
-        return make_construction(spec, n)
+    def counted(circ):
+        calls.append(circ)
+        return to_host(circ)
 
-    monkeypatch.setattr(graphs, "make_construction", counted)
+    monkeypatch.setattr(graphs.Circulant, "to_host", counted)
     code, out, _ = run(
         capsys, "count", "--pattern", "ap4", "--construct", "circulant:0.5",
         "--n", "40", "--profile-k", "3",
@@ -565,6 +565,21 @@ def test_usage_errors_share_one_class():
     (("--cache", "x", "verify", "stability"), "unrecognized arguments: --cache;"),
     (("--cache", "x"), "unrecognized arguments: --cache;"),
     (("--cache", "verify", "stability"), "unrecognized arguments: --cache"),
+    # flags that are read only together with others
+    (("search", "--pattern", "ap4", "--n", "6", "--restarts", "5"),
+     "--restarts is not read without --hill"),
+    (("search", "--pattern", "ap4", "--n", "6", "--restarts", "0", "--profile"),
+     "--restarts is not read without --hill"),
+    (("verify", "peenn", "--open-lo"), "peenn overrides need --B, --C and --interval"),
+    # a NaN construction fraction fails the range checks
+    (("count", "--pattern", "ap4", "--construct", "cliques:nan", "--n", "10"),
+     "clique fractions must be nonnegative"),
+    (("count", "--pattern", "ap4", "--construct", "three_part:nan,0.2", "--n", "10"),
+     "three_part needs x, y >= 0 and x + y <= 1"),
+    (("count", "--pattern", "ap4", "--construct", "complement:cliques:nan", "--n", "10"),
+     "clique fractions must be nonnegative"),
+    (("search", "--hill", "--pattern", "ap4", "--n", "10", "--seed-construct", "cliques:nan"),
+     "clique fractions must be nonnegative"),
 ])
 def test_bad_input_is_a_usage_error(capsys, cache, monkeypatch, argv, message):
     monkeypatch.chdir(cache)  # relative file names resolve inside the test directory
@@ -643,10 +658,10 @@ def test_count_and_profile_share_one_work_budget(capsys, cache, monkeypatch):
     free7, k5 = cli.pattern_from_arg("7 " + "F" * 21), cli.pattern_from_arg("5 " + "R" * 10)
     nine_parts = "cliques:" + ",".join(["0.1"] * 8)
     host = graphs.parse_host("110 " + ("RB" * 3000)[:comb(110, 2)])
-    parts = graphs.construction_parts(cli.construct_from_arg(nine_parts), 100)
+    parts = graphs.realize(cli.construct_from_arg(nine_parts), 100)
     # each estimate fits the budget on its own, but not their sum
     for count_units, profile_units in (
-        (counting.blowup_work(free7, parts), counting.profile_work(100, 5)),
+        (counting.count_work(free7, parts), counting.profile_work(100, 5)),
         (counting.count_work(k5, host), counting.profile_work(110, 5)),
     ):
         assert max(count_units, profile_units) <= semind.WORK_BUDGET

@@ -15,7 +15,6 @@ from semind.counting import (
     blowup_injections,
     check_work,
     count_injections,
-    count_transitive,
     count_work,
     degree_stats,
     double_star_pattern,
@@ -27,23 +26,24 @@ from semind.counting import (
     peenn_pattern,
     star_pattern,
     sum_blue_degree_products,
-    transitive_work,
     tree_pattern,
 )
 from semind.graphs import (
+    Circulant,
     HostGraph,
     PatternGraph,
     UnsupportedSizeError,
     canonical_form,
     circulant,
     clique_plus_isolated,
-    construction_parts,
+    complement_of,
     disjoint_cliques,
     enumerate_colored_graphs,
     lex_pairs,
     make_construction,
     parse_host,
     parse_pattern,
+    realize,
     three_part,
 )
 
@@ -301,12 +301,12 @@ def test_normalized_density():
 
 
 def test_normalized_density_circulant_example():
-    g = make_construction(circulant(2 / 3), 600)
-    rho = normalized_density(count_transitive(ap4_pattern(), g), 600, 4)
+    g = realize(circulant(2 / 3), 600)
+    rho = normalized_density(count_injections(ap4_pattern(), g), 600, 4)
     assert abs(rho - 4 / 27) / (4 / 27) < 0.02
 
 
-def test_count_transitive_matches_count_injections():
+def test_circulant_count_matches_generic():
     rng = random.Random(9)
     named = [
         ap4_pattern(), ac4_pattern(), peenn_pattern(), double_star_pattern(2),
@@ -317,31 +317,33 @@ def test_count_transitive_matches_count_injections():
         h = rng.randint(1, 6)
         body = "".join(rng.choice("RBFF") for _ in range(h * (h - 1) // 2))
         randoms.append(parse_pattern(f"{h} {body}"))
-    # n = 41 at 19/40 is odd-degree on odd n, which _circulant_host rounds to 18
-    odd = make_construction(circulant(19 / 40), 41)
-    assert set(odd.degrees()) == {18}
+    # n = 41 at 19/40 is odd-degree on odd n, which `realize` rounds to 18
+    odd = realize(circulant(19 / 40), 41)
+    assert odd.degree == 18 and set(odd.to_host().degrees()) == {18}
     checked = set()
     for h in named + randoms:
         sizes = {max(h.h, 2), max(h.h, 2) + 1, rng.randint(max(h.h, 2), 41)}
         if h in named:
-            sizes |= {40, 41}
+            sizes |= {2, 3, 40, 41}
         for n in sorted(sizes):
-            g = make_construction(circulant(rng.choice((0.3, 19 / 40, 0.5, 0.8))), n)
-            for host in (g, g.complement()):
-                assert count_transitive(h, host) == count_injections(h, host), (
-                    h.to_text(), host.n,
+            c = realize(circulant(rng.choice((0.3, 19 / 40, 0.5, 0.52, 0.8))), n)
+            for g in (c, c.complement()):
+                assert count_injections(h, g) == count_injections(h, g.to_host()), (
+                    h.to_text(), g,
                 )
-                checked.add(n % 2)
-    assert count_transitive(ap4_pattern(), odd) == count_injections(ap4_pattern(), odd)
-    assert checked == {0, 1}
-    assert count_transitive(peenn_pattern(), parse_host("4 RBBRBR")) == 0  # h > n
+                checked.add((n % 2, g.degree % 2))
+    assert count_injections(ap4_pattern(), odd) == count_injections(ap4_pattern(), odd.to_host())
+    assert checked == {(0, 0), (0, 1), (1, 0)}
+    assert count_injections(peenn_pattern(), Circulant(4, 2)) == 0  # h > n
 
 
-def test_transitive_budget():
-    # a 600-vertex circulant of red degree 300
-    check_work(transitive_work(tree_pattern([(i, i + 1) for i in range(6)]), 600, 300), "n")  # 8e6
+def test_circulant_budget():
+    # a 600-vertex circulant of red degree 300, whose masks add 600^2 units
+    c = realize(circulant(0.5), 600)
+    assert c.degree == 300
+    check_work(count_work(tree_pattern([(i, i + 1) for i in range(6)]), c), "n")  # 8e6
     with pytest.raises(UnsupportedSizeError, match="budget"):
-        check_work(transitive_work(parse_pattern("6 " + "R" * 15), 600, 300), "n")  # about 1e10
+        check_work(count_work(parse_pattern("6 " + "R" * 15), c), "n")  # about 1e10
 
 
 def _checked_prefix(plan, j: int, start: int) -> PatternGraph:
@@ -407,12 +409,14 @@ def test_blowup_matches_generic():
         peenn_pattern(),
         tree_pattern([(0, 1), (1, 2), (1, 3)]),
     ]
+    specs += [(complement_of(spec), n) for spec, n in specs]
     for spec, n in specs:
-        parts = construction_parts(spec, n)
+        parts = realize(spec, n)
         host = parts.to_host()
         for h in patterns:
-            assert blowup_injections(h, parts) == count_injections(h, host), (
-                spec.kind,
+            want = count_injections(h, host)
+            assert blowup_injections(h, parts) == count_injections(h, parts) == want, (
+                spec.describe(),
                 h.to_text(),
             )
 
@@ -552,10 +556,10 @@ def test_fused_leaf_matches_reference():
                         masks[j] |= 1 << i
                 g = HostGraph(n, tuple(masks))
                 assert count_injections(h, g) == _reference_count(h, g), (h.to_text(), n)
-            g = make_construction(circulant(0.5), n)
-            for host in (g, g.complement()):
-                want = _reference_count(h, host)
-                assert count_transitive(h, host) == count_injections(h, host) == want, (
+            c = realize(circulant(0.5), n)
+            for g in (c, c.complement()):
+                want = _reference_count(h, g.to_host())
+                assert count_injections(h, g) == count_injections(h, g.to_host()) == want, (
                     h.to_text(), n,
                 )
     assert fused == {

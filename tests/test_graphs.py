@@ -3,6 +3,7 @@
 import hashlib
 import random
 from itertools import permutations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from semind.graphs import (
     CLASS_COUNTS,
     MAX_ENUM_K,
     ConstructionError,
+    Circulant,
     GraphFormatError,
     HostGraph,
     UnsupportedSizeError,
@@ -24,15 +26,14 @@ from semind.graphs import (
     circulant,
     clique_plus_isolated,
     complement_of,
-    construction_parts,
     disjoint_cliques,
     enumerate_colored_graphs,
     lex_pairs,
     make_construction,
     parse_host,
     parse_pattern,
+    realize,
     three_part,
-    transitive_degree,
 )
 from semind.search import exact_max, full_profile
 
@@ -413,7 +414,7 @@ def test_three_part_density():
     spec = three_part(0.3, 0.2)
     g = make_construction(spec, 200)
     # 2xy + y^2 = 0.16 target
-    assert abs(g.red_density() - 0.16) < 0.01
+    assert abs(g.red_count() / comb(200, 2) - 0.16) < 0.01
 
 
 def test_complement_spec():
@@ -430,6 +431,19 @@ def test_nested_complement_of_circulant():
         assert make_construction(once, n) == base.complement()
         assert make_construction(complement_of(once), n) == base
         assert make_construction(complement_of(complement_of(once)), n) == base.complement()
+    # odd and even n down to 2 and 3, odd degree on even n; odd degree on odd n
+    # is rounded down to an even one
+    for n in (2, 3, 4, 5, 8, 9, 10, 41):
+        for frac in (0, 0.3, 19 / 40, 0.5, 0.52, 0.8, 1):
+            c = realize(circulant(frac), n)
+            assert isinstance(c, Circulant) and c.n == n
+            host = c.to_host()
+            assert c.complement().to_host() == host.complement()
+            assert c.complement().complement() == c
+            assert realize(complement_of(circulant(frac)), n) == c.complement()
+            for g in (c, c.complement()):
+                assert set(g.to_host().degrees()) == {g.degree}
+                assert g.red_count() == g.to_host().red_count()
 
 
 def test_circulant_regular_and_density():
@@ -438,7 +452,7 @@ def test_circulant_regular_and_density():
     assert len(degs) == 1
     d = degs.pop()
     assert d == round(2 / 3 * 299)
-    assert abs(g.red_density() - 2 / 3) < 0.01
+    assert abs(g.red_count() / comb(300, 2) - 2 / 3) < 0.01
     # parity adjustment: odd target degree with odd n drops by one
     g2 = make_construction(circulant(0.5), 7)  # round(3.0)=3, odd*odd -> 2
     assert set(g2.degrees()) == {2}
@@ -449,7 +463,7 @@ def test_circulant_regular_and_density():
     for spec, n, g in ((circulant(2 / 3), 300, g), (circulant(0.5), 7, g2),
                        (complement_of(circulant(0.5)), 8, g3.complement()),
                        (complement_of(complement_of(circulant(0.52))), 10, g4)):
-        assert set(g.degrees()) == {transitive_degree(spec, n)}
+        assert set(g.degrees()) == {realize(spec, n).degree}
 
 
 def test_construction_errors():
@@ -457,6 +471,12 @@ def test_construction_errors():
         disjoint_cliques([0.7, 0.7])
     with pytest.raises(ConstructionError):
         three_part(0.6, 0.6)
+    nan = float("nan")
+    for make in (lambda: disjoint_cliques([nan]), lambda: disjoint_cliques([0.3, nan]),
+                 lambda: three_part(nan, 0.2), lambda: three_part(0.2, nan),
+                 lambda: clique_plus_isolated(nan), lambda: circulant(nan)):
+        with pytest.raises(ConstructionError):
+            make()
     with pytest.raises(ConstructionError):
         make_construction(clique_plus_isolated(0.5), 1)
 
@@ -468,8 +488,9 @@ def test_parted_host_matches_built_host():
         (three_part(0.3, 0.3), 12),
         (complement_of(three_part(0.25, 0.5)), 9),
     ]:
-        parts = construction_parts(spec, n)
+        parts = realize(spec, n)
         assert parts.n == n
         host = parts.to_host()
         assert host == make_construction(spec, n)
         assert parts.red_count() == host.red_count()
+        assert parts.complement().to_host() == host.complement()
