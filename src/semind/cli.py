@@ -553,13 +553,23 @@ def main(argv=None) -> int:
         args.argv = argv
         cfg = load_config(args)
         if args.cmd not in _READS_CLASSES:
-            return args.func(args, cfg)
-        from .graphs import basis_cache
+            code = args.func(args, cfg)
+        else:
+            from .graphs import basis_cache
 
-        with basis_cache(cfg.cache_dir):
-            return args.func(args, cfg)
+            with basis_cache(cfg.cache_dir):
+                code = args.func(args, cfg)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        return code
     except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else 2
+    except BrokenPipeError:
+        # stdout was closed early, as by `| head`: stop quietly.  What is
+        # still buffered goes to devnull, so the flush at exit cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

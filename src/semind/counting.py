@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement, permutations
 from math import comb, factorial, perm
 from typing import NamedTuple
 
@@ -147,6 +148,11 @@ _CALL_WORK = 10
 # units, as timed for ac4, peenn and ds:2 on random hosts of 60 to 3,300
 # vertices.
 _WIDE_HOST = 3000
+
+# Making a circulant's red masks and their blue complements, n rotations and
+# complements of n-bit ints, costs about 1 + n / 800 units per vertex, as
+# timed at n = 300 to 20,000.
+_ROTATED_HOST = 800
 
 
 @lru_cache(maxsize=1024)
@@ -377,11 +383,13 @@ def count_work(h: PatternGraph, g: HostGraph | PartedHost | Circulant) -> float:
     """A bound on the work of count_injections(h, g), for `check_work`: a
     blow-up of p parts has at most p^h leaves, each multiplying p falling
     factorials; other counts are bounded from the largest red and blue
-    degrees, plus one unit per ordered pair for a circulant's masks."""
+    degrees, plus the making of a circulant's masks."""
     if isinstance(g, PartedHost):
         return len(g.sizes) ** (h.h + 1)
     if isinstance(g, Circulant):
-        return _work(_pinned_plan(h, g.n), g.n, 1, g.degree, g.n - 1 - g.degree) + g.n**2
+        n = g.n
+        masks = n * (1 + n / _ROTATED_HOST)
+        return _work(_pinned_plan(h, n), n, 1, g.degree, n - 1 - g.degree) + masks
     degrees = g.degrees()
     return _work(_plan(h, g.n), g.n, 0, max(degrees), g.n - 1 - min(degrees))
 
@@ -467,11 +475,23 @@ class InducedProfile:
 
 @lru_cache(maxsize=None)
 def _mask_class_table(k: int) -> tuple[bytes, ...]:
+    """The class code of each k-vertex host, indexed by the mask of its red
+    pairs over lex_pairs(k).  `canonical_form` runs once per isomorphism
+    class: each of the k! relabellings of the first mask met in a class gets
+    that mask's code."""
     prs = lex_pairs(k)
-    table = []
-    for mask in range(1 << len(prs)):
-        pairs = [prs[t] for t in range(len(prs)) if mask >> t & 1]
-        table.append(canonical_form(HostGraph.from_red_pairs(k, pairs)))
+    index = {pr: t for t, pr in enumerate(prs)}
+    images = [  # per relabelling, the mask bit each pair goes to
+        [1 << index[min(p[i], p[j]), max(p[i], p[j])] for i, j in prs]
+        for p in permutations(range(k))
+    ]
+    table = [b""] * (1 << len(prs))
+    for mask in range(len(table)):
+        if not table[mask]:
+            red = [t for t in range(len(prs)) if mask >> t & 1]
+            code = canonical_form(HostGraph.from_red_pairs(k, [prs[t] for t in red]))
+            for image in images:
+                table[sum(map(image.__getitem__, red))] = code
     return tuple(table)
 
 
@@ -481,9 +501,10 @@ def profile_work(n: int, k: int) -> float:
 
     induced_profile enumerates C(n, k - 2) prefixes and counts the host
     vertices after each by popcounts.  One prefix and host vertex costs
-    0.7-1.7 units of `check_work` on random hosts (more for larger k), so the
-    estimate is 2 C(n, k - 2) n, plus n^2 for reading or building the host,
-    about one unit per ordered pair."""
+    0.4-1.2 units of `check_work` on random hosts of 30 to 2,000 vertices
+    (k = 3 to 5, each timed against the generic counter on one 2-core AMD
+    EPYC), so the estimate is 2 C(n, k - 2) n, plus n^2 for reading or
+    building the host, about one unit per ordered pair."""
     if not 1 <= k <= 5:
         raise UnsupportedSizeError("profiles support 1 <= k <= 5")
     if k > n:
@@ -491,16 +512,54 @@ def profile_work(n: int, k: int) -> float:
     return 2 * comb(n, max(k - 2, 0)) * n + n * n
 
 
+# A class of vertices whose masks fit in this many bits is packed into one int;
+# a larger one is counted mask by mask.  Shifting each mask into a growing int
+# costs time quadratic in the class's size, and once masks are a few thousand
+# bits long each one's popcount outweighs the Python work around it.  On
+# random hosts of 150 to 2,000 vertices (k = 3 and 4), 2,048 to 8,192 bits
+# did equally well within the timing noise.
+_PACK_BITS = 4096
+
+
+@lru_cache(maxsize=None)
+def _profile_layout(k: int) -> tuple:
+    """Where induced_profile writes a k-subset, as bits of the mask of its
+    red pairs over lex_pairs(k): place[j][s], the bits of a vertex at
+    position j whose colours to positions 0..j-1 are the bits of s; and per
+    code of a prefix of k - 2 vertices (one code per colouring of its own
+    pairs), red_cells[code][s][t], the bits of a k-subset that extends it by
+    a red pair {d, e} with colours s and t to the prefix."""
+    q = k - 2
+    bit = {pr: 1 << t for t, pr in enumerate(lex_pairs(k))}
+    place = [
+        [sum(bit[i, j] for i in range(j) if s >> i & 1) for s in range(1 << j)]
+        for j in range(k)
+    ]
+    codes = [0]
+    for i, j in lex_pairs(q):
+        codes += [code | bit[i, j] for code in codes]
+    classes, de_bit = range(1 << q), bit[q, q + 1]
+    red_cells = {
+        code: [[code | place[q][s] | place[q + 1][t] | de_bit for t in classes] for s in classes]
+        for code in codes
+    }
+    return place, red_cells
+
+
 def induced_profile(g: HostGraph, k: int) -> InducedProfile:
     """Exact induced k-profile; k <= 5, within the work budget (`profile_work`).
 
     Only the first k - 2 vertices of each k-subset are enumerated.  The host
-    vertices after such a prefix fall into 2^(k-2) bitmask sets S_s by their
+    vertices after such a prefix fall into 2^(k-2) classes S_s by their
     colours s to it, and the last two vertices {d, e} are counted per pair of
-    sets s <= t: red pairs by popcounts of masks[d] & S_t over d in S_s, all
-    pairs as |S_s| |S_t|, or C(|S_s|, 2) within one set.  Swapping d and e
-    does not change the induced class, so one order of each pair of sets is
-    enough."""
+    classes: swapping d and e does not change the induced class, so one
+    order of each pair of classes is enough.  The red pairs between S_s and
+    S_t take one AND and one popcount: the masks of S_s's vertices packed
+    into the fields of one int against S_t repeated in every field; a class
+    too large to pack (`_PACK_BITS`) is counted mask by mask.  The pairs of
+    two classes number |S_s| |S_t|, or C(|S_s|, 2) within one; one big-int
+    product per prefix, of its class sizes laid out as digits, sums them per
+    prefix code, and the blue pairs are the difference, taken at the end."""
     check_work(profile_work(g.n, k), "the host size or k")
     n, masks = g.n, g.masks
     table = _mask_class_table(k)
@@ -508,55 +567,95 @@ def induced_profile(g: HostGraph, k: int) -> InducedProfile:
     if k == 1:
         raw[0] = n
     else:
-        q = k - 2
-        bit = {pr: 1 << t for t, pr in enumerate(lex_pairs(k))}
-        # place[j][s]: the mask bits of a vertex at position j whose colours
-        # to positions 0..j-1 are the bits of s
-        place = [
-            [sum(bit[i, j] for i in range(j) if s >> i & 1) for s in range(1 << j)]
-            for j in range(k)
-        ]
-        d_bits, e_bits, de_bit = place[q], place[q + 1], bit[q, q + 1]
+        q, full = k - 2, (1 << n) - 1
+        m = 1 << q  # colour classes after a prefix
+        place, red_cells = _profile_layout(k)
+        de_bit = red_cells[0][0][0]  # the bit of the pair {d, e}
+        # digits wide enough for a sum over all prefixes of |S_s| |S_t|
+        digit = (comb(n, q) * n * n).bit_length() + 1
+        left = [s * m * digit for s in range(m)]
+        right = [s * digit for s in range(m)]
+        pairs = dict.fromkeys(red_cells, 0)  # per prefix code: |S_s| |S_t| at digit s m + t
+        sizes = dict.fromkeys(red_cells, 0)  # per prefix code: |S_s| at digit s
+        short = max(1, min(n, _PACK_BITS // n))  # the most masks packed into one int
+        # repeat[j]: a 1 at the start of each of j fields of n bits
+        repeat = [((1 << j * n) - 1) // full for j in range(short + 1)]
 
         def count_pairs(code: int, sets: list[int]) -> None:
-            nonempty = [(s, S) for s, S in enumerate(sets) if S]
-            for a, (s, S) in enumerate(nonempty):
-                verts = []
-                rest = S
-                while rest:
-                    low = rest & -rest
-                    verts.append(masks[low.bit_length() - 1])
-                    rest ^= low
-                size = len(verts)
-                base = code | d_bits[s]
-                red = sum(map(int.bit_count, map(S.__and__, verts))) // 2
-                raw[base | e_bits[s] | de_bit] += red
-                raw[base | e_bits[s]] += size * (size - 1) // 2 - red
-                for t, T in nonempty[a + 1 :]:
-                    red = sum(map(int.bit_count, map(T.__and__, verts)))
-                    raw[base | e_bits[t] | de_bit] += red
-                    raw[base | e_bits[t]] += size * T.bit_count() - red
+            rows = red_cells[code]
+            packed, listed = [], []
+            big = 1  # the most fields of a packed class so far
+            lay_left = lay_right = 0
+            for s, S in enumerate(sets):
+                if S:
+                    size = S.bit_count()
+                    lay_left += size << left[s]
+                    lay_right += size << right[s]
+                    T = S
+                    if size <= short:  # P_s: its masks in the fields of one int
+                        if size > big:
+                            big = size
+                        P = 0
+                        while S:
+                            d = S.bit_length() - 1
+                            S ^= 1 << d
+                            P = P << n | masks[d]
+                        packed.append((rows[s], P, s, T * repeat[big]))
+                    else:
+                        verts = []
+                        while S:
+                            d = S.bit_length() - 1
+                            S ^= 1 << d
+                            verts.append(masks[d])
+                        listed.append((rows[s], verts, s, T))
+            pairs[code] += lay_left * lay_right
+            sizes[code] += lay_right
+            # ordered red pairs (d, e), d in S_s and e in S_t, for each pair of
+            # classes once: a packed class against each later one (T repeated
+            # in as many fields as any packed class before it has), a listed
+            # class against every packed one and each listed one from itself on
+            for (row, P, _, _), (_, _, t, T) in combinations_with_replacement(packed, 2):
+                raw[row[t]] += (P & T).bit_count()
+            for i, (row, verts, _, _) in enumerate(listed):
+                for _, _, t, T in packed + listed[i:]:
+                    raw[row[t]] += sum(map(int.bit_count, map(T.__and__, verts)))
 
         def walk(depth: int, code: int, sets: list[int]) -> None:
             # sets[s]: the vertices after the prefix whose colours to it spell s
-            if depth == q:
-                count_pairs(code, sets)
-                return
+            room = full >> (k - 1 - depth)  # a vertex here needs k - 1 - depth after it
             for s, S in enumerate(sets):
                 vcode = code | place[depth][s]
+                S &= room
                 while S:
                     low = S & -S
                     S ^= low
                     v = low.bit_length() - 1
                     after = -(low << 1)  # the vertices above v
-                    red_after, blue_after = masks[v] & after, ~masks[v] & after
-                    walk(
-                        depth + 1,
-                        vcode,
-                        [T & blue_after for T in sets] + [T & red_after for T in sets],
-                    )
+                    split = [T & x for x in (~masks[v] & after, masks[v] & after) for T in sets]
+                    if depth + 1 == q:
+                        count_pairs(vcode, split)
+                    else:
+                        walk(depth + 1, vcode, split)
 
-        walk(0, 0, [(1 << n) - 1])
+        if q:
+            walk(0, 0, [full])
+        else:
+            count_pairs(0, [full])
+        low_digit = (1 << digit) - 1
+        for code, both in pairs.items():
+            for s in range(m if both else 0):
+                for t in range(s, m):
+                    total = both >> (s * m + t) * digit & low_digit
+                    if not total:
+                        continue
+                    red_at = red_cells[code][s][t]
+                    if s == t:  # ordered pairs within one class: halve
+                        total = (total - (sizes[code] >> s * digit & low_digit)) // 2
+                        raw[red_at] //= 2
+                        red = raw[red_at]
+                    else:  # swapping d and e keeps the class, so either order counts
+                        red = raw[red_at] + raw[red_cells[code][t][s]]
+                    raw[red_at ^ de_bit] += total - red
     counts: dict[bytes, int] = {}
     for mask, cnt in enumerate(raw):
         if cnt:

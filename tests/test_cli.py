@@ -49,6 +49,16 @@ def test_count_circulant_ap4(capsys, cache):
     assert "curve=ap4" in out
 
 
+def test_count_circulant_at_n_8000(capsys, cache):
+    # a circulant's masks cost about 1 + n / 800 units per vertex to make, not
+    # one per ordered pair, so ap4 on 8,000 vertices fits the work budget
+    code, out, err = run(
+        capsys, "count", "--pattern", "ap4", "--construct", "circulant:0.5", "--n", "8000",
+    )
+    assert code == 0 and err == ""
+    assert out.startswith("pattern='4 RFFBFR' host='circulant:0.5:n=8000' count=")
+
+
 def test_count_host_literal(capsys, cache):
     code, out, _ = run(capsys, "count", "--pattern", "ap4", "--host", "3 RRR")
     assert code == 0
@@ -687,6 +697,34 @@ def test_verify_prints_a_report_it_cannot_archive(capsys, cache):
     not_a_dir.write_text("")
     out, err = usage_error(capsys, "--cache-dir", str(not_a_dir), "verify", "stability")
     assert "verdict=PASS" in out and "cache-file" in err
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone, as in `semind ... | head -1`: the
+    broken pipe shows on `write` or, for output still buffered, on `flush`."""
+
+    def __init__(self, fd: int, on: str):
+        self.fd, self.on = fd, on
+
+    def write(self, text: str) -> int:
+        if self.on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self) -> None:
+        if self.on == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+@pytest.mark.parametrize("on", ["write", "flush"])
+def test_closed_stdout_ends_the_run_quietly(capsys, cache, monkeypatch, on):
+    with open(cache / "stdout", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout(sink.fileno(), on))
+        code = main(["count", "--pattern", "ap4", "--host", "5 RBBRBRRBBR", "--profile-k", "3"])
+    assert code == 1 and capsys.readouterr().err == ""
 
 
 def test_internal_fault_exits_3_with_a_traceback(capsys, cache, monkeypatch):

@@ -6,7 +6,9 @@ from math import comb, perm
 
 import pytest
 
+from semind import counting
 from semind.counting import (
+    _mask_class_table,
     _pinned_plan,
     _plan,
     _work,
@@ -273,15 +275,79 @@ def _reference_profile(g: HostGraph, k: int) -> dict:
     return counts
 
 
-def test_induced_profile_matches_reference():
+def _profile_hosts() -> list:
+    """All-red, all-blue and random hosts on up to 12 vertices."""
     rng = random.Random(71)
     hosts = [HostGraph(8, (0,) * 8), HostGraph.from_red_pairs(8, lex_pairs(8))]
     for n in (1, 2, 3, 5, 7, 9, 10, 12, 12):
         p = rng.random()
         hosts.append(HostGraph.from_red_pairs(n, [pr for pr in lex_pairs(n) if rng.random() < p]))
-    for g in hosts:
+    return hosts
+
+
+def test_induced_profile_matches_reference():
+    for g in _profile_hosts():
         for k in range(1, min(5, g.n) + 1):
             assert induced_profile(g, k).counts == _reference_profile(g, k), (g.to_text(), k)
+
+
+def test_induced_profile_packs_and_lists_classes_alike(monkeypatch):
+    # with room for one mask per packed int, every class of two or more
+    # vertices is counted mask by mask; with room for all, none is
+    for pack_bits in (1, 10**9):
+        monkeypatch.setattr(counting, "_PACK_BITS", pack_bits)
+        for g in _profile_hosts():
+            for k in range(1, min(5, g.n) + 1):
+                assert induced_profile(g, k).counts == _reference_profile(g, k), (g.to_text(), k)
+
+
+def test_reference_profile_closed_forms():
+    # hosts whose profiles are known: every k-subset of an all-red (all-blue)
+    # host is a red (blue) clique, and a k-subset of a host with one red pair
+    # holds that pair in C(n - 2, k - 2) of C(n, k) cases
+    for n in range(1, 13):
+        hosts = [(HostGraph.from_red_pairs(n, lex_pairs(n)), None), (HostGraph(n, (0,) * n), ())]
+        hosts += [(HostGraph.from_red_pairs(n, [pr]), pr) for pr in {(0, 1), (n - 2, n - 1)} if n >= 2]
+        for k in range(1, min(5, n) + 1):
+            clique = canonical_form(HostGraph.from_red_pairs(k, lex_pairs(k)))
+            empty = canonical_form(HostGraph(k, (0,) * k))
+            for g, pair in hosts:
+                if pair is None:
+                    expected = {clique: comb(n, k)}
+                else:
+                    with_pair = comb(n - 2, k - 2) if pair and k >= 2 else 0
+                    expected = {empty: comb(n, k) - with_pair}
+                    if with_pair:
+                        edge = canonical_form(HostGraph.from_red_pairs(k, [(0, 1)]))
+                        expected[edge] = with_pair
+                    expected = {code: c for code, c in expected.items() if c}
+                assert _reference_profile(g, k) == expected, (g.to_text(), k)
+                assert induced_profile(g, k).counts == expected, (g.to_text(), k)
+
+
+def test_induced_profile_matches_generic_counter():
+    # an injection of class X read as a pattern with every pair constrained
+    # lands on a k-subset that induces X, in |Aut(X)| ways
+    rng = random.Random(23)
+    n = 30
+    g = HostGraph.from_red_pairs(n, [pr for pr in lex_pairs(n) if rng.random() < 0.5])
+    for k in (4, 5):
+        counts = induced_profile(g, k).counts
+        for x in enumerate_colored_graphs(k):
+            red = [pr for pr in lex_pairs(k) if x.red(*pr)]
+            h = PatternGraph.of(k, red, [pr for pr in lex_pairs(k) if not x.red(*pr)])
+            expected = counts.get(canonical_form(x), 0) * pattern_automorphism_order(h)
+            assert count_injections(h, g) == expected, (x.to_text(), k)
+
+
+def test_mask_class_table_matches_canonical_form():
+    for k in range(1, 6):
+        prs = lex_pairs(k)
+        table = _mask_class_table(k)
+        assert len(table) == 1 << len(prs)
+        for mask, code in enumerate(table):
+            g = HostGraph.from_red_pairs(k, [prs[t] for t in range(len(prs)) if mask >> t & 1])
+            assert code == canonical_form(g), (k, mask)
 
 
 def test_induced_profile_guards():
@@ -338,7 +404,7 @@ def test_circulant_count_matches_generic():
 
 
 def test_circulant_budget():
-    # a 600-vertex circulant of red degree 300, whose masks add 600^2 units
+    # a 600-vertex circulant of red degree 300, whose masks add 1,050 units
     c = realize(circulant(0.5), 600)
     assert c.degree == 300
     check_work(count_work(tree_pattern([(i, i + 1) for i in range(6)]), c), "n")  # 8e6
