@@ -502,8 +502,8 @@ def profile_work(n: int, k: int) -> float:
     induced_profile enumerates C(n, k - 2) prefixes and counts the host
     vertices after each by popcounts.  One prefix and host vertex costs
     0.4-1.2 units of `check_work` on random hosts of 30 to 2,000 vertices
-    (k = 3 to 5, each timed against the generic counter on one 2-core AMD
-    EPYC), so the estimate is 2 C(n, k - 2) n, plus n^2 for reading or
+    (k = 3 to 5, each timed against the generic counter on one 2-core Intel
+    Xeon), so the estimate is 2 C(n, k - 2) n, plus n^2 for reading or
     building the host, about one unit per ordered pair."""
     if not 1 <= k <= 5:
         raise UnsupportedSizeError("profiles support 1 <= k <= 5")
