@@ -154,6 +154,10 @@ _WIDE_HOST = 3000
 # timed at n = 300 to 20,000.
 _ROTATED_HOST = 800
 
+# Those masks take 2 n^2 bits, which the work budget, a bound on time, does
+# not cover: 256 MB at this n.
+MAX_CIRCULANT_N = 2**15
+
 
 @lru_cache(maxsize=1024)
 def _plan(h: PatternGraph, n: int, pinned: tuple[int, ...] = ()) -> _Plan:
@@ -360,12 +364,16 @@ def count_injections(h: PatternGraph, g: HostGraph | PartedHost | Circulant) -> 
     pairs; free pairs are unconstrained.  Returns 0 when h has more vertices
     than g.  In a circulant each host vertex is the image of a given pattern
     vertex equally often: the count is n times the injections that send the
-    most constrained one to host vertex 0."""
+    most constrained one to host vertex 0 (for n up to MAX_CIRCULANT_N)."""
     if h.h > g.n:
         return 0
     if isinstance(g, PartedHost):
         return blowup_injections(h, g)
     if isinstance(g, Circulant):
+        if g.n > MAX_CIRCULANT_N:
+            raise UnsupportedSizeError(
+                f"circulants are capped at n <= {MAX_CIRCULANT_N} (memory guard)"
+            )
         plan = _pinned_plan(h, g.n)
         return g.n * _extend(plan, *_red_blue(g.masks), [0] * len(plan.cons), 1, 1)
     plan = _plan(h, g.n)

@@ -59,6 +59,16 @@ def test_count_circulant_at_n_8000(capsys, cache):
     assert out.startswith("pattern='4 RFFBFR' host='circulant:0.5:n=8000' count=")
 
 
+def test_count_refuses_a_circulant_past_its_memory_cap(capsys, cache, monkeypatch):
+    # its masks would take 2 n^2 bits, 400 MB here, though the count fits the
+    # work budget; it is refused before any mask is made
+    monkeypatch.setattr(graphs.Circulant, "masks", property(lambda c: pytest.fail("masks made")))
+    out, err = usage_error(
+        capsys, "count", "--pattern", "ap4", "--construct", "circulant:0.5", "--n", "41000",
+    )
+    assert out == "" and "circulants are capped at n <= 32768 (memory guard)" in err
+
+
 def test_count_host_literal(capsys, cache):
     code, out, _ = run(capsys, "count", "--pattern", "ap4", "--host", "3 RRR")
     assert code == 0
