@@ -105,7 +105,7 @@ class _Plan(NamedTuple):
     batch: tuple  # per batch vertex: (prefix position, pair is red)
     steps: tuple  # (subset, subset less its lowest member, that member)
     terms: tuple  # (Moebius weight, blocks as subsets), one per set partition
-    leaf: tuple  # for a batch of one: (its constraints before the last prefix
+    leaf: tuple  # per batch vertex: (its constraints before the last prefix
     # position, is its pair to the last position red; None if unconstrained)
     tail: int  # number of unpinned vertices with no constraint
     cost: float  # estimated work, the mean over all colorings (see `_plan`)
@@ -248,10 +248,13 @@ def _plan(h: PatternGraph, n: int, pinned: tuple[int, ...] = ()) -> _Plan:
         batch=rows,
         steps=tuple((s, s & (s - 1), (s & -s).bit_length() - 1) for s in range(1, 1 << k)),
         terms=tuple((_moebius(p), p) for p in _set_partitions(k)),
-        leaf=(
-            tuple((ep, isred) for ep, isred in rows[0] if ep < last),
-            next((isred for ep, isred in rows[0] if ep == last), None),
-        ) if k == 1 else (),
+        leaf=tuple(
+            (
+                tuple((ep, isred) for ep, isred in r if ep < last),
+                next((isred for ep, isred in r if ep == last), None),
+            )
+            for r in rows
+        ),
         tail=h.h - len(order) - k,
         cost=cost,
     )
@@ -275,7 +278,7 @@ def _work(plan: _Plan, n: int, start: int, red_max: int, blue_max: int) -> float
             width = min(width, red_max if isred else blue_max)
         nodes *= max(width, 0)
         work += nodes
-    if not plan.leaf:
+    if len(plan.batch) != 1:
         work += nodes * _leaf_work(len(plan.batch))
     return _CALL_WORK + work * (1 + n / _WIDE_HOST)
 
@@ -284,19 +287,24 @@ def _extend(plan: _Plan, red, blue, assign: list[int], pos: int, used: int) -> i
     """Number of ways to place positions pos.. of `plan` into the host with
     red/blue masks `red`/`blue`, given assign[:pos] (bitset `used`).
 
-    Only the prefix is enumerated.  At each prefix leaf the batch vertices get
-    candidate masks M_i, and their injective placements number
+    Only the prefix is enumerated.  The batch vertices get candidate masks
+    M_i, and their injective placements number
     sum over set partitions pi of mu(pi) prod_{B in pi} |cap_{i in B} M_i|
-    (Moebius inversion over the partition lattice).  A batch of one is
-    counted together with the last prefix level: its constraints to earlier
-    positions give a base mask, and each candidate c for the last position
-    adds |red[c] & base| (or blue) when the batch vertex has a constraint to
-    that position, else the level adds |cands| |base| - |cands & base|.  The
-    tail adds a falling factorial.  The cost is the number of prefix leaves,
-    at most n^p for p unpinned prefix positions, times about 2^b + Bell(b)
-    big-int operations for a batch of b: O(n^2) for peenn and the double
-    stars, whose covers have two vertices, once n is large enough (10 for
-    peenn, 7 for ds:2) that their plans keep the whole batch."""
+    (Moebius inversion over the partition lattice).  The batch is counted
+    together with the last prefix level: each batch vertex's constraints to
+    earlier positions give it a base mask once per node of the level above,
+    and each candidate c for the last position narrows the base to M_i by
+    red[c] (or blue) when the vertex has a constraint to that position, else
+    by dropping c.  The loop over c then adds 1 for an empty batch, |M_0|
+    for a batch of one, |M_0| |M_1| - |M_0 & M_1| for a batch of two, and
+    the Moebius sum for a larger one, whose subsets' intersections of bases
+    are also taken once per node; an unconstrained batch of one adds
+    |cands| |base| - |cands & base| for the whole level.  So no leaf costs a
+    call.  The tail adds a falling factorial.  The cost is the number of prefix leaves, at most n^p
+    for p unpinned prefix positions, times about 2^b + Bell(b) big-int
+    operations for a batch of b: O(n^2) for peenn and the double stars,
+    whose covers have two vertices, once n is large enough (10 for peenn, 7
+    for ds:2) that their plans keep the whole batch."""
     cons, batch, steps, terms, leaf, tail, _ = plan
     n = len(red)
     full = (1 << n) - 1
@@ -304,50 +312,97 @@ def _extend(plan: _Plan, red, blue, assign: list[int], pos: int, used: int) -> i
     scale = perm(max(n - depth - len(batch), 0), tail)
     if not scale:
         return 0
-    fused = depth - 1 if leaf else -1  # the level counted with a batch of one
-    early, last = leaf or ((), None)
-    last_layer = None if last is None else red if last else blue
-    inter = [-1] * (1 << len(batch))  # inter[0] = -1 is the empty intersection
-    sizes = [0] * (1 << len(batch))
+    if pos == depth:  # no prefix position is left to place: the Moebius sum
+        masks = []
+        for r in batch:
+            m = full & ~used
+            for ep, isred in r:
+                m &= red[assign[ep]] if isred else blue[assign[ep]]
+            masks.append(m)
+        inter = [-1] * (1 << len(batch))  # inter[0] = -1 is the empty intersection
+        sizes = [0] * len(inter)
+        for s, rest, i in steps:
+            inter[s] = m = inter[rest] & masks[i]
+            sizes[s] = m.bit_count()
+        total = 0
+        for coef, blocks in terms:
+            for s in blocks:
+                coef *= sizes[s]
+            total += coef
+        return scale * total
 
     def rec(pos: int, used: int) -> int:
         free = full & ~used
-        if pos == depth:
-            masks = []
-            for r in batch:
-                m = free
-                for ep, isred in r:
-                    m &= red[assign[ep]] if isred else blue[assign[ep]]
-                masks.append(m)
-            for s, rest, i in steps:
-                inter[s] = m = inter[rest] & masks[i]
-                sizes[s] = m.bit_count()
-            total = 0
-            for coef, blocks in terms:
-                for s in blocks:
-                    coef *= sizes[s]
-                total += coef
-            return total
         cands = free
         for ep, isred in cons[pos]:
             cands &= red[assign[ep]] if isred else blue[assign[ep]]
         total = 0
-        if pos == fused:
-            base = free
-            for ep, isred in early:
-                base &= red[assign[ep]] if isred else blue[assign[ep]]
-            if last_layer is None:
-                return cands.bit_count() * base.bit_count() - (cands & base).bit_count()
+        if pos < depth - 1:
             while cands:
                 low = cands & -cands
                 cands ^= low
-                total += (last_layer[low.bit_length() - 1] & base).bit_count()
+                assign[pos] = low.bit_length() - 1
+                total += rec(pos + 1, used | low)
             return total
+        if len(leaf) == 1:
+            ((early, last),) = leaf
+            base = free
+            for ep, isred in early:
+                base &= red[assign[ep]] if isred else blue[assign[ep]]
+            if last is None:
+                return cands.bit_count() * base.bit_count() - (cands & base).bit_count()
+            layer = red if last else blue
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                total += (layer[low.bit_length() - 1] & base).bit_count()
+            return total
+        if not leaf:
+            return cands.bit_count()
+        bases = []
+        for early, _ in leaf:
+            base = free
+            for ep, isred in early:
+                base &= red[assign[ep]] if isred else blue[assign[ep]]
+            bases.append(base)
+        if len(bases) == 2:
+            (b0, b1), ((_, last0), (_, last1)) = bases, leaf
+            l0 = None if last0 is None else red if last0 else blue
+            l1 = None if last1 is None else red if last1 else blue
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                c = low.bit_length() - 1
+                m0 = b0 & ~low if l0 is None else b0 & l0[c]
+                m1 = b1 & ~low if l1 is None else b1 & l1[c]
+                total += m0.bit_count() * m1.bit_count() - (m0 & m1).bit_count()
+            return total
+        # per subset of the batch: the intersection of its bases, and which
+        # layers its constraints to the last position take (1 red, 2 blue);
+        # one that takes both is empty, as red[c] & blue[c] is
+        inter = [-1] * (1 << len(bases))
+        kinds = [0] * len(inter)
+        sizes = [0] * len(inter)
+        subsets = []
+        for s, rest, i in steps:
+            inter[s] = m = inter[rest] & bases[i]
+            last = leaf[i][1]
+            kinds[s] = kind = kinds[rest] | (0 if last is None else 1 if last else 2)
+            if kind < 3:
+                subsets.append((s, m, (None, red, blue)[kind]))
         while cands:
             low = cands & -cands
             cands ^= low
-            assign[pos] = low.bit_length() - 1
-            total += rec(pos + 1, used | low)
+            c = low.bit_length() - 1
+            for s, m, layer in subsets:
+                if layer is None:
+                    sizes[s] = m.bit_count() - (m >> c & 1)
+                else:
+                    sizes[s] = (m & layer[c]).bit_count()
+            for coef, blocks in terms:
+                for s in blocks:
+                    coef *= sizes[s]
+                total += coef
         return total
 
     return scale * rec(pos, used)
@@ -423,14 +478,13 @@ def is_induced_subgraph(small: HostGraph, big: HostGraph) -> bool:
     return count_injections(PatternGraph.of(small.n, red, blue), big) > 0
 
 
-def flip_plans(h: PatternGraph) -> tuple:
-    """What `flip_delta` needs of h: the pattern and one entry per
+def flip_plans(h: PatternGraph, n: int) -> tuple:
+    """What `flip_delta` needs of h on n-vertex hosts: one entry per
     automorphism orbit of ordered constrained pairs (a, b), as (a, b), whether
-    the pair is red, and the orbit's size.  Two ordered pairs are in one orbit
-    when h's layers relabelled by `_min_placements` with a and b fixed agree:
-    the two relabellings then compose to an automorphism of h carrying one
-    pair onto the other.  The counting plan that pins a and b is made on first
-    use for each host size and cached."""
+    the pair is red, the orbit's size, and the counting plan that pins a and
+    b.  Two ordered pairs are in one orbit when h's layers relabelled by
+    `_min_placements` with a and b fixed agree: the two relabellings then
+    compose to an automorphism of h carrying one pair onto the other."""
     layers = h.layers()
     orbits: dict = {}
     for a, b in sorted(h.red_pairs | h.blue_pairs):
@@ -439,32 +493,31 @@ def flip_plans(h: PatternGraph) -> tuple:
             code = tuple(_relabel_masks(masks, order) for masks in layers)
             rep = orbits.setdefault(code, [pins, (a, b) in h.red_pairs, 0])
             rep[2] += 1
-    return h, tuple(map(tuple, orbits.values()))
+    return tuple(
+        (pins, pair_red, size, _plan(h, n, pins)) for pins, pair_red, size in orbits.values()
+    )
 
 
 def flip_delta(plans, red: list[int], blue: list[int], u: int, v: int) -> int:
     """Exact change of count_injections when host pair {u, v} changes colour.
 
-    `plans` comes from flip_plans(h); `red` and `blue` are the host's masks
-    before the flip.  Only copies that map a constrained pattern pair {a, b}
-    onto {u, v} change: those whose {a, b} has the pair's current colour are
-    lost, those of the other colour are gained.  Each ordered pair (a, b)
-    contributes the injections that map a to u and b to v and meet every
-    constraint but the one on {a, b}; that number does not depend on the
-    colour of {u, v}, and an automorphism of h carrying (a, b) onto (c, d)
-    makes it equal for the two pairs.  So it is counted once per orbit and
-    multiplied by the orbit's size: 2 counts per flip for ac4 instead of 8.
-    With a and b pinned, a count enumerates only the rest of the plan's
-    prefix: O(n^(p-2)) leaves for a prefix of p, so O(n) popcounts for peenn
-    and O(1) for a star on large hosts, against the O(n^h) of a full
-    recount."""
-    h, orbits = plans
-    n = len(red)
+    `plans` comes from flip_plans(h, n) for the host's n; `red` and `blue`
+    are the host's masks before the flip.  Only copies that map a
+    constrained pattern pair {a, b} onto {u, v} change: those whose {a, b}
+    has the pair's current colour are lost, those of the other colour are
+    gained.  Each ordered pair (a, b) contributes the injections that map a
+    to u and b to v and meet every constraint but the one on {a, b}; that
+    number does not depend on the colour of {u, v}, and an automorphism of h
+    carrying (a, b) onto (c, d) makes it equal for the two pairs.  So it is
+    counted once per orbit and multiplied by the orbit's size: 2 counts per
+    flip for ac4 instead of 8.  With a and b pinned, a count enumerates only
+    the rest of the plan's prefix: O(n^(p-2)) leaves for a prefix of p, so
+    O(n) popcounts for peenn and O(1) for a star on large hosts, against
+    the O(n^h) of a full recount."""
     now_red = bool(red[u] >> v & 1)
     used = 1 << u | 1 << v
     delta = 0
-    for pins, pair_red, size in orbits:
-        plan = _plan(h, n, pins)
+    for _, pair_red, size, plan in plans:
         copies = size * _extend(plan, red, blue, [u, v] + [0] * (len(plan.cons) - 2), 2, used)
         delta += -copies if pair_red == now_red else copies
     return delta

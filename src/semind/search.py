@@ -13,6 +13,7 @@ ordered pair.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
 
@@ -120,28 +121,41 @@ def _make_counter(h: PatternGraph):
     return lambda g: count_injections(h, g)
 
 
+def _row_starts(n: int) -> list[int]:
+    """The index in lex_pairs(n) of each row's first pair (i, i + 1)."""
+    return [i * (2 * n - i - 1) // 2 for i in range(n - 1)]
+
+
+def _pair_at(starts: list[int], t: int) -> tuple[int, int]:
+    """Pair t of lex_pairs(n), from starts = _row_starts(n), so that a climb on
+    a large host holds no list of its pairs."""
+    i = bisect_right(starts, t) - 1
+    return i, t - starts[i] + i + 1
+
+
 def _random_masks(n: int, m: int, rng: random.Random) -> list[int]:
-    prs = lex_pairs(n)
-    chosen = rng.sample(range(len(prs)), m)
+    starts = _row_starts(n)
     masks = [0] * n
-    for t in chosen:
-        _flip(masks, *prs[t])
+    for t in rng.sample(range(comb(n, 2)), m):
+        _flip(masks, *_pair_at(starts, t))
     return masks
 
 
 def _adjust_edge_count(masks: list[int], n: int, m_target: int, rng: random.Random):
-    prs = lex_pairs(n)
-    current = sum(mk.bit_count() for mk in masks) // 2
-    red = [t for t, (i, j) in enumerate(prs) if masks[i] >> j & 1]
-    red_set = set(red)
-    blue = [t for t in range(len(prs)) if t not in red_set]
+    starts = _row_starts(n)
+    red, blue = [], []  # pair indices by colour, each in increasing order
+    for i, first in enumerate(starts):
+        row = format(masks[i] >> i + 1, f"0{n - i - 1}b")
+        for t, bit in enumerate(reversed(row), first):
+            (red if bit == "1" else blue).append(t)
+    current = len(red)
     rng.shuffle(red)
     rng.shuffle(blue)
     while current > m_target:
-        _flip(masks, *prs[red.pop()])
+        _flip(masks, *_pair_at(starts, red.pop()))
         current -= 1
     while current < m_target:
-        _flip(masks, *prs[blue.pop()])
+        _flip(masks, *_pair_at(starts, blue.pop()))
         current += 1
 
 
@@ -150,27 +164,28 @@ def _flip(masks: list[int], i: int, j: int):
     masks[j] ^= 1 << i
 
 
-def _sample_pair(red: list[int], prs, rng: random.Random, color: int):
+def _sample_pair(red: list[int], starts: list[int], rng: random.Random, color: int):
     """A uniform pair of the given colour (1 red, 0 blue) by rejection
     sampling, which keeps the rng stream deterministic; None after 64 tries
-    per pair."""
-    for _ in range(64 * len(prs)):
-        a, b = prs[rng.randrange(len(prs))]
+    per pair.  `starts` is _row_starts(len(red))."""
+    npairs = comb(len(red), 2)
+    for _ in range(64 * npairs):
+        a, b = _pair_at(starts, rng.randrange(npairs))
         if red[a] >> b & 1 == color:
             return a, b
     return None
 
 
-def _climb_work(plans, n: int, starts: int, restarts: int, flips: int) -> float:
+def _climb_work(h: PatternGraph, plans, n: int, starts: int, restarts: int, flips: int) -> float:
     """A bound on hill_climb's work: a full count of each start and restart,
     and 60n steps per restart of `flips` flips each, every flip paying its
-    bookkeeping and one pinned count per orbit of `plans` (see `flip_delta`),
+    bookkeeping and one pinned count per orbit of `plans`, which is
+    flip_plans(h, n) (see `flip_delta`),
     plus the host pairs that each start and restart walks.  The host changes
     as the climb goes, so the counts are bounded with n - p candidates at
     prefix position p whatever the constraints."""
-    h, orbits = plans
     full = _work(_plan(h, n), n, 0, n, n)
-    flip = _FLIP_WORK + sum(_work(_plan(h, n, pins), n, 2, n, n) for pins, _, _ in orbits)
+    flip = _FLIP_WORK + sum(_work(plan, n, 2, n, n) for *_, plan in plans)
     walks = (1 + starts + restarts) * comb(n, 2) * _PAIR_WORK
     return (starts + restarts) * full + restarts * _STEPS_PER_VERTEX * n * flips * flip + walks
 
@@ -200,9 +215,9 @@ def hill_climb(
         raise UsageError(f"target density must lie in [0, 1] (got {target_density})")
     if restarts < 0:
         raise UsageError(f"restarts must be non-negative (got {restarts})")
-    plans = flip_plans(h)
+    plans = flip_plans(h, n)
     flips = 1 if target_density is None else 2
-    check_work(_climb_work(plans, n, max(len(seeds), 1), restarts, flips), "n or restarts")
+    check_work(_climb_work(h, plans, n, max(len(seeds), 1), restarts, flips), "n or restarts")
     rng = random.Random(seed)
     counter = _make_counter(h)
     npairs = comb(n, 2)
@@ -226,16 +241,17 @@ def hill_climb(
         if c > best:
             best, best_masks = c, list(masks)
 
+    if m_target in (0, npairs):
+        restarts = 0  # no red/blue swap exists: the start is the only such host
     plateau_cap = 2 * n
-    prs = lex_pairs(n)
+    row_starts = _row_starts(n)
 
     for r in range(restarts):
         red = list(starts[r % len(starts)])
         if r >= len(starts):
             # perturb repeated starts so restarts explore new basins
             for _ in range(max(1, n // 10)):
-                i, j = prs[rng.randrange(npairs)]
-                _flip(red, i, j)
+                _flip(red, *_pair_at(row_starts, rng.randrange(npairs)))
             if m_target is not None:
                 _adjust_edge_count(red, n, m_target, rng)
         cur = counter(HostGraph(n, tuple(red)))
@@ -243,11 +259,11 @@ def hill_climb(
         plateau = 0
         for _ in range(_STEPS_PER_VERTEX * n):
             if m_target is None:
-                moves = [prs[rng.randrange(npairs)]]
+                moves = [_pair_at(row_starts, rng.randrange(npairs))]
             else:
                 # swap one red and one blue pair
-                pick = _sample_pair(red, prs, rng, 1)
-                pick2 = None if pick is None else _sample_pair(red, prs, rng, 0)
+                pick = _sample_pair(red, row_starts, rng, 1)
+                pick2 = None if pick is None else _sample_pair(red, row_starts, rng, 0)
                 if pick2 is None:
                     break
                 moves = [pick, pick2]

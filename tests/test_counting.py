@@ -451,8 +451,7 @@ def test_work_estimate_bounds_prefix_nodes():
         ]
         runs += [
             (ac4_pattern(), plan, 2, n * (n - 1) * _work(plan, n, 2, red_max, blue_max))
-            for pins, _, _ in flip_plans(ac4_pattern())[1]
-            for plan in [_plan(ac4_pattern(), n, pins)]
+            for *_, plan in flip_plans(ac4_pattern(), n)
         ]
         for h, plan, start, bound in runs:
             nodes = sum(
@@ -544,16 +543,16 @@ def _brute_orbits(h):
 def test_flip_plans_orbits():
     sizes = {}
     for h in FLIP_PATTERNS:
-        pattern, orbits = flip_plans(h)
-        assert pattern is h
-        assert sum(size for _, _, size in orbits) == 2 * len(h.red_pairs | h.blue_pairs)
+        orbits = flip_plans(h, 8)
+        assert sum(size for _, _, size, _ in orbits) == 2 * len(h.red_pairs | h.blue_pairs)
         brute = _brute_orbits(h)
         assert len(orbits) == len(brute), h.to_text()
-        for (a, b), pair_red, size in orbits:
+        for (a, b), pair_red, size, plan in orbits:
             (orbit,) = [o for o in brute if (a, b) in o]
             assert size == len(orbit), (h.to_text(), a, b)
             assert pair_red == ((min(a, b), max(a, b)) in h.red_pairs)
-        sizes[h.to_text()] = sorted(size for _, _, size in orbits)
+            assert plan == _plan(h, 8, (a, b))
+        sizes[h.to_text()] = sorted(size for _, _, size, _ in orbits)
     assert sizes[ac4_pattern().to_text()] == [4, 4]
     assert sizes[peenn_pattern().to_text()] == [1] * 8
     assert sizes[double_star_pattern(2).to_text()] == [2, 4, 4]
@@ -565,8 +564,8 @@ def test_flip_delta_matches_recount():
     patterns = FLIP_PATTERNS
     rng = random.Random(29)
     for h in patterns:
-        plans = flip_plans(h)
         for n in (h.h, 8):
+            plans = flip_plans(h, n)
             full = (1 << n) - 1
             for density in (0.0, 0.3, 0.7, 1.0):
                 masks = [0] * n
@@ -600,12 +599,12 @@ def test_flip_delta_matches_recount():
         flipped[u] ^= 1 << v
         flipped[v] ^= 1 << u
         after = count_injections(h, HostGraph(n, tuple(flipped)))
-        assert flip_delta(flip_plans(h), masks, blue, u, v) == after - before, (u, v)
+        assert flip_delta(flip_plans(h, n), masks, blue, u, v) == after - before, (u, v)
 
 
 def test_fused_leaf_matches_reference():
-    """A batch of one is counted together with the last prefix level.  Its
-    vertex has a constraint to that level's position in the plans of ac4 and
+    """The batch is counted together with the last prefix level.  A batch of
+    one has a constraint to that level's position in the plans of ac4 and
     4 RFBFRF, and none in those of ap4 and s:1,1 on small hosts."""
     rng = random.Random(53)
     fused = set()
@@ -613,7 +612,7 @@ def test_fused_leaf_matches_reference():
         for n in range(h.h, 10):
             for plan in (_plan(h, n), _pinned_plan(h, n)):
                 if len(plan.batch) == 1:
-                    fused.add((h.to_text(), plan.leaf[1] is not None))
+                    fused.add((h.to_text(), plan.leaf[0][1] is not None))
             for density in (0.2, 0.5, 0.8):
                 masks = [0] * n
                 for i, j in lex_pairs(n):
