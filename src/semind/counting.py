@@ -3,17 +3,18 @@
 All counts are exact Python integers, so there is no overflow to manage even
 at n = 10^4 with 6-vertex patterns.  The generic counter follows a plan made
 once per pattern and host size (`_plan`): it enumerates a vertex cover of the
-pattern's constraints and counts the remaining constrained vertices at each
-leaf in one step, by Moebius inversion over set partitions, with popcounts of
-candidate masks.  On all but the smallest hosts a tree-shaped pattern such as
-peenn or a double star therefore costs O(n^2) popcount steps instead of the
-O(n^(h-1)) of enumerating every vertex but the last.  `count_injections` and
-`count_work` also take a blow-up (`graphs.PartedHost`), counted from its
-parts, and a vertex-transitive `graphs.Circulant`, counted with one pattern
-vertex pinned to host vertex 0.  `flip_delta` gives the exact change of a
-count when one host pair flips colour, with one pinned count per automorphism
-orbit of the pattern's ordered constrained pairs.  The test suite checks the
-counters against a plain backtracker.
+pattern's constraints and counts the remaining constrained vertices in one
+loop over the candidates of the last enumerated vertex, by Moebius inversion
+over set partitions, with popcounts of candidate masks.  On all but the
+smallest hosts a tree-shaped pattern such as peenn or a double star therefore
+costs O(n^2) popcount steps instead of the O(n^(h-1)) of enumerating every
+vertex but the last.  `count_injections` and `count_work` also take a blow-up
+(`graphs.PartedHost`), counted from its parts, and a vertex-transitive
+`graphs.Circulant`, counted with one pattern vertex pinned to host vertex 0.
+`flip_delta` gives the exact change of a count when one host pair flips
+colour, with one pinned count per automorphism orbit of the pattern's ordered
+constrained pairs, whose plans `flip_plans` resolves once per host size.  The
+test suite checks the counters against a plain backtracker.
 """
 
 from __future__ import annotations
@@ -184,9 +185,10 @@ def _plan(h: PatternGraph, n: int, pinned: tuple[int, ...] = ()) -> _Plan:
     constraints, so the tail holds only unpinned vertices; any vertex, even
     a lone one with no constraint, may be pinned.  The batch's subsets and
     set partitions with their Moebius weights are fixed here, and so is the
-    split of a batch of one's constraints at the last prefix position, which
-    `_extend` counts together with the batch; plans are cached per (h, n,
-    pinned), with the estimated total as `cost`."""
+    split of each batch vertex's constraints into those to earlier positions
+    and the colour of its pair to the last prefix position, which `_extend`
+    counts together with the batch; plans are cached per (h, n, pinned),
+    with the estimated total as `cost`."""
     nbr = [0] * h.h  # constraint neighbours as bitmasks
     for i, j in h.red_pairs | h.blue_pairs:
         nbr[i] |= 1 << j
@@ -267,9 +269,10 @@ def _work(plan: _Plan, n: int, start: int, red_max: int, blue_max: int) -> float
     prefix leaf (`_leaf_work`), plus the cost of one call.  The prefix
     vertex at position p has at most n - p candidates, and at most red_max
     (blue_max) when it has a red (blue) constraint to an earlier position.
-    A batch of one is counted with the last prefix level, one popcount per
-    vertex placed there, so it adds nothing.  `_plan`'s own estimate halves
-    the candidates per constraint instead, which is the mean over all
+    `_extend` counts every batch with the last prefix level; a batch of one
+    takes one popcount per vertex placed there, so it adds nothing, and a
+    larger one its `_leaf_work` per vertex placed.  `_plan`'s own estimate
+    halves the candidates per constraint instead, which is the mean over all
     colorings but no bound for any one host."""
     nodes = work = 1
     for p in range(start, len(plan.cons)):
@@ -291,20 +294,22 @@ def _extend(plan: _Plan, red, blue, assign: list[int], pos: int, used: int) -> i
     M_i, and their injective placements number
     sum over set partitions pi of mu(pi) prod_{B in pi} |cap_{i in B} M_i|
     (Moebius inversion over the partition lattice).  The batch is counted
-    together with the last prefix level: each batch vertex's constraints to
-    earlier positions give it a base mask once per node of the level above,
-    and each candidate c for the last position narrows the base to M_i by
-    red[c] (or blue) when the vertex has a constraint to that position, else
-    by dropping c.  The loop over c then adds 1 for an empty batch, |M_0|
-    for a batch of one, |M_0| |M_1| - |M_0 & M_1| for a batch of two, and
-    the Moebius sum for a larger one, whose subsets' intersections of bases
-    are also taken once per node; an unconstrained batch of one adds
-    |cands| |base| - |cands & base| for the whole level.  So no leaf costs a
-    call.  The tail adds a falling factorial.  The cost is the number of prefix leaves, at most n^p
-    for p unpinned prefix positions, times about 2^b + Bell(b) big-int
-    operations for a batch of b: O(n^2) for peenn and the double stars,
-    whose covers have two vertices, once n is large enough (10 for peenn, 7
-    for ds:2) that their plans keep the whole batch."""
+    together with the last prefix level, so no leaf costs a call: each batch
+    vertex's constraints to earlier positions give it a base mask once per
+    node of the level above, and each candidate c for the last position
+    narrows the base to M_i by red[c] (or blue) when the vertex has a
+    constraint to that position, else by dropping c.  The loop over c adds
+    |M_0| for a batch of one, |M_0| |M_1| - |M_0 & M_1| for a batch of two,
+    and the Moebius sum for a larger one, whose subsets' intersections of
+    bases are also taken once per node; an unconstrained batch of one adds
+    |cands| |base| - |cands & base| for the whole level.  (A plan with an
+    unpinned prefix vertex has a batch: the last constraint its cover meets
+    leaves one end out.)  The tail adds a falling factorial.  The cost is
+    the number of prefix leaves, at most n^p for p unpinned prefix
+    positions, times about 2^b + Bell(b) big-int operations for a batch of
+    b: O(n^2) for peenn and the double stars, whose covers have two
+    vertices, once n is large enough (10 for peenn, 7 for ds:2) that their
+    plans keep the whole batch."""
     cons, batch, steps, terms, leaf, tail, _ = plan
     n = len(red)
     full = (1 << n) - 1
@@ -357,8 +362,6 @@ def _extend(plan: _Plan, red, blue, assign: list[int], pos: int, used: int) -> i
                 cands ^= low
                 total += (layer[low.bit_length() - 1] & base).bit_count()
             return total
-        if not leaf:
-            return cands.bit_count()
         bases = []
         for early, _ in leaf:
             base = free

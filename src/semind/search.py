@@ -179,11 +179,10 @@ def _sample_pair(red: list[int], starts: list[int], rng: random.Random, color: i
 def _climb_work(h: PatternGraph, plans, n: int, starts: int, restarts: int, flips: int) -> float:
     """A bound on hill_climb's work: a full count of each start and restart,
     and 60n steps per restart of `flips` flips each, every flip paying its
-    bookkeeping and one pinned count per orbit of `plans`, which is
-    flip_plans(h, n) (see `flip_delta`),
-    plus the host pairs that each start and restart walks.  The host changes
-    as the climb goes, so the counts are bounded with n - p candidates at
-    prefix position p whatever the constraints."""
+    bookkeeping and one pinned count per orbit of `plans` = flip_plans(h, n)
+    (see `flip_delta`), plus the host pairs that each start and restart
+    walks.  The host changes as the climb goes, so the counts are bounded
+    with n - p candidates at prefix position p whatever the constraints."""
     full = _work(_plan(h, n), n, 0, n, n)
     flip = _FLIP_WORK + sum(_work(plan, n, 2, n, n) for *_, plan in plans)
     walks = (1 + starts + restarts) * comb(n, 2) * _PAIR_WORK

@@ -633,3 +633,62 @@ def test_fused_leaf_matches_reference():
         (star_pattern(1, 1).to_text(), False),
         ("4 RFBFRF", True),
     }
+
+
+# Patterns and host sizes whose plans reach every case of the last prefix
+# level: a batch of one, of two and of three or more, each with and without
+# a constraint to the last position, in unpinned, circulant and flip plans.
+LAST_LEVEL_CASES = [
+    (peenn_pattern(), 17),
+    (star_pattern(2, 1), 36),
+    (SPIDER, 17),
+    (ac4_pattern(), 8),
+    (ap4_pattern(), 12),
+    (star_pattern(3, 1), 5),
+    (double_star_pattern(2), 12),
+    (parse_pattern("7 FBFFFFRFBFFBFFRFRBFFF"), 9),
+    (parse_pattern("7 FBFFFFRFBFFBFFRFRBFFF"), 10),
+    (parse_pattern("7 FBBBRBBFFFFFRFBBFRFFB"), 17),
+    (parse_pattern("6 FRFBFRFBFFBRRFF"), 10),
+    # a batch of none: every constrained vertex pinned, or no constraint
+    (PatternGraph.of(3, blue=[(0, 1)]), 6),
+    (parse_pattern("4 FFFFFF"), 6),
+]
+
+
+def test_last_level_batches_match_reference():
+    """`_extend` counts the batch with the last prefix level in one loop.
+    Every plan a count or a flip of these patterns runs is checked: counts
+    against the backtracker, flips against full recounts."""
+    rng = random.Random(61)
+    seen = set()
+    for h, n in LAST_LEVEL_CASES:
+        plans = [(_plan(h, n), 0), (_pinned_plan(h, n), 1)]
+        plans += [(plan, 2) for *_, plan in flip_plans(h, n)]
+        for plan, start in plans:
+            k = min(len(plan.batch), 3)
+            to_last = any(last is not None for _, last in plan.leaf)
+            seen.add((start > 0, k, to_last) if start < len(plan.cons) else (start > 0, k))
+        masks = [0] * n
+        for i, j in lex_pairs(n):
+            if rng.random() < 0.5:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+        g = HostGraph(n, tuple(masks))
+        before = count_injections(h, g)
+        assert before == _reference_count(h, g), (h.to_text(), n)
+        c = realize(circulant(0.4), n)
+        assert count_injections(h, c) == _reference_count(h, c.to_host()), (h.to_text(), n)
+        full = (1 << n) - 1
+        blue = [full ^ m ^ (1 << v) for v, m in enumerate(masks)]
+        plans = flip_plans(h, n)
+        for u, v in rng.sample(lex_pairs(n), 6):
+            flipped = list(masks)
+            flipped[u] ^= 1 << v
+            flipped[v] ^= 1 << u
+            after = count_injections(h, HostGraph(n, tuple(flipped)))
+            assert flip_delta(plans, masks, blue, u, v) == after - before, (h.to_text(), n, u, v)
+    for pinned in (False, True):
+        for k in (1, 2, 3):
+            assert (pinned, k, False) in seen and (pinned, k, True) in seen, (pinned, k)
+        assert (pinned, 0) in seen

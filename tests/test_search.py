@@ -1,34 +1,45 @@
 """Exact extremal search, the raw oracle, and hill climbing."""
 
 import hashlib
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from semind.counting import (
+    _plan,
     ac4_pattern,
     ap4_pattern,
     count_injections,
+    count_work,
     double_star_pattern,
+    flip_plans,
     normalized_density,
     peenn_pattern,
     star_pattern,
+    tree_pattern,
 )
 from semind.graphs import (
+    HostGraph,
     PatternGraph,
     UnsupportedSizeError,
+    circulant,
     clique_plus_isolated,
     disjoint_cliques,
     enumerate_colored_graphs,
+    lex_pairs,
     make_construction,
     parse_host,
     parse_pattern,
+    realize,
 )
 from semind.profiles import ac4_clique_value
+from semind import search
 from semind.search import SearchResult, brute_force_profile, exact_max, full_profile, hill_climb
 
 ALL_RED_K3 = PatternGraph.of(3, red=[(0, 1), (0, 2), (1, 2)])
+SPIDER = tree_pattern([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])  # legs of 2, h = 7
 
 
 def test_exact_max_forced_host():
@@ -196,6 +207,9 @@ def test_hill_climb_determinism():
         (double_star_pattern(2), 10, 0.45, 1, 6, [], 6312, "0d0b389cf8bd5145"),
         # free pairs, and more restarts than starts (perturbed restarts)
         (parse_pattern("5 RBFFRFBFFR"), 9, None, 3, 8, [], 1100, "65f8b6bf29b87bf3"),
+        # pinned plans with batches of two and three at the last prefix level
+        (SPIDER, 13, 0.5, 1, 7, [], 250560, "3c6cc09f8735a524"),
+        (SPIDER, 12, None, 2, 3, [], 3991680, "70c41ae486551fd0"),
     ],
 )
 def test_hill_climb_golden(h, n, beta, restarts, seed, seeds, best, witness_sha):
@@ -208,3 +222,99 @@ def test_hill_climb_golden(h, n, beta, restarts, seed, seeds, best, witness_sha)
     wit = parse_host(res.witnesses[0].decode())
     assert count_injections(h, wit) == best
 
+
+
+# the canonical codes of the all-blue and all-red hosts on 4 and 7 vertices
+_MONOCHROME_SHA = {
+    (4, 0.0): "3627c0686615a78f", (4, 1.0): "c76f53780ab1f6e7",
+    (7, 0.0): "f1e098aee08abaa4", (7, 1.0): "d1bb6ba698d4473c",
+}
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_hill_climb_makes_no_moves_without_a_swap(monkeypatch, beta):
+    # with every pair the same colour no red/blue swap exists, so the climb
+    # must not sample pairs (it used to burn 64 C(n, 2) draws per restart);
+    # the host is unique, and the result is the one the sampling climb gave
+    def no_sampling(*args):
+        raise AssertionError("_sample_pair called")
+
+    monkeypatch.setattr(search, "_sample_pair", no_sampling)
+    for h in (star_pattern(2, 1), ac4_pattern()):
+        for n in (4, 7):
+            for seeds in ([], [disjoint_cliques([0.5, 0.5])]):
+                res = hill_climb(h, n, target_density=beta, restarts=3, seed=2, seeds=seeds)
+                assert res.best_count == 0
+                assert hashlib.sha256(res.witnesses[0]).hexdigest()[:16] == _MONOCHROME_SHA[n, beta]
+    big = hill_climb(star_pattern(2, 1), 400, target_density=beta, restarts=1)
+    assert parse_host(big.witnesses[0].decode()).red_count() == beta * comb(400, 2)
+
+
+def test_pair_index_arithmetic_matches_lex_pairs():
+    for n in range(2, 40):
+        starts = search._row_starts(n)
+        assert [search._pair_at(starts, t) for t in range(comb(n, 2))] == lex_pairs(n)
+
+
+def _host(n, seed):
+    rng = random.Random(seed)
+    return HostGraph.from_red_pairs(n, [pr for pr in lex_pairs(n) if rng.random() < 0.5])
+
+
+def test_work_estimates_are_pinned():
+    # values recorded before the last prefix level was counted in one loop;
+    # a faster kernel must not move an estimate, or a verdict could flip
+    counts = {
+        "peenn": (peenn_pattern(), _host(60, 1), 31847.260000000002),
+        "ds:2": (double_star_pattern(2), _host(32, 1), 13988.93493333333),
+        "ac4": (ac4_pattern(), _host(44, 1), 8886.506933333332),
+        "ap4 circulant": (ap4_pattern(), realize(circulant(0.6667), 600), 2165.2),
+        "ds:3 cliques": (double_star_pattern(3), realize(disjoint_cliques([0.4, 0.35, 0.25]), 5000),
+                         19683),
+        "peenn circulant": (peenn_pattern(), realize(circulant(0.5), 5000), 153572.53333333333),
+    }
+    for name, (h, g, want) in counts.items():
+        assert count_work(h, g) == want, name
+    climbs = [  # pattern, n, starts, restarts, flips per move, estimate
+        (ac4_pattern(), 28, 1, 2, 2, 599514.8648),
+        (star_pattern(2, 1), 36, 1, 1, 2, 315195.08320000005),
+        (peenn_pattern(), 17, 1, 1, 2, 1343464.1314666665),
+        (ap4_pattern(), 30, 1, 1, 1, 204098.46),
+        # the edges of the budget: ac4 is accepted up to n = 294 and peenn
+        # up to 104, with one restart each; the spider is refused at 17
+        (ac4_pattern(), 294, 1, 1, 2, 25346004.6872),
+        (ac4_pattern(), 295, 1, 1, 2, 25522350.953333333),
+        (peenn_pattern(), 104, 1, 1, 2, 49995990.852266654),
+        (peenn_pattern(), 105, 1, 1, 2, 50975192.53999998),
+        (SPIDER, 17, 1, 1, 2, 61230440.05466667),
+    ]
+    for h, n, starts, restarts, flips, want in climbs:
+        got = search._climb_work(h, flip_plans(h, n), n, starts, restarts, flips)
+        assert got == want, (h.to_text(), n)
+    costs = {  # pattern: {n: (unpinned cost, each flip plan's cost)}
+        peenn_pattern(): {
+            7: (239.0, [11.0] * 8),
+            17: (2411.6, [70.0, 70.0, 35.5, 35.5, 35.5, 35.5, 70.0, 70.0]),
+            60: (31213.0, [267.79999999999995] * 2 + [134.39999999999998] * 4
+                 + [267.79999999999995] * 2),
+        },
+        ac4_pattern(): {
+            7: (107.75, [4.75, 4.75]), 17: (1269.1999999999998, [12.25, 12.25]),
+            60: (16344.999999999998, [44.5, 44.5]),
+        },
+        star_pattern(2, 1): {7: (62.6, [4.6] * 4), 17: (150.6, [4.6] * 4), 60: (529.0, [4.6] * 4)},
+        double_star_pattern(2): {
+            7: (419.59999999999997, [19.599999999999998, 19.75, 19.75]),
+            17: (2683.6, [19.599999999999998, 67.0, 67.0]),
+            60: (34752.99999999999, [19.599999999999998, 256.2, 256.2]),
+        },
+        SPIDER: {
+            7: (580.25, [27.25] * 4),
+            17: (64006.0, [470.5, 470.5, 1630.7499999999998, 1630.7499999999998]),
+            60: (4027872.9999999995, [7303.2, 7303.2, 29151.8, 29151.8]),
+        },
+    }
+    for h, by_n in costs.items():
+        for n, (full, flips) in by_n.items():
+            assert _plan(h, n).cost == full, (h.to_text(), n)
+            assert [plan.cost for *_, plan in flip_plans(h, n)] == flips, (h.to_text(), n)
