@@ -24,19 +24,17 @@ import os
 import shlex
 import sys
 import time
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from . import UsageError, __version__
 from .profiles import curve, eval_curve, known_curves
 
 
-@dataclass
 class RunConfig:
-    cache_dir: Path
-    beta_grid_step: float = 0.001
-    seed: int = 0
+    __slots__ = ("cache_dir", "beta_grid_step", "seed")
+
+    def __init__(self, cache_dir: Path, beta_grid_step: float = 0.001, seed: int = 0):
+        self.cache_dir, self.beta_grid_step, self.seed = cache_dir, beta_grid_step, seed
 
 
 def load_config(args) -> RunConfig:
@@ -172,6 +170,8 @@ def construct_from_arg(text: str):
 def exact_from_arg(text: str):
     """An exact `exactalg.Q2` value: 'sqrt2-1', '1/sqrt2', 'sqrt2/2',
     fractions, decimals."""
+    from fractions import Fraction
+
     from .exactalg import Q2, SQRT2
 
     t = text.strip().replace(" ", "")

@@ -11,19 +11,22 @@ evaluate curves on one grid (`figures.series_rows`): every lo + i*step at
 most hi, a point past hi dropped (one within 1e-12 of hi is set to hi).
 
 Everything is plain Python floats; the module needs no third-party package.
-Maxima are found by one grid scan with golden-section refinement
-(`_scan_max`), and crossovers and the s21 program boundary by one bisection.
+The three-part programs are maximized over the roots of their critical
+polynomial, isolated by Descartes' rule of signs on its Bernstein
+coefficients (`_falls`); the s21 program boundary is the square of a
+quintic's root isolated the same way, and crossovers are found by bisection.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import UsageError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class BracketError(ValueError):
@@ -51,21 +54,31 @@ def _entry(tag: str) -> _Curve:
     return entry
 
 
-@dataclass(frozen=True)
 class CurveId:
     """Identifier of a closed-form profile curve plus its integer parameters."""
 
-    tag: str
-    params: tuple[int, ...] = ()
+    __slots__ = ("tag", "params")
 
-    def __post_init__(self):
-        entry = _entry(self.tag)
-        if len(self.params) != len(entry.params):
-            raise CurveSpecError(f"{self.tag} takes {len(entry.params)} parameters")
-        if any(p < 1 for p in self.params):
-            raise CurveSpecError(f"{self.tag} needs {', '.join(entry.params)} >= 1")
-        if entry.rule and not entry.rule[1](*self.params):
-            raise CurveSpecError(f"{self.tag} expects {entry.rule[0]}")
+    def __init__(self, tag: str, params: tuple[int, ...] = ()):
+        entry = _entry(tag)
+        if len(params) != len(entry.params):
+            raise CurveSpecError(f"{tag} takes {len(entry.params)} parameters")
+        if any(p < 1 for p in params):
+            raise CurveSpecError(f"{tag} needs {', '.join(entry.params)} >= 1")
+        if entry.rule and not entry.rule[1](*params):
+            raise CurveSpecError(f"{tag} expects {entry.rule[0]}")
+        self.tag, self.params = tag, params
+
+    def __eq__(self, other):
+        if not isinstance(other, CurveId):
+            return NotImplemented
+        return (self.tag, self.params) == (other.tag, other.params)
+
+    def __hash__(self):
+        return hash((self.tag, self.params))
+
+    def __repr__(self):
+        return f"CurveId({self.tag!r}, {self.params!r})"
 
     def label(self) -> str:
         return f"{self.tag}:{','.join(map(str, self.params))}" if self.params else self.tag
@@ -73,7 +86,8 @@ class CurveId:
     @property
     def work(self) -> float:
         """Estimated work of one evaluation, in `check_work`'s unit."""
-        return _CURVES[self.tag].work
+        work = _CURVES[self.tag].work
+        return work(*self.params) if callable(work) else work
 
 
 def curve(text: str) -> CurveId:
@@ -90,8 +104,7 @@ def curve(text: str) -> CurveId:
     return CurveId(tag, values)
 
 
-@dataclass(frozen=True)
-class CurveValue:
+class CurveValue(NamedTuple):
     value: float
     in_range: bool
 
@@ -135,14 +148,21 @@ class _Curve(NamedTuple):
     params: tuple[str, ...]  # parameter names
     value: Callable[..., float]  # value(beta, *params)
     interval: Callable[..., tuple[float, float]] | None  # interval(*params); None is [0, 1]
-    # one value with its CSV row, in `check_work`'s unit; timed at 3.7-4.7
-    # for the closed forms, 11 ac4_cliques, 120-130 conj_s21, 440-480 the programs
-    work: float = 5
+    # one value with its CSV row, in `check_work`'s unit (a number, or a
+    # function of the params); timed on a 2-core Xeon at 4.2-4.6 for the
+    # closed forms, 7.5 ac4_cliques, 38 conj_s21, and 190-240 the programs
+    # up to a + b = 8, growing as (a + b)^2 to 2,800 at a = b = 30
+    work: float | Callable[..., float] = 5
     rule: tuple[str, Callable[..., bool]] | None = None  # a check besides params >= 1
 
 
 _AB = ("a", "b")
 _A_GE_B = ("a >= b", lambda a, b: a >= b)
+
+
+def _prog_work(a: int, b: int) -> float:
+    return 200 + (a + b) ** 2
+
 
 # The one declaration of every curve tag; nothing else branches on a tag.
 _CURVES = {
@@ -156,7 +176,7 @@ _CURVES = {
         (), lambda beta: ac4_clique_value(min(beta, 1 - beta))[2] if 0 < beta < 1 else 0.0,
         lambda: (0.0, 0.5), work=16,
     ),
-    "conj_s21": _Curve((), _conj_s21, None, work=150),
+    "conj_s21": _Curve((), _conj_s21, None, work=40),
     "ds": _Curve(
         ("s",), lambda beta, s: beta ** (2 * s) * (1 - beta), lambda s: (1 - 1 / (2 * s), 1.0)
     ),
@@ -176,8 +196,8 @@ _CURVES = {
     "r": _Curve(_AB, lambda beta, a, b: beta**a * (1 - beta) ** b, None),
     "c": _Curve(_AB, _c, None),
     "cc": _Curve(_AB, _cc, None),
-    "prog_s": _Curve(_AB, lambda beta, a, b: solve_prog_s(beta, a, b)[2], None, work=620),
-    "prog_cs": _Curve(_AB, lambda beta, a, b: solve_prog_cs(beta, a, b)[2], None, work=620),
+    "prog_s": _Curve(_AB, lambda beta, a, b: solve_prog_s(beta, a, b)[2], None, work=_prog_work),
+    "prog_cs": _Curve(_AB, lambda beta, a, b: solve_prog_cs(beta, a, b)[2], None, work=_prog_work),
 }
 
 
@@ -203,6 +223,8 @@ def eval_curve(cid: CurveId, beta: float) -> CurveValue:
 
 
 def _frac_sqrt(x: Fraction) -> Fraction | None:
+    from fractions import Fraction
+
     if x < 0:
         return None
     rn = math.isqrt(x.numerator)
@@ -216,6 +238,8 @@ def _clique_count(beta) -> int:
     """k = ceil(1/beta), exact for a rational beta."""
     if isinstance(beta, float):
         return math.ceil(1 / beta - 1e-12)  # guard float noise at beta = 1/k
+    from fractions import Fraction
+
     beta = Fraction(beta)
     return -((-beta.denominator) // beta.numerator)
 
@@ -223,6 +247,8 @@ def _clique_count(beta) -> int:
 def ac4_clique_value_exact(beta: Fraction):
     """Exact-rational clique split when the discriminant is a perfect square
     (in particular at every beta = 1/k); returns None otherwise."""
+    from fractions import Fraction
+
     beta = Fraction(beta)
     if not 0 < beta <= Fraction(1, 2):
         raise ValueError("beta must lie in (0, 1/2]")
@@ -248,14 +274,14 @@ def ac4_clique_value(beta) -> tuple[float, float, float]:
     discriminant is a perfect square takes the exact value of
     `ac4_clique_value_exact`, so values at beta = 1/k are exact.
     """
-    if not 0 < beta <= Fraction(1, 2):
+    if not 0 < beta <= 0.5:
         raise ValueError("beta must lie in (0, 1/2]")
     j = _clique_count(beta) - 1
     if not isinstance(beta, float):
         exact = ac4_clique_value_exact(beta)
         if exact is not None:
             return tuple(float(x) for x in exact)
-        beta = float(Fraction(beta))
+        beta = float(beta)
     disc = j * j - j * (j + 1) * (1 - beta)
     if disc < 0:
         if disc < -1e-12:
@@ -271,28 +297,7 @@ def ac4_clique_value(beta) -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# one-dimensional maximization and bisection
-
-
-def _golden_max(h, a: float, b: float, steps: int, tol: float) -> tuple[float, float]:
-    """Golden-section search for a maximum of h on [a, b]: the bracket left
-    after at most `steps` contractions, stopping once it is narrower than tol."""
-    gr = (math.sqrt(5) - 1) / 2
-    x1 = b - gr * (b - a)
-    x2 = a + gr * (b - a)
-    f1, f2 = h(x1), h(x2)
-    for _ in range(steps):
-        if b - a < tol:
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + gr * (b - a)
-            f2 = h(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - gr * (b - a)
-            f1 = h(x1)
-    return a, b
+# bisection and root isolation
 
 
 def _linspace(lo: float, hi: float, num: int) -> list[float]:
@@ -302,32 +307,6 @@ def _linspace(lo: float, hi: float, num: int) -> list[float]:
     xs = [i * step + lo for i in range(num)]
     xs[-1] = hi
     return xs
-
-
-def _scan_max(h, lo: float, hi: float, num: int, steps: int, tol: float) -> tuple[float, float]:
-    """Maximize h on [lo, hi]: evaluate it on `_linspace(lo, hi, num)`, then
-    golden-refine (`_golden_max`, with steps and tol) the bracket between the
-    grid neighbours of every local maximum of the grid, not only the first
-    argmax, so a higher peak that the grid undersamples is still found.
-
-    A grid point is a local maximum when it is strictly above its left
-    neighbour and not below its right one, so a plateau starts one
-    refinement, at its first point.  Returns (x, h(x)) for the best point
-    seen: the first grid point of the highest value (as numpy.argmax), then
-    each refined bracket midpoint in grid order if it is strictly higher."""
-    xs = _linspace(lo, hi, num)
-    vals = [h(x) for x in xs]
-    i_best = max(range(num), key=vals.__getitem__)  # first index on ties
-    x_best, v_best = xs[i_best], vals[i_best]
-    last = num - 1
-    for i in range(num):
-        if (i == 0 or vals[i] > vals[i - 1]) and (i == last or vals[i] >= vals[i + 1]):
-            a, b = _golden_max(h, xs[max(i - 1, 0)], xs[min(i + 1, last)], steps, tol)
-            x = (a + b) / 2
-            v = h(x)
-            if v > v_best:
-                x_best, v_best = x, v
-    return x_best, v_best
 
 
 def _bisect(above, lo: float, hi: float, steps: int) -> float:
@@ -345,6 +324,63 @@ def _bisect(above, lo: float, hi: float, steps: int) -> float:
     return (lo + hi) / 2
 
 
+def _times(p: list[float], q: list[float]) -> list[float]:
+    """Product of two polynomials in the scaled Bernstein basis
+    t^k (1-t)^(n-k) of one interval, which is their convolution.  A linear
+    factor's two coefficients are its values at the interval's ends."""
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        for j, d in enumerate(q):
+            out[i + j] += c * d
+    return out
+
+
+def _power(p: list[float], e: int) -> list[float]:
+    if len(p) == 2:  # a linear factor: C(e, k) p0^(e-k) p1^k
+        return [math.comb(e, k) * p[0] ** (e - k) * p[1] ** k for k in range(e + 1)]
+    out = [1.0]
+    for _ in range(e):
+        out = _times(out, p)
+    return out
+
+
+def _sum(*terms: tuple[float, list[float]]) -> list[float]:
+    """The sum of weight * polynomial over equal-degree terms."""
+    return [sum(w * c for (w, _), c in zip(terms, col)) for col in zip(*(p for _, p in terms))]
+
+
+def _halves(bs: list[float]) -> tuple[list[float], list[float]]:
+    """Bernstein coefficients of both halves of the interval (de Casteljau)."""
+    left, right = [bs[0]], [bs[-1]]
+    while len(bs) > 1:
+        bs = [(u + v) * 0.5 for u, v in zip(bs, bs[1:])]
+        left.append(bs[0])
+        right.append(bs[-1])
+    return left, right[::-1]
+
+
+def _falls(bs: list[float], lo: float, hi: float, g) -> list[float]:
+    """The points of (lo, hi) where a polynomial falls through zero, from its
+    Bernstein coefficients bs on [lo, hi]; g evaluates it.
+
+    The sign changes of bs bound its roots there (Descartes' rule), so a
+    cell with none is dropped, a cell with one holds one root, which is
+    bisected with g down to adjacent doubles when g falls there, and any
+    other cell is halved by de Casteljau.  A cell too narrow to halve gives
+    its midpoint, and so does a midpoint where the coefficients vanish."""
+    signs = [c > 0 for c in bs if c]
+    changes = sum(u != v for u, v in zip(signs, signs[1:]))
+    if not changes:
+        return []
+    if changes == 1:
+        return [_bisect(lambda y: g(y) > 0, lo, hi, 80)] if signs[0] else []
+    mid = (lo + hi) / 2
+    if not lo < mid < hi:
+        return [mid]
+    left, right = _halves(bs)
+    return _falls(left, lo, mid, g) + [mid] * (right[0] == 0) + _falls(right, mid, hi, g)
+
+
 # ---------------------------------------------------------------------------
 # one-variable polynomial programs for the three-part star constructions
 
@@ -355,15 +391,54 @@ def _prog_objective(y: float, beta: float, a: int, b: int) -> float:
     return x * y**a * (1 - y) ** b + y * (x + y) ** a * (z if z > 0 else 0.0) ** b
 
 
+def _prog_critical(beta: float, a: int, b: int, lo: float, hi: float):
+    """G = y P' - (a+b) P, whose sign is that of the derivative of
+    `_prog_objective` = P(y) / (2y)^(a+b), as (its Bernstein coefficients on
+    [lo, hi], an evaluator of its factored form).  With s = a + b,
+    w = 1 - x - y times 2y = (y - r1)(r2 - y) and r1,2 = 1 -+ sqrt(1-beta):
+
+      G = 2^(s-1) y^(2a+b-1) (1-y)^(b-1) Q1 + y (beta+y^2)^(a-1) w^(b-1) Q2
+      Q1 = (a-1)(beta-y^2)(1-y) - 2y^2(1-y) - b y(beta-y^2)
+      Q2 = (1-s)(beta+y^2) w + 2a y^2 w + 2b y (beta+y^2)(1-y)
+
+    Every linear factor is >= 0 on [r1, sqrt(beta)], and beta + y^2 > 0, so
+    each product of factors has nonnegative coefficients made without
+    cancellation; only the short signed sums in Q1, Q2 and G can cancel."""
+    s, e, a1, b1 = a + b, 2 * a + b - 1, a - 1, b - 1
+    c = 2 ** (s - 1)
+    rb, rt = math.sqrt(beta), math.sqrt(1 - beta)
+    r1, r2 = 1 - rt, 1 + rt
+    y, u = [lo, hi], [1 - lo, 1 - hi]
+    m = _times([rb - lo, rb - hi], [rb + lo, rb + hi])  # beta - y^2
+    q = [beta + lo * lo, 2 * (beta + lo * hi), beta + hi * hi]  # beta + y^2
+    w = _times([lo - r1, hi - r1], [r2 - lo, r2 - hi])
+    yy = _power(y, 2)
+    q1 = _sum((a1, _times(m, u)), (-2, _times(yy, u)), (-b, _times(y, m)))
+    q2 = _sum((1 - s, _times(q, w)), (2 * a, _times(yy, w)), (2 * b, _times(_times(y, q), u)))
+    t1 = _times(_times(_power(y, e), _power(u, b1)), q1)
+    t2 = _times(_times(_power(q, a1), _power(w, b1)), _times(y, q2))
+    bs = [(c * c1 + c2) / math.comb(2 * s + 1, k) for k, (c1, c2) in enumerate(zip(t1, t2))]
+    bs[-1] = 0.0  # G(sqrt(beta)) = 0 for every a, b; the sum there is rounding noise
+
+    def g(y: float) -> float:
+        u, m, q, w = 1 - y, (rb - y) * (rb + y), beta + y * y, (y - r1) * (r2 - y)
+        q1 = (a1 * u - b * y) * m - 2 * y * y * u
+        q2 = ((1 - s) * q + 2 * a * y * y) * w + 2 * b * y * q * u
+        return c * y**e * u**b1 * q1 + y * q**a1 * w**b1 * q2
+
+    return bs, g
+
+
 def solve_prog_s(beta: float, a: int, b: int) -> tuple[float, float, float]:
     """Maximize x y^a (1-y)^b + y (x+y)^a (1-x-y)^b over x, y >= 0 with
     2xy + y^2 = beta and x + y <= 1.
 
     x is eliminated through the constraint, leaving one variable y in
-    [1 - sqrt(1-beta), sqrt(beta)].  That range is scanned at 401 points and
-    the bracket around every local maximum of the scan is refined by golden
-    section to 1e-15 (`_scan_max`).  Both boundary constructions (x = 0 and
-    x + y = 1) are scan points.  Returns (x, y, value)."""
+    [1 - sqrt(1-beta), sqrt(beta)], whose ends are the two boundary
+    constructions (x + y = 1 and x = 0).  The maximum is taken over both
+    ends and every point where the derivative falls through zero: the roots
+    of `_prog_critical`'s polynomial isolated by `_falls`.  Returns
+    (x, y, value)."""
     if beta <= 0:
         return (0.0, 0.0, 0.0)
     if beta >= 1:
@@ -373,11 +448,12 @@ def solve_prog_s(beta: float, a: int, b: int) -> tuple[float, float, float]:
     if y_lo >= y_hi:
         y = y_hi
         return ((beta - y * y) / (2 * y) if y > 0 else 0.0, y, 0.0)
-
-    def h(y: float) -> float:
-        return _prog_objective(y, beta, a, b)
-
-    y_star, val = _scan_max(h, y_lo, y_hi, 401, 200, 1e-15)
+    bs, g = _prog_critical(beta, a, b, y_lo, y_hi)
+    y_star, val = y_lo, _prog_objective(y_lo, beta, a, b)
+    for y in (*_falls(bs, y_lo, y_hi, g), y_hi):
+        v = _prog_objective(y, beta, a, b)
+        if v > val:
+            y_star, val = y, v
     x_star = max((beta - y_star * y_star) / (2 * y_star), 0.0)
     return (x_star, y_star, val)
 
@@ -389,20 +465,28 @@ def solve_prog_cs(beta: float, a: int, b: int) -> tuple[float, float, float]:
     return solve_prog_s(1 - beta, b, a)
 
 
+# 6t^5 - 384t^4 + 338t^3 - 89t^2 - 4t + 2, lowest degree first
+_S21_QUINTIC = (2, -4, -89, 338, -384, 6)
+
+
 @lru_cache(maxsize=None)
 def s21_prog_boundary() -> float:
     """Density below which the three-part program for (a,b) = (2,1) strictly
-    beats its x = 0 boundary (the clique-plus-isolated value)."""
+    beats its x = 0 boundary (the clique-plus-isolated value): beta = t^2 for
+    the one root t in (0, 1/4) of `_S21_QUINTIC`, where the interior maximum
+    and the x = 0 value meet."""
+    n, h = len(_S21_QUINTIC) - 1, 0.25
+    bs = [sum(math.comb(k, i) / math.comb(n, i) * c * h**i
+              for i, c in enumerate(_S21_QUINTIC[: k + 1])) for k in range(n + 1)]
 
-    def interior_gap(beta: float) -> float:
-        x, y, val = solve_prog_s(beta, 2, 1)
-        c_val = _raw_value(CurveId("c", (2, 1)), beta)
-        return val - c_val
+    def quintic(t: float) -> float:
+        v = 0.0
+        for c in reversed(_S21_QUINTIC):
+            v = v * t + c
+        return v
 
-    lo, hi = 1e-6, 0.25
-    if interior_gap(lo) <= 1e-14:
-        return lo
-    return _bisect(lambda beta: interior_gap(beta) > 1e-13, lo, hi, 80)
+    (t,) = _falls(bs, 0.0, h, quintic)
+    return t * t
 
 
 def find_crossover(c1: CurveId, c2: CurveId, lo: float, hi: float) -> float:

@@ -298,7 +298,9 @@ def test_search_loads_enumerated_basis(capsys, cache, monkeypatch):
 
 def test_cli_paths_load_neither_numpy_nor_scipy(tmp_path):
     # each command runs in a fresh process, which then lists the modules it
-    # loaded: numpy and scipy never, and of the package only what it runs
+    # loaded: numpy and scipy never, and of the package only what it runs;
+    # a bare import, which every command pays, loads no dataclasses, inspect
+    # or fractions either
     script = textwrap.dedent("""
         import json
         import sys
@@ -313,6 +315,9 @@ def test_cli_paths_load_neither_numpy_nor_scipy(tmp_path):
         import semind.cli
         if argv:
             assert semind.cli.main(argv) == 0
+        else:
+            heavy = loaded("dataclasses", "inspect", "fractions")
+            assert not heavy, heavy
         assert not loaded("numpy", "scipy"), loaded("numpy", "scipy")
         assert loaded("semind") == sorted(expected), loaded("semind")
         assert not loaded("colorsys")

@@ -2,16 +2,21 @@
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
 from semind import profiles
+from semind.exactalg import Q2, isolate_roots
+from semind.figures import figure_definition
 from semind.profiles import (
     BracketError,
     CurveSpecError,
+    _falls,
     _linspace,
-    _scan_max,
+    _prog_critical,
+    _prog_objective,
     ac4_clique_value,
     ac4_clique_value_exact,
     curve,
@@ -50,6 +55,13 @@ def test_every_curve_tag_round_trips_and_has_a_valid_interval(tag):
         assert cid.work > 0
     with pytest.raises(CurveSpecError, match=f"bad curve '{tag}:x': expected {tag}"):
         curve(f"{tag}:x")
+
+
+def test_program_work_grows_with_the_degree():
+    # timed per value with its CSV row; the programs' cost grows as (a + b)^2
+    assert curve("conj_s21").work == 40
+    assert curve("prog_s:2,1").work == curve("prog_cs:1,2").work == 209
+    assert curve("prog_s:30,30").work == 3800
 
 
 def test_eval_curve_examples():
@@ -119,55 +131,88 @@ def test_linspace_matches_numpy():
         assert _linspace(lo, hi, num) == np.linspace(lo, hi, num).tolist()
 
 
-def test_scan_max_finds_peak_missed_by_coarse_argmax():
-    def h(x):
-        return max(0.5 - 2 * (x - 0.3) ** 2, 1 - 220 * (x - 0.75) ** 2)
-
-    xs = _linspace(0.0, 1.0, 11)
-    assert abs(xs[int(np.argmax([h(x) for x in xs]))] - 0.3) < 1e-12  # the lower peak
-    x, v = _scan_max(h, 0.0, 1.0, 11, 200, 1e-15)
-    assert abs(x - 0.75) < 1e-7 and v == pytest.approx(1.0, abs=1e-12)
-
-
-def test_scan_max_ties_resolve_to_first_index():
-    def h(x):
-        return 1 - min(abs(x - 0.25), abs(x - 0.75))
-
-    xs = _linspace(0.0, 1.0, 5)
-    vals = [h(x) for x in xs]
-    assert vals[1] == vals[3] == 1.0
-    assert _scan_max(h, 0.0, 1.0, 5, 200, 1e-15) == (xs[int(np.argmax(vals))], 1.0) == (0.25, 1.0)
+def _bernstein(power, lo, hi):
+    """Bernstein coefficients on [lo, hi] of the polynomial with the given
+    power-basis coefficients (lowest degree first), rounded once from their
+    exact values."""
+    n, lo, h = len(power) - 1, Fraction(lo), Fraction(hi) - Fraction(lo)
+    # the power-basis coefficients of p(lo + h t)
+    shifted = [sum(math.comb(j, i) * Fraction(c) * lo ** (j - i) for j, c in enumerate(power) if j >= i)
+               * h**i for i in range(n + 1)]
+    return [float(sum(Fraction(math.comb(k, i), math.comb(n, i)) * shifted[i] for i in range(k + 1)))
+            for k in range(n + 1)]
 
 
-def test_scan_max_flat_objective_refines_once():
-    calls = []
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        for j, d in enumerate(q):
+            out[i + j] += c * d
+    return out
 
-    def h(x):
-        calls.append(x)
-        return 2.0
 
-    assert _scan_max(h, 0.0, 1.0, 401, 10, 0.0) == (0.0, 2.0)
-    # the grid, then one refinement: two probes, ten contractions, the midpoint
-    assert len(calls) == 401 + 2 + 10 + 1
+def _peval(p, y):
+    v = Fraction(0)
+    for c in reversed(p):
+        v = v * y + c
+    return v
+
+
+def test_falls_separates_a_close_root_pair_that_a_grid_misses():
+    # falls at 0.2 and 0.6013 + 1e-5, rises at 0.6013: the signs on a grid
+    # of 401 points change only at 0.2
+    roots = (0.2, 0.6013, 0.6013 + 1e-5)
+    power = [-1]
+    for r in roots:
+        power = _times(power, [-r, 1])
+
+    def p(y):
+        return -math.prod(y - r for r in roots)
+
+    signs = [p(x) > 0 for x in _linspace(0.0, 1.0, 401)]
+    assert sum(u != v for u, v in zip(signs, signs[1:])) == 1
+    got = _falls(_bernstein(power, 0.0, 1.0), 0.0, 1.0, p)
+    assert len(got) == 2
+    assert got[0] == pytest.approx(0.2, abs=1e-15)
+    assert got[1] == pytest.approx(0.6013 + 1e-5, abs=1e-15)
+
+
+def test_falls_keeps_a_root_on_a_halving_point():
+    # -(t - 1/4)(t - 1/2)(t - 3/4) has dyadic Bernstein coefficients, so the
+    # first halving meets the root at 1/2 exactly; that rise is kept as a
+    # candidate between the falls at 1/4 and 3/4
+    power = _times(_times([-0.25, 1], [-0.5, 1]), [0.75, -1])
+    got = _falls(_bernstein(power, 0.0, 1.0), 0.0, 1.0, partial(_peval, power))
+    assert got == pytest.approx([0.25, 0.5, 0.75], abs=1e-15)
+    assert got[1] == 0.5
 
 
 def test_scanned_objectives_are_never_nan(monkeypatch):
-    # _scan_max compares with >, and numpy.argmax differs from that only on NaN
+    # every objective value the solver compares, and every sign of the
+    # critical polynomial it tests, is finite
     seen = []
 
-    def recording(h, *args):
-        def wrapped(x):
-            seen.append(h(x))
+    def objective(*args):
+        seen.append(_prog_objective(*args))
+        return seen[-1]
+
+    def critical(*args):
+        bs, g = _prog_critical(*args)
+        seen.extend(bs)
+
+        def wrapped(y):
+            seen.append(g(y))
             return seen[-1]
 
-        return _scan_max(wrapped, *args)
+        return bs, wrapped
 
-    monkeypatch.setattr(profiles, "_scan_max", recording)
+    monkeypatch.setattr(profiles, "_prog_objective", objective)
+    monkeypatch.setattr(profiles, "_prog_critical", critical)
     for beta in (1e-13, 1e-9, 1e-4, 0.1, 0.25, 0.5, 0.9, 1 - 1e-9, 1 - 1e-13):
         for a in range(1, 6):
             for b in range(1, 6):
                 solve_prog_s(beta, a, b)
-    assert len(seen) > 10**5 and all(math.isfinite(v) for v in seen)
+    assert len(seen) > 10**4 and all(math.isfinite(v) for v in seen)
 
 
 def test_prog_s_examples():
@@ -204,6 +249,13 @@ def test_prog_s_matches_grid_oracle():
         assert abs(mine - _grid_oracle(beta, 2, 1)) < 1e-8
     mine = solve_prog_s(0.6, 3, 3)[2]
     assert abs(mine - _grid_oracle(0.6, 3, 3)) < 1e-8
+    # high degrees, where expanding the critical polynomial in powers of y
+    # loses every digit: never below the grid, and above it by no more
+    # than the grid's spacing allows
+    for a, b in ((10, 10), (20, 5), (30, 30)):
+        for beta in (0.05, 0.4, 0.8):
+            mine, grid = solve_prog_s(beta, a, b)[2], _grid_oracle(beta, a, b)
+            assert grid * (1 - 1e-14) <= mine <= grid * (1 + 1e-9), (a, b, beta)
 
 
 def test_prog_cs_mirror():
@@ -212,6 +264,145 @@ def test_prog_cs_mirror():
     assert solve_prog_cs(0.0, 2, 1)[2] == 0.0
     mine = solve_prog_cs(0.9, 2, 1)[2]
     assert abs(mine - _grid_oracle(0.1, 1, 2)) < 1e-8
+
+
+def _golden_max(h, a, b, steps, tol):
+    gr = (math.sqrt(5) - 1) / 2
+    x1 = b - gr * (b - a)
+    x2 = a + gr * (b - a)
+    f1, f2 = h(x1), h(x2)
+    for _ in range(steps):
+        if b - a < tol:
+            break
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + gr * (b - a)
+            f2 = h(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - gr * (b - a)
+            f1 = h(x1)
+    return a, b
+
+
+def _scan_value(beta, a, b):
+    """The program's value as the package computed it before root isolation:
+    the objective on 401 points, with the bracket around every local maximum
+    of the grid golden-refined to 1e-15."""
+    if not 0 < beta < 1:
+        return 0.0
+    lo, hi = max(1 - math.sqrt(1 - beta), 1e-14), math.sqrt(beta)
+    if lo >= hi:
+        return 0.0
+    xs = _linspace(lo, hi, 401)
+    vals = [_prog_objective(x, beta, a, b) for x in xs]
+    best = max(vals)
+    for i in range(401):
+        if (i == 0 or vals[i] > vals[i - 1]) and (i == 400 or vals[i] >= vals[i + 1]):
+            u, v = _golden_max(lambda y: _prog_objective(y, beta, a, b),
+                               xs[max(i - 1, 0)], xs[min(i + 1, 400)], 200, 1e-15)
+            best = max(best, _prog_objective((u + v) / 2, beta, a, b))
+    return best
+
+
+def test_prog_never_below_the_scan():
+    # every prog_s and prog_cs tag with a, b <= 4 on the 0.001 grid
+    for tag in ("prog_s", "prog_cs"):
+        for a in range(1, 5):
+            for b in range(1, 5):
+                cid = curve(f"{tag}:{a},{b}")
+                for i in range(1, 1000):
+                    beta = i / 1000
+                    old = _scan_value(*((beta, a, b) if tag == "prog_s" else (1 - beta, b, a)))
+                    assert eval_curve(cid, beta).value >= old - 1e-15, (tag, a, b, beta)
+
+
+def _padd(p, q):
+    n = max(len(p), len(q))
+    return [u + v for u, v in zip(p + [0] * (n - len(p)), q + [0] * (n - len(q)))]
+
+
+def _ppow(p, e):
+    out = [Fraction(1)]
+    for _ in range(e):
+        out = _times(out, p)
+    return out
+
+
+def _exact_prog(beta, a, b):
+    """(P, G) in exact powers of y for a rational beta: the objective is
+    P / (2y)^(a+b), and G = y P' - (a+b) P, built from P alone."""
+    s, y = a + b, [0, 1]
+    p = _padd(_times(_times([beta, 0, -1], _ppow([0, 2], s - 1)), _times(_ppow(y, a), _ppow([1, -1], b))),
+              _times(_times(y, _ppow([beta, 0, 1], a)), _ppow([-beta, 2, -1], b)))
+    dp = [k * c for k, c in enumerate(p)][1:]
+    return p, _padd(_times(y, dp), [-s * c for c in p])
+
+
+def _exact_falls(g, lo, hi):
+    """Brackets narrower than 2^-80 of the roots in (lo, hi) where the exact
+    polynomial g falls through zero, from `exactalg.isolate_roots`."""
+    out = []
+    for u, v in isolate_roots([Q2.of(c) for c in g], Q2.of(Fraction(lo)), Q2.of(Fraction(hi))):
+        u, v = u.p - Fraction(1, 2**90), v.p + Fraction(1, 2**90)
+        rising = _peval(g, u) < 0
+        while v - u > Fraction(1, 2**80):
+            m = (u + v) / 2
+            if (_peval(g, m) < 0) == rising:
+                u = m
+            else:
+                v = m
+        if not rising:
+            out.append((u, v))
+    return out
+
+
+def _prog_range(beta):
+    return max(1 - math.sqrt(1 - beta), 1e-14), math.sqrt(beta)
+
+
+@pytest.mark.parametrize("beta", [0.251, 0.257, 0.0055, 1 / 8, 3 / 16, 9 / 16, 15 / 16])
+def test_prog_falls_match_exact_isolation(beta):
+    # the figure-7 densities where two critical points share a grid cell
+    # near y = sqrt(beta), and dyadic ones; G always vanishes at sqrt(beta)
+    # itself, which is an end of the range and no fall
+    lo, hi = _prog_range(beta)
+    for a, b in ((2, 1), (1, 2), (3, 2), (4, 4)):
+        _, g = _exact_prog(Fraction(beta), a, b)
+        exact = [(u, v) for u, v in _exact_falls(g, lo, hi) if hi - v > Fraction(1, 10**15)]
+        bs, g_float = _prog_critical(beta, a, b, lo, hi)
+        got = _falls(bs, lo, hi, g_float)
+        assert len(got) == len(exact), (beta, a, b, got, exact)
+        for y, (u, v) in zip(got, exact):
+            assert abs(Fraction(y) - u) <= Fraction(y) * Fraction(1, 10**12), (beta, a, b)
+
+
+def _exact_objective(y, beta, a, b):
+    x = (beta - y * y) / (2 * y)
+    return x * y**a * (1 - y) ** b + y * (x + y) ** a * (1 - x - y) ** b
+
+
+@pytest.mark.parametrize("beta, a, b", [(0.0055, 2, 1), (0.01, 2, 1), (0.03, 2, 1),
+                                        (0.251, 3, 2), (0.0055, 4, 4), (9 / 16, 4, 4)])
+def test_prog_value_within_two_ulps_of_the_exact_maximum(beta, a, b):
+    # the maximum is at an interior root y* of G; over a bracket [u, v] of
+    # y* narrower than 2^-80, f(y*) lies between max(f(u), f(v)) and that
+    # plus v - u, since |f'| < 1 next to the root where f' = 0
+    q = Fraction(beta)
+    p, g = _exact_prog(q, a, b)
+    lo, hi = _prog_range(beta)
+    ((u, v),) = [(u, v) for u, v in _exact_falls(g, lo, hi) if hi - v > Fraction(1, 10**15)]
+    low = max(_exact_objective(u, q, a, b), _exact_objective(v, q, a, b))
+    high = low + (v - u)
+    assert low > max(_prog_objective(lo, beta, a, b), _prog_objective(hi, beta, a, b))
+    value = solve_prog_s(beta, a, b)[2]
+    # 2 ulps for the figures' (2, 1); at higher degrees the float objective
+    # alone rounds further (3.3 ulps low at the root for (4, 4), beta = 0.0055)
+    ulps = Fraction(math.ulp(value)) * (2 if a + b <= 3 else a + b)
+    assert low - ulps <= Fraction(value) <= high + ulps, (beta, a, b)
+    if (beta, a, b) == (0.0055, 2, 1):
+        # the exact maximum 7.0655800957050021e-4 rounds up at 12 digits
+        assert f"{value:.12g}" == "0.000706558009571"
 
 
 def test_crossover_cubic():
@@ -241,6 +432,26 @@ def test_s21_boundary_in_conjectured_range():
     v_out = solve_prog_s(0.2, 2, 1)[2]
     c_out = eval_curve(curve("c:2,1"), 0.2).value
     assert abs(v_out - c_out) < 1e-10
+
+
+def test_s21_boundary_is_the_square_of_the_quintic_root():
+    boundary = s21_prog_boundary()
+    quintic = [Q2.of(c) for c in profiles._S21_QUINTIC]
+    ((u, v),) = isolate_roots(quintic, Q2.of(0), Q2.of(Fraction(1, 4)))
+    u, v = u.p, v.p
+    while v - u > Fraction(1, 2**100):
+        m = (u + v) / 2
+        u, v = (m, v) if _peval(profiles._S21_QUINTIC, m) > 0 else (u, m)
+    assert abs(Fraction(boundary) - u * u) <= Fraction(math.ulp(boundary))
+    # the interior maximum beats the x = 0 value just below, and the x = 0
+    # end is the maximum just above
+    c21 = curve("c:2,1")
+    below, above = boundary * (1 - 1e-10), boundary * (1 + 1e-10)
+    assert solve_prog_s(below, 2, 1)[2] > eval_curve(c21, below).value
+    assert solve_prog_s(above, 2, 1)[2] == eval_curve(c21, above).value
+    for fig_id in (6, 7):
+        labels = [label for _, _, label in figure_definition(fig_id, 0.002)[1]]
+        assert "program leaves x=0 near 0.0314" in labels
 
 
 def test_conj_s21_piecewise():
