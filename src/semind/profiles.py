@@ -418,7 +418,7 @@ def _prog_critical(beta: float, a: int, b: int, lo: float, hi: float):
     t1 = _times(_times(_power(y, e), _power(u, b1)), q1)
     t2 = _times(_times(_power(q, a1), _power(w, b1)), _times(y, q2))
     bs = [(c * c1 + c2) / math.comb(2 * s + 1, k) for k, (c1, c2) in enumerate(zip(t1, t2))]
-    bs[-1] = 0.0  # G(sqrt(beta)) = 0 for every a, b; the sum there is rounding noise
+    bs[-1] = 0.0  # G = 0 at hi = sqrt(beta) for every a, b; the sum there is rounding noise
 
     def g(y: float) -> float:
         u, m, q, w = 1 - y, (rb - y) * (rb + y), beta + y * y, (y - r1) * (r2 - y)
