@@ -69,7 +69,7 @@ def parse_poly(text: str, names) -> Poly:
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial")
-    out = Poly.const(names, 0)
+    terms: dict = {}
     i = 0
     while i < len(s):
         sign = 1
@@ -87,16 +87,20 @@ def parse_poly(text: str, names) -> Poly:
         for factor in term.split("*"):
             if not factor:
                 raise ValueError(f"malformed term in {text!r}")
-            base, _, power = factor.partition("^")
+            base, caret, power = factor.partition("^")
+            if caret and not power:
+                raise ValueError(f"empty exponent in {text!r}")
             if base in names:
                 exps[names.index(base)] += int(power) if power else 1
-            else:
-                if power:
-                    coeff *= Fraction(base) ** int(power)
-                else:
-                    coeff *= Fraction(base)
-        out = out + Poly(names, {tuple(exps): Q2.of(coeff)})
-    return out
+                continue
+            try:
+                value = Fraction(base)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {text!r}") from None
+            coeff *= value ** int(power) if power else value
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + coeff
+    return Poly(names, terms)
 
 
 def _data_lines(fname: str):

@@ -2,9 +2,10 @@
 
 Three layers, all free of floating point:
 
-* ``Q2`` -- the real quadratic field Q(sqrt(2)), stored as an exact pair
-  (p, q) meaning p + q*sqrt(2).  Comparisons are decided by exact sign
-  analysis, so Q2 values can serve as interval endpoints.
+* ``Q2`` -- the real quadratic field Q(sqrt(2)), stored as one reduced int
+  triple (a, b, d) meaning (a + b*sqrt(2)) / d.  Comparisons are decided by
+  exact sign analysis, so Q2 values can serve as interval endpoints, and the
+  triple is also the form in which the Sturm layer evaluates points.
 * ``Poly`` -- sparse multivariate polynomials with Q2 coefficients over a
   fixed tuple of variable names.
 * univariate helpers -- an exact decision procedure for "p <= 0 on
@@ -15,9 +16,9 @@ Three layers, all free of floating point:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 
@@ -43,48 +44,89 @@ def _sign(u, v) -> int:
     return -1 if s > 0 else 1  # u < 0 < v
 
 
-@dataclass(frozen=True)
-class Q2:
-    """p + q*sqrt(2) with exact rational p, q."""
+def _triple(x) -> tuple[int, int, int]:
+    """(a, b, d) of an int, Fraction or Q2 x."""
+    if isinstance(x, Q2):
+        return x.a, x.b, x.d
+    if isinstance(x, int):
+        return int(x), 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    raise TypeError(f"expected int, Fraction or Q2, got {type(x).__name__}")
 
-    p: Fraction = Fraction(0)
-    q: Fraction = Fraction(0)
+
+class Q2:
+    """(a + b*sqrt(2)) / d with ints a, b, d, where d > 0 and gcd(a, b, d) = 1,
+    so that equal values are equal triples.  Values are never mutated.
+
+    `Q2(p, q)` is p + q*sqrt(2) for ints or Fractions p, q, which the
+    properties `p` and `q` give back."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, p=0, q=0):
+        if isinstance(p, int) and isinstance(q, int):
+            self.a, self.b, self.d = int(p), int(q), 1
+            return
+        p, q = _frac(p), _frac(q)
+        d = lcm(p.denominator, q.denominator)
+        # lowest terms already: a prime dividing d divides the denominator
+        # of p or of q with its full power, and then not that numerator
+        self.a = p.numerator * (d // p.denominator)
+        self.b = q.numerator * (d // q.denominator)
+        self.d = d
 
     @staticmethod
     def of(x) -> "Q2":
         if isinstance(x, Q2):
             return x
-        return Q2(_frac(x), Fraction(0))
+        return _raw(*_triple(x))
+
+    @property
+    def p(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def q(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
-        o = Q2.of(other)
-        return Q2(self.p + o.p, self.q + o.q)
+        if isinstance(other, int):
+            # a + other*d keeps gcd(a, b, d) = 1
+            return _raw(self.a + other * self.d, self.b, self.d)
+        a, b, d = _triple(other)
+        e = self.d
+        if d == e:
+            return _reduced(self.a + a, self.b + b, d)
+        return _reduced(self.a * d + a * e, self.b * d + b * e, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = Q2.of(other)
-        return Q2(self.p - o.p, self.q - o.q)
+        return self + -other
 
     def __rsub__(self, other):
         return Q2.of(other) - self
 
     def __neg__(self):
-        return Q2(-self.p, -self.q)
+        return _raw(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        o = Q2.of(other)
-        return Q2(self.p * o.p + 2 * self.q * o.q, self.p * o.q + self.q * o.p)
+        if isinstance(other, int):
+            return _reduced(self.a * other, self.b * other, self.d)
+        a, b, d = _triple(other)
+        return _reduced(self.a * a + 2 * self.b * b, self.a * b + self.b * a, self.d * d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Q2":
-        # (p + q*sqrt2)^-1 = (p - q*sqrt2) / (p^2 - 2 q^2); the norm is
+        # d / (a + b*sqrt2) = d (a - b*sqrt2) / (a^2 - 2 b^2); the norm is
         # nonzero for any nonzero element because sqrt2 is irrational.
-        norm = self.p * self.p - 2 * self.q * self.q
+        a, b, d = self.a, self.b, self.d
+        norm = a * a - 2 * b * b
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt2)")
-        return Q2(self.p / norm, -self.q / norm)
+        return _reduced(d * a, -d * b, norm)
 
     def __truediv__(self, other):
         return self * Q2.of(other).inverse()
@@ -93,56 +135,88 @@ class Q2:
         return Q2.of(other) * self.inverse()
 
     def sign(self) -> int:
-        return _sign(self.p, self.q)
+        return _sign(self.a, self.b)
 
     def __bool__(self):
-        return self.p != 0 or self.q != 0
+        return bool(self.a or self.b)
+
+    def _cmp(self, other) -> int:
+        """Sign of self - other."""
+        a, b, d = _triple(other)
+        return _sign(self.a * d - a * self.d, self.b * d - b * self.d)
 
     def __lt__(self, other):
-        return (self - Q2.of(other)).sign() < 0
+        return self._cmp(other) < 0
 
     def __le__(self, other):
-        return (self - Q2.of(other)).sign() <= 0
+        return self._cmp(other) <= 0
 
     def __gt__(self, other):
-        return (self - Q2.of(other)).sign() > 0
+        return self._cmp(other) > 0
 
     def __ge__(self, other):
-        return (self - Q2.of(other)).sign() >= 0
+        return self._cmp(other) >= 0
 
     def __eq__(self, other):
-        if isinstance(other, (Q2, int, Fraction)):
-            o = Q2.of(other)
-            return self.p == o.p and self.q == o.q
+        if isinstance(other, Q2):
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, (int, Fraction)):
+            a, _, d = _triple(other)
+            return self.b == 0 and self.a == a and self.d == d
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.q))
+        # a rational value hashes as the equal int or Fraction does
+        if self.b == 0:
+            return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
+        return hash((self.a, self.b, self.d))
 
     def __float__(self):
-        return float(self.p) + float(self.q) * 1.4142135623730951
+        # as float(p) + float(q)*sqrt2: int true division rounds correctly
+        return self.a / self.d + self.b / self.d * 1.4142135623730951
 
     def __str__(self):
-        if self.q == 0:
-            return str(self.p)
-        if self.q == 1:
+        p, q = self.p, self.q
+        if q == 0:
+            return str(p)
+        if q == 1:
             qs = "sqrt2"
-        elif self.q == -1:
+        elif q == -1:
             qs = "-sqrt2"
         else:
-            qs = f"{self.q}*sqrt2"
-        if self.p == 0:
+            qs = f"{q}*sqrt2"
+        if p == 0:
             return qs
         sep = "+" if not qs.startswith("-") else ""
-        return f"{self.p}{sep}{qs}"
+        return f"{p}{sep}{qs}"
 
     __repr__ = __str__
 
 
+_new = object.__new__
+
+
+def _raw(a: int, b: int, d: int) -> Q2:
+    """The Q2 of a triple already in lowest terms with d > 0."""
+    x = _new(Q2)
+    x.a, x.b, x.d = a, b, d
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> Q2:
+    """(a + b*sqrt2) / d in lowest terms, for d != 0."""
+    g = gcd(a, b, d)
+    if d < 0:
+        g = -g
+    if g == 1:
+        return _raw(a, b, d)
+    return _raw(a // g, b // g, d // g)
+
+
 ZERO = Q2()
 ONE = Q2.of(1)
-SQRT2 = Q2(Fraction(0), Fraction(1))
-HALF_SQRT2 = Q2(Fraction(0), Fraction(1, 2))  # 1/sqrt(2)
+SQRT2 = Q2(0, 1)
+HALF_SQRT2 = Q2(0, Fraction(1, 2))  # 1/sqrt(2)
 
 
 class Poly:
@@ -188,8 +262,9 @@ class Poly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, ZERO) + c
-        return Poly(self.names, out)
+            prev = out.get(e)
+            out[e] = c if prev is None else prev + c
+        return _poly(self.names, out)
 
     __radd__ = __add__
 
@@ -202,18 +277,19 @@ class Poly:
         return (-self) + other
 
     def __neg__(self):
-        return Poly(self.names, {e: -c for e, c in self.terms.items()})
+        return _poly(self.names, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            return Poly(self.names, {e: c * other for e, c in self.terms.items()})
+            return _poly(self.names, {e: c * other for e, c in self.terms.items()})
         self._check(other)
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, ZERO) + c1 * c2
-        return Poly(self.names, out)
+                e = tuple(map(add, e1, e2))
+                prev = out.get(e)
+                out[e] = c1 * c2 if prev is None else prev + c1 * c2
+        return _poly(self.names, out)
 
     __rmul__ = __mul__
 
@@ -241,9 +317,9 @@ class Poly:
                     coeff = coeff * _q2_pow(Q2.of(val), e)
                     new[idx[name]] = 0
             key = tuple(new)
-            prev = out.get(key, ZERO)
-            out[key] = prev + coeff
-        return Poly(self.names, out)
+            prev = out.get(key)
+            out[key] = coeff if prev is None else prev + coeff
+        return _poly(self.names, out)
 
     def univariate(self, name: str) -> list[Q2]:
         """Coefficient list (ascending degree) in `name`; other vars must be gone."""
@@ -290,6 +366,16 @@ class Poly:
     __repr__ = __str__
 
 
+def _poly(names: tuple, terms: dict) -> Poly:
+    """The Poly of names and terms from Poly's own arithmetic, whose keys are
+    exponent tuples of the right arity and whose values are Q2s: only the
+    zero coefficients are dropped."""
+    out = _new(Poly)
+    out.names = names
+    out.terms = {e: c for e, c in terms.items() if c.a or c.b}
+    return out
+
+
 def _q2_pow(x: Q2, e: int) -> Q2:
     out = ONE
     base = x
@@ -322,34 +408,22 @@ def poly_eval(cs: Sequence[Q2], x: Q2) -> Q2:
 # The sign analysis runs on plain ints.  An element u + v*sqrt2 of Z[sqrt2] is
 # the pair (u, v); a polynomial is a list of pairs in ascending degree whose
 # last pair is nonzero; a point (r + s*sqrt2) / t with t > 0 is the triple
-# (r, s, t) in lowest terms, so equal points are equal triples.
+# (r, s, t) in lowest terms, so equal points are equal triples: the triple of
+# a Q2.
 
 
 def _int_poly(cs: Sequence[Q2]) -> list[tuple[int, int]]:
     """The Q2 polynomial cs times the positive rational that makes its
     coefficients coprime pairs of ints."""
     cs = poly_trim(cs)
-    den = lcm(*(f.denominator for c in cs for f in (c.p, c.q)))
-    return _primitive([
-        (c.p.numerator * (den // c.p.denominator), c.q.numerator * (den // c.q.denominator))
-        for c in cs
-    ])
+    den = lcm(*(c.d for c in cs))
+    return _primitive([(c.a * (den // c.d), c.b * (den // c.d)) for c in cs])
 
 
 def _primitive(cs: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """cs divided by the gcd of all its ints, which is positive."""
     g = gcd(*(x for c in cs for x in c))
     return [(u // g, v // g) for u, v in cs] if g > 1 else cs
-
-
-def _point(x: Q2) -> tuple[int, int, int]:
-    t = lcm(x.p.denominator, x.q.denominator)
-    return x.p.numerator * (t // x.p.denominator), x.q.numerator * (t // x.q.denominator), t
-
-
-def _q2(x: tuple[int, int, int]) -> Q2:
-    r, s, t = x
-    return Q2(Fraction(r, t), Fraction(s, t))
 
 
 def _midpoint(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -509,7 +583,7 @@ def sign_and_roots(
     cs = _int_poly(cs)
     if not cs:
         return True, 0
-    a, b = _point(lo), _point(hi)
+    a, b = _triple(lo), _triple(hi)
     ok = not (include_lo and _sign_at(cs, a) > 0)
     ok = ok and not (include_hi and _sign_at(cs, b) > 0)
     if lo >= hi:
@@ -551,13 +625,13 @@ def isolate_roots(cs: Sequence[Q2], lo: Q2, hi: Q2) -> list[tuple[Q2, Q2]]:
         m_is_root = _sign_at(cs, m) == 0
         if k == 1 and not m_is_root:
             # a single root strictly inside (a, m) or (m, b)
-            out.append((_q2(a), _q2(m)) if count(a, m) else (_q2(m), _q2(b)))
+            out.append((_raw(*a), _raw(*m)) if count(a, m) else (_raw(*m), _raw(*b)))
             return
         rec(a, m, depth + 1)
         if m_is_root:
-            out.append((_q2(m), _q2(m)))
+            out.append((_raw(*m), _raw(*m)))
         rec(m, b, depth + 1)
 
     if lo < hi:
-        rec(_point(lo), _point(hi), 0)
+        rec(_triple(lo), _triple(hi), 0)
     return out

@@ -24,7 +24,7 @@ from itertools import combinations, permutations
 from math import comb, perm
 
 from . import UnsupportedSizeError
-from .exactalg import Poly, Q2
+from .exactalg import Poly
 from .graphs import (
     HostGraph,
     PatternGraph,
@@ -88,19 +88,44 @@ def rooted_canonical(f: RootedFlag) -> RootedFlag:
 
 
 @lru_cache(maxsize=None)
-def flags_of_type(k: int, r: int, type_colors: tuple) -> tuple[RootedFlag, ...]:
-    """All canonical flags on k vertices whose ordered root type matches."""
+def _rooted_counts(k: int, r: int, type_colors: tuple) -> dict:
+    """{canonical flag: number of ordered root tuples of its class that give
+    it} over the k-vertex flags with r roots of the given type.  A tuple's
+    type is read off the masks before any flag is built."""
     if k > MAX_FLAG_K:
         raise UnsupportedSizeError(f"flag bases are capped at k <= {MAX_FLAG_K}")
-    out = {}
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    counts: dict = {}
     for g in _graph_classes(k):
+        masks = g.masks
         for tup in permutations(range(k), r):
-            cand = RootedFlag(g, tup)
-            if cand.type_colors() != type_colors:
+            if tuple(masks[tup[i]] >> tup[j] & 1 == 1 for i, j in pairs) != type_colors:
                 continue
-            rep = rooted_canonical(cand)
-            out.setdefault(rep.code(), rep)
-    return tuple(out[c] for c in sorted(out))
+            rep = rooted_canonical(RootedFlag(g, tup))
+            counts[rep] = counts.get(rep, 0) + 1
+    return counts
+
+
+@lru_cache(maxsize=None)
+def flags_of_type(k: int, r: int, type_colors: tuple) -> tuple[RootedFlag, ...]:
+    """All canonical flags on k vertices whose ordered root type matches."""
+    return tuple(sorted(_rooted_counts(k, r, type_colors), key=RootedFlag.code))
+
+
+@lru_cache(maxsize=None)
+def _splits(F: RootedFlag, k1: int) -> dict:
+    """{(f1, f2): the number of (k1 - r)-subsets S of the canonical flag F's
+    non-roots such that the roots and S induce f1, and the roots and the
+    other non-roots induce f2}."""
+    roots = tuple(range(F.r))
+    non_roots = range(F.r, F.k)
+    tally: dict = {}
+    for S in combinations(non_roots, k1 - F.r):
+        rest = tuple(v for v in non_roots if v not in S)
+        f1 = rooted_canonical(RootedFlag(F.graph.induced(roots + S), roots))
+        f2 = rooted_canonical(RootedFlag(F.graph.induced(roots + rest), roots))
+        tally[f1, f2] = tally.get((f1, f2), 0) + 1
+    return tally
 
 
 @dataclass
@@ -182,35 +207,30 @@ def basis_combo(k: int, names, coeff=1) -> GraphCombo:
 
 
 def flag_product(c1: GraphCombo, c2: GraphCombo, target_k: int) -> GraphCombo:
-    """Bilinear product of two same-type combos, expanded on target_k flags."""
+    """Bilinear product of two same-type combos, expanded on target_k flags.
+
+    Each target flag's sub-flag pairs are tallied as ints, and each distinct
+    pair of coefficients is multiplied once."""
     if (c1.r, c1.type_colors, c1.names) != (c2.r, c2.type_colors, c2.names):
         raise FlagTypeError("operands must share type and variables")
     r = c1.r
     if target_k != c1.k + c2.k - r:
         raise ValueError("target_k must equal k1 + k2 - |type|")
     zero = Poly.const(c1.names, 0)
-    denom = comb(target_k - r, c1.k - r)
+    scale = Fraction(1, comb(target_k - r, c1.k - r))
     out = GraphCombo(target_k, r, c1.type_colors, c1.names, {})
-    non_roots = tuple(range(r, target_k))
+    products: dict = {}  # (f1, f2) -> c1's coefficient of f1 times c2's of f2
     for F in flags_of_type(target_k, r, c1.type_colors):
         acc = zero
-        for S in combinations(non_roots, c1.k - r):
-            rest = tuple(v for v in non_roots if v not in S)
-            f1 = rooted_canonical(
-                RootedFlag(F.graph.induced(tuple(range(r)) + S), tuple(range(r)))
-            )
-            p1 = c1.terms.get(f1)
-            if p1 is None:
-                continue
-            f2 = rooted_canonical(
-                RootedFlag(F.graph.induced(tuple(range(r)) + rest), tuple(range(r)))
-            )
-            p2 = c2.terms.get(f2)
-            if p2 is None:
-                continue
-            acc = acc + p1 * p2
+        for pair, n in _splits(F, c1.k).items():
+            prod = products.get(pair)
+            if prod is None:
+                p1, p2 = c1.terms.get(pair[0]), c2.terms.get(pair[1])
+                prod = products[pair] = zero if p1 is None or p2 is None else p1 * p2
+            if prod.terms:
+                acc = acc + prod * n
         if not acc.is_zero():
-            out.add_term(F, acc * Q2.of(Fraction(1, denom)))
+            out.add_term(F, acc * scale)
     return out
 
 
@@ -221,18 +241,12 @@ def combo_square(c: GraphCombo) -> GraphCombo:
 def unlabel(c: GraphCombo) -> GraphCombo:
     """Averaging over uniform root placements; the result is unrooted."""
     out = GraphCombo(c.k, 0, (), c.names, {})
+    counts = _rooted_counts(c.k, c.r, c.type_colors)
+    placements = perm(c.k, c.r)
     for flag, poly in c.terms.items():
-        g = flag.graph
-        good = 0
-        for tup in permutations(range(c.k), c.r):
-            cand = RootedFlag(g, tup)
-            if cand.type_colors() != c.type_colors:
-                continue
-            if rooted_canonical(cand) == flag:
-                good += 1
+        good = counts.get(flag)
         if good:
-            q = Q2.of(Fraction(good, perm(c.k, c.r)))
-            out.add_term(RootedFlag(canonical_host(g)), poly * q)
+            out.add_term(RootedFlag(canonical_host(flag.graph)), poly * Fraction(good, placements))
     return out
 
 
@@ -253,7 +267,7 @@ def lift(c: GraphCombo, target_k: int) -> GraphCombo:
         for flag, poly in c.terms.items():
             cnt = counts.get(codes[flag], 0)
             if cnt:
-                acc = acc + poly * Q2.of(Fraction(cnt, denom))
+                acc = acc + poly * Fraction(cnt, denom)
         if not acc.is_zero():
             out.add_term(RootedFlag(G), acc)
     return out

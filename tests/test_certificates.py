@@ -46,6 +46,26 @@ def test_parse_poly_round_trip():
     assert p == expect
 
 
+def test_parse_poly_sums_repeated_monomials():
+    names = ("a", "B")
+    assert parse_poly("a-a", names).is_zero()
+    assert parse_poly("2*a*B+B*a-1/2+1/2", names) == Poly(names, {(1, 1): Q2.of(3)})
+    assert parse_poly("--a^2", names) == Poly(names, {(2, 0): Q2.of(1)})
+
+
+@pytest.mark.parametrize("text,message", [
+    ("a^", "empty exponent in 'a^'"),
+    ("a^-1", "empty exponent in 'a^-1'"),
+    ("2*B^+a", "empty exponent in '2*B^+a'"),
+    ("3/0", "zero denominator in '3/0'"),
+    ("a+1/0*B", "zero denominator in 'a+1/0*B'"),
+])
+def test_parse_poly_rejects_empty_exponents_and_zero_denominators(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_poly(text, ("a", "B"))
+    assert str(err.value) == message
+
+
 def test_host_from_digits():
     c5 = host_from_digits(C5_DIGITS)
     assert c5.red_count() == 5

@@ -1,11 +1,17 @@
 """Exact field arithmetic and Sturm-based sign analysis."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from math import gcd
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import semind
 from semind.exactalg import (
     HALF_SQRT2,
     Poly,
@@ -17,6 +23,14 @@ from semind.exactalg import (
     poly_nonpositive_on,
     sign_and_roots,
 )
+
+
+def test_import_loads_no_dataclasses():
+    src = str(Path(semind.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = "import sys, semind.exactalg; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_field_arithmetic():
@@ -214,3 +228,93 @@ def test_one_chain_root_counting_matches_known_roots(case):
         want_nonneg = all(s >= 0 for s in gaps + ends)
         assert poly_nonpositive_on(cs, lo, hi, include_lo, include_hi) == want_nonpos
         assert poly_nonnegative_on(cs, lo, hi, include_lo, include_hi) == want_nonneg
+
+
+# ---------------------------------------------------------------------------
+# Q2 against an oracle that keeps p + q*sqrt2 as a pair of Fractions
+
+
+def test_rational_values_hash_as_the_equal_int_or_fraction():
+    assert Q2.of(3) == 3 and hash(Q2.of(3)) == hash(3)
+    assert {Q2.of(3): 1}.get(3) == 1
+    assert {3: 1}.get(Q2.of(3)) == 1
+    half = Q2.of(Fraction(1, 2))
+    assert {Fraction(1, 2): "h"}[half] == "h"
+    assert hash(SQRT2 * SQRT2) == hash(2)
+    assert hash(Q2(Fraction(4, 6), Fraction(-2, 3))) == hash(Q2(Fraction(2, 3), Fraction(-2, 3)))
+
+
+def _oracle_sign(p: Fraction, q: Fraction) -> int:
+    """Sign of p + q*sqrt2: the term of larger magnitude decides, and
+    p^2 = 2 q^2 only at 0."""
+    if q == 0 or (p != 0 and (p > 0) == (q > 0)):
+        return (p > 0) - (p < 0) if p else (q > 0) - (q < 0)
+    if p == 0:
+        return (q > 0) - (q < 0)
+    big = p if p * p > 2 * q * q else q
+    return 1 if big > 0 else -1
+
+
+def _oracle_str(p: Fraction, q: Fraction) -> str:
+    if q == 0:
+        return str(p)
+    qs = "sqrt2" if q == 1 else "-sqrt2" if q == -1 else f"{q}*sqrt2"
+    if p == 0:
+        return qs
+    return f"{p}{'' if qs.startswith('-') else '+'}{qs}"
+
+
+def _assert_matches(x: Q2, p: Fraction, q: Fraction):
+    assert x.d > 0 and gcd(x.a, x.b, x.d) == 1
+    assert (x.p, x.q) == (p, q)
+    assert x.sign() == _oracle_sign(p, q)
+    assert bool(x) == (p != 0 or q != 0)
+    assert str(x) == repr(x) == _oracle_str(p, q)
+    assert float(x) == float(p) + float(q) * 1.4142135623730951
+    if q == 0:
+        assert x == p and p == x and hash(x) == hash(p)
+        if p.denominator == 1:
+            assert x == int(p) and int(p) == x and hash(x) == hash(int(p))
+    else:
+        assert x != p and p != x
+
+
+_SMALL = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+_COORD = st.one_of(st.just(Fraction(0)), st.integers(-5, 5).map(Fraction), _SMALL)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_COORD, _COORD, _COORD, _COORD, st.integers(-7, 7), _SMALL)
+def test_q2_matches_fraction_pair_oracle(p1, q1, p2, q2, n, f):
+    x, y = Q2(p1, q1), Q2(p2, q2)
+    _assert_matches(x, p1, q1)
+    _assert_matches(y, p2, q2)
+    _assert_matches(Q2.of(f), f, Fraction(0))
+    _assert_matches(Q2.of(n), Fraction(n), Fraction(0))
+    _assert_matches(x + y, p1 + p2, q1 + q2)
+    _assert_matches(x - y, p1 - p2, q1 - q2)
+    _assert_matches(-x, -p1, -q1)
+    _assert_matches(x * y, p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2)
+    for other in (n, f):  # mixed operands on either side
+        _assert_matches(x + other, p1 + other, q1)
+        _assert_matches(other + x, p1 + other, q1)
+        _assert_matches(x - other, p1 - other, q1)
+        _assert_matches(other - x, other - p1, -q1)
+        _assert_matches(x * other, p1 * other, q1 * other)
+        _assert_matches(other * x, p1 * other, q1 * other)
+    if p2 or q2:
+        norm = p2 * p2 - 2 * q2 * q2
+        ip, iq = p2 / norm, -q2 / norm
+        _assert_matches(y.inverse(), ip, iq)
+        _assert_matches(x / y, p1 * ip + 2 * q1 * iq, p1 * iq + q1 * ip)
+        _assert_matches(n / y, n * ip, n * iq)
+    if n:
+        _assert_matches(x / n, p1 / n, q1 / n)
+    s = _oracle_sign(p1 - p2, q1 - q2)
+    assert (x < y, x <= y, x > y, x >= y, x == y) == (s < 0, s <= 0, s > 0, s >= 0, s == 0)
+    z = (x + y) - y  # x again, built another way
+    assert z == x and hash(z) == hash(x)
+    for other in (n, f):
+        s = _oracle_sign(p1 - other, q1)
+        assert (x < other, x <= other, x > other, x >= other) == (s < 0, s <= 0, s > 0, s >= 0)
+        assert (other < x, other <= x, other > x, other >= x) == (s > 0, s >= 0, s < 0, s <= 0)

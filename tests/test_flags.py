@@ -2,8 +2,8 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations
-from math import comb
+from itertools import combinations, permutations, product
+from math import comb, perm
 
 import pytest
 
@@ -11,6 +11,7 @@ from semind.counting import count_injections, induced_profile, peenn_pattern
 from semind.certificates import host_from_digits
 from semind.exactalg import Poly, Q2
 from semind.flags import (
+    MAX_FLAG_K,
     FlagTypeError,
     GraphCombo,
     RootedFlag,
@@ -18,6 +19,7 @@ from semind.flags import (
     combo_square,
     expand_pattern,
     flag_product,
+    _rooted_counts,
     flags_of_type,
     lift,
     rooted_canonical,
@@ -225,3 +227,102 @@ def test_unlabeled_square_nearly_nonnegative_on_hosts():
             coeffs.get(code, 0.0) * cnt / tot for code, cnt in prof.counts.items()
         )
         assert value >= -10 / n
+
+
+# ---------------------------------------------------------------------------
+# the basis, products and unlabeling against the direct definitions: every
+# ordered root tuple and every subset split is visited
+
+
+def _oracle_flags_of_type(k, r, type_colors):
+    out = {}
+    for g in enumerate_colored_graphs(k):
+        for tup in permutations(range(k), r):
+            cand = RootedFlag(g, tup)
+            if cand.type_colors() == type_colors:
+                rep = rooted_canonical(cand)
+                out.setdefault(rep.code(), rep)
+    return tuple(out[c] for c in sorted(out))
+
+
+def _oracle_product(c1, c2, target_k):
+    r = c1.r
+    acc_zero = Poly.const(c1.names, 0)
+    denom = comb(target_k - r, c1.k - r)
+    out = GraphCombo(target_k, r, c1.type_colors, c1.names, {})
+    roots, non_roots = tuple(range(r)), tuple(range(r, target_k))
+    for F in _oracle_flags_of_type(target_k, r, c1.type_colors):
+        acc = acc_zero
+        for S in combinations(non_roots, c1.k - r):
+            rest = tuple(v for v in non_roots if v not in S)
+            f1 = rooted_canonical(RootedFlag(F.graph.induced(roots + S), roots))
+            f2 = rooted_canonical(RootedFlag(F.graph.induced(roots + rest), roots))
+            if f1 in c1.terms and f2 in c2.terms:
+                acc = acc + c1.terms[f1] * c2.terms[f2]
+        if not acc.is_zero():
+            out.add_term(F, acc * Q2.of(Fraction(1, denom)))
+    return out
+
+
+def _oracle_unlabel(c):
+    out = GraphCombo(c.k, 0, (), c.names, {})
+    for flag, poly in c.terms.items():
+        good = 0
+        for tup in permutations(range(c.k), c.r):
+            cand = RootedFlag(flag.graph, tup)
+            if cand.type_colors() == c.type_colors and rooted_canonical(cand) == flag:
+                good += 1
+        if good:
+            out.add_term(RootedFlag(canonical_host(flag.graph)),
+                         poly * Q2.of(Fraction(good, perm(c.k, c.r))))
+    return out
+
+
+_PNAMES = ("a", "B")
+_ROOT_TYPES = [(r, t) for r in range(4) for t in product((False, True), repeat=r * (r - 1) // 2)]
+
+
+def _random_combo(rng, k, r, type_colors):
+    """A combo on a random part of the basis, with random coefficients in
+    Q(sqrt2)[a, B]; every third basis flag is left out."""
+    items = []
+    for flag in flags_of_type(k, r, type_colors):
+        if rng.random() < 1 / 3:
+            continue
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            exps = (rng.randint(0, 2), rng.randint(0, 1))
+            p, q = Fraction(rng.randint(-6, 6), rng.randint(1, 4)), rng.choice((0, 0, 1, -2))
+            terms[exps] = Q2(p, q)
+        items.append((flag, Poly(_PNAMES, terms)))
+    return GraphCombo.build(k, r, type_colors, _PNAMES, items)
+
+
+def test_flag_bases_match_the_permutation_oracle():
+    for r, t in _ROOT_TYPES:
+        for k in range(max(r, 1), MAX_FLAG_K + 1):
+            basis = flags_of_type(k, r, t)
+            assert basis == _oracle_flags_of_type(k, r, t), (k, r, t)
+            counts = _rooted_counts(k, r, t)
+            assert set(counts) == set(basis)
+            # over one class, the counts add up to its tuples of the type
+            for g in enumerate_colored_graphs(k):
+                tuples = sum(RootedFlag(g, tup).type_colors() == t
+                             for tup in permutations(range(k), r))
+                assert tuples == sum(n for f, n in counts.items()
+                                     if canonical_host(f.graph) == g), (g.to_text(), r, t)
+
+
+def test_products_and_unlabel_match_the_subset_oracle():
+    rng = random.Random(23)
+    for r, t in _ROOT_TYPES:
+        for k1 in range(max(r, 1), MAX_FLAG_K + 1):
+            c1 = _random_combo(rng, k1, r, t)
+            assert unlabel(c1).terms == _oracle_unlabel(c1).terms, (k1, r, t)
+            if 2 * k1 - r <= MAX_FLAG_K:
+                assert combo_square(c1).terms == _oracle_product(c1, c1, 2 * k1 - r).terms
+            for k2 in range(max(r, 1), MAX_FLAG_K + r - k1 + 1):
+                c2 = _random_combo(rng, k2, r, t)
+                got = flag_product(c1, c2, k1 + k2 - r)
+                assert got.k == k1 + k2 - r and got.r == r and got.type_colors == t
+                assert got.terms == _oracle_product(c1, c2, k1 + k2 - r).terms, (k1, k2, r, t)
