@@ -13,6 +13,7 @@ cancel silently.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -41,7 +42,7 @@ from .flags import (
     unit_flag,
     unlabel,
 )
-from .graphs import HostGraph, _graph_classes, canonical_host, lex_pairs, parse_pattern
+from .graphs import HostGraph, _graph_classes, canonical_host, parse_pattern, read_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -54,13 +55,8 @@ def host_from_digits(digits: str) -> HostGraph:
     n = round((1 + math.isqrt(1 + 8 * npairs)) / 2)
     if n * (n - 1) // 2 != npairs:
         raise ValueError(f"digit string length {npairs} is not triangular")
-    pairs = []
-    for p, ch in zip(lex_pairs(n), digits):
-        if ch == "2":
-            pairs.append(p)
-        elif ch != "1":
-            raise ValueError(f"illegal digit {ch!r}")
-    return HostGraph.from_red_pairs(n, pairs)
+    illegal = lambda t, ch: ValueError(f"illegal digit {ch!r}")  # a fault of the data, not usage
+    return HostGraph(n, *read_pairs(n, digits, "21", illegal))
 
 
 def parse_poly(text: str, names) -> Poly:
@@ -70,19 +66,9 @@ def parse_poly(text: str, names) -> Poly:
     if not s:
         raise ValueError("empty polynomial")
     terms: dict = {}
-    i = 0
-    while i < len(s):
-        sign = 1
-        while i < len(s) and s[i] in "+-":
-            if s[i] == "-":
-                sign = -sign
-            i += 1
-        j = i
-        while j < len(s) and s[j] not in "+-":
-            j += 1
-        term = s[i:j]
-        i = j
-        coeff = Fraction(sign)
+    # a run of signs and the term after it; the last match is the empty one at the end
+    for signs, term in re.findall(r"([+-]*)([^+-]*)", s)[:-1]:
+        coeff = Fraction((-1) ** signs.count("-"))
         exps = [0] * len(names)
         for factor in term.split("*"):
             if not factor:
@@ -90,14 +76,20 @@ def parse_poly(text: str, names) -> Poly:
             base, caret, power = factor.partition("^")
             if caret and not power:
                 raise ValueError(f"empty exponent in {text!r}")
+            if caret and not (power.isascii() and power.isdigit()):
+                raise ValueError(f"exponent of {factor!r} in {text!r} is not an integer")
+            exp = int(power) if power else 1
             if base in names:
-                exps[names.index(base)] += int(power) if power else 1
+                exps[names.index(base)] += exp
                 continue
-            try:
-                value = Fraction(base)
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {text!r}") from None
-            coeff *= value ** int(power) if power else value
+            num, _, den = base.partition("/") if "/" in base else (base, "", "1")
+            if not all(d.isascii() and d.isdigit() for d in (num, den)):
+                raise ValueError(
+                    f"factor {base!r} in {text!r} is not a variable, an integer or a fraction"
+                )
+            if not int(den):
+                raise ValueError(f"zero denominator in {text!r}")
+            coeff *= Fraction(int(num), int(den)) ** exp
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + coeff
     return Poly(names, terms)

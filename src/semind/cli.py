@@ -278,7 +278,6 @@ def cmd_enumerate(args, cfg: RunConfig) -> int:
 
 def cmd_search(args, cfg: RunConfig) -> int:
     from .counting import normalized_density
-    from .graphs import parse_host
     from .search import exact_max, full_profile, hill_climb
 
     h = pattern_from_arg(args.pattern)
@@ -293,28 +292,22 @@ def cmd_search(args, cfg: RunConfig) -> int:
             seed=cfg.seed,
             seeds=seeds,
         )
-        rho = normalized_density(res.best_count, args.n, h.h)
-        wit = res.witnesses[0].decode()
-        m = parse_host(wit).red_count()
-        print(f"n={args.n} m={m} best={res.best_count} rho={rho:.12g} witness={wit!r}")
-        return 0
-    _reject_unread(args, ("--beta", "--seed-construct", "--restarts"), "without --hill")
-    _check_n(h, args.n)
-    if args.profile:
-        _reject_unread(args, ("--m",), "with --profile")
-        res = full_profile(h, args.n)
-        print("m,best,rho")
-        for m in sorted(res.per_edge_count):
-            best = res.per_edge_count[m]
-            rho = normalized_density(best, args.n, h.h)
-            print(f"{m},{best},{rho:.12g}")
-        return 0
-    res = exact_max(h, args.n, args.m)
+    else:
+        _reject_unread(args, ("--beta", "--seed-construct", "--restarts"), "without --hill")
+        _check_n(h, args.n)
+        if args.profile:
+            _reject_unread(args, ("--m",), "with --profile")
+            res = full_profile(h, args.n)
+            print("m,best,rho")
+            for m in sorted(res.per_edge_count):
+                best = res.per_edge_count[m]
+                rho = normalized_density(best, args.n, h.h)
+                print(f"{m},{best},{rho:.12g}")
+            return 0
+        res = exact_max(h, args.n, args.m)
     rho = normalized_density(res.best_count, args.n, h.h)
-    for wit_bytes in res.witnesses:
-        wit = wit_bytes.decode()
-        m = parse_host(wit).red_count()
-        print(f"n={args.n} m={m} best={res.best_count} rho={rho:.12g} witness={wit!r}")
+    for wit in map(bytes.decode, res.witnesses):  # its header is digits: each R is a red pair
+        print(f"n={args.n} m={wit.count('R')} best={res.best_count} rho={rho:.12g} witness={wit!r}")
     return 0
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial, perm
 from typing import NamedTuple
 
@@ -189,17 +189,13 @@ def _plan(h: PatternGraph, n: int, pinned: tuple[int, ...] = ()) -> _Plan:
     and the colour of its pair to the last prefix position, which `_extend`
     counts together with the batch; plans are cached per (h, n, pinned),
     with the estimated total as `cost`."""
-    nbr = [0] * h.h  # constraint neighbours as bitmasks
-    for i, j in h.red_pairs | h.blue_pairs:
-        nbr[i] |= 1 << j
-        nbr[j] |= 1 << i
+    nbr = [r | b for r, b in zip(h.red, h.blue)]  # constraint neighbours as bitmasks
     deg = [m.bit_count() for m in nbr]
     fixed = sum(1 << v for v in pinned)
     loose = [v for v in range(h.h) if nbr[v] and not fixed >> v & 1]
 
     cover = 0
-    uncovered = [1 << i | 1 << j for i, j in h.red_pairs | h.blue_pairs]
-    uncovered = [e for e in uncovered if not e & fixed]
+    uncovered = [1 << i | 1 << j for i in loose for j in loose if j > i and nbr[i] >> j & 1]
     while uncovered:
         load = [sum(e >> v & 1 for e in uncovered) for v in range(h.h)]
         # the other end of an uncovered leaf is in some minimum cover
@@ -237,7 +233,7 @@ def _plan(h: PatternGraph, n: int, pinned: tuple[int, ...] = ()) -> _Plan:
 
     def row(v: int, before: int):
         return tuple(
-            (pos_of[u], (min(u, v), max(u, v)) in h.red_pairs)
+            (pos_of[u], bool(h.red[v] >> u & 1))
             for u in range(h.h)
             if nbr[v] >> u & 1 and pos_of.get(u, before) < before
         )
@@ -440,8 +436,7 @@ def count_injections(h: PatternGraph, g: HostGraph | PartedHost | Circulant) -> 
 
 def _pinned_plan(h: PatternGraph, n: int) -> _Plan:
     """The plan that pins h's most constrained vertex (the first of several)."""
-    red, blue = h.layers()
-    pin = max(range(h.h), key=lambda v: ((red[v] | blue[v]).bit_count(), -v))
+    pin = max(range(h.h), key=lambda v: ((h.red[v] | h.blue[v]).bit_count(), -v))
     return _plan(h, n, (pin,))
 
 
@@ -475,10 +470,7 @@ def check_count(h: PatternGraph, g: HostGraph | PartedHost | Circulant, profile=
 def is_induced_subgraph(small: HostGraph, big: HostGraph) -> bool:
     """True iff some injection carries red pairs to red and blue pairs to blue:
     `small` read as a pattern with every pair constrained."""
-    pairs = lex_pairs(small.n)
-    red = [p for p in pairs if small.red(*p)]
-    blue = [p for p in pairs if not small.red(*p)]
-    return count_injections(PatternGraph.of(small.n, red, blue), big) > 0
+    return count_injections(PatternGraph(small.n, small.masks, small.complement().masks), big) > 0
 
 
 def flip_plans(h: PatternGraph, n: int) -> tuple:
@@ -490,11 +482,13 @@ def flip_plans(h: PatternGraph, n: int) -> tuple:
     compose to an automorphism of h carrying one pair onto the other."""
     layers = h.layers()
     orbits: dict = {}
-    for a, b in sorted(h.red_pairs | h.blue_pairs):
+    for a, b in combinations(range(h.h), 2):
+        if not (h.red[a] | h.blue[a]) >> b & 1:
+            continue  # a free pair
         for pins in ((a, b), (b, a)):
             order = _min_placements(layers, fixed=pins)[0]
             code = tuple(_relabel_masks(masks, order) for masks in layers)
-            rep = orbits.setdefault(code, [pins, (a, b) in h.red_pairs, 0])
+            rep = orbits.setdefault(code, [pins, bool(h.red[a] >> b & 1), 0])
             rep[2] += 1
     return tuple(
         (pins, pair_red, size, _plan(h, n, pins)) for pins, pair_red, size in orbits.values()
@@ -742,11 +736,11 @@ def blowup_injections(h: PatternGraph, parts: PartedHost) -> int:
     interchangeable."""
     p = len(parts.sizes)
     sizes = parts.sizes
-    by_vertex: list[list[tuple[int, bool]]] = [[] for _ in range(h.h)]
-    for i, j in sorted(h.red_pairs):
-        by_vertex[j].append((i, True))
-    for i, j in sorted(h.blue_pairs):
-        by_vertex[j].append((i, False))
+    by_vertex = [  # per vertex: (earlier vertex, pair is red), the red pairs first
+        [(i, True) for i in range(j) if h.red[j] >> i & 1]
+        + [(i, False) for i in range(j) if h.blue[j] >> i & 1]
+        for j in range(h.h)
+    ]
 
     def pair_red(pi: int, pj: int) -> bool:
         return parts.internal_red[pi] if pi == pj else parts.cross_red[pi][pj]

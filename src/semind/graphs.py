@@ -2,8 +2,10 @@
 
 A host is a complete graph on n vertices whose pairs are each colored red or
 blue; we store the red relation as per-vertex bitmasks.  A pattern fixes some
-pairs red, some blue, and leaves the remaining pairs free.  This module owns
-the value types, serialization, exact canonical forms, enumeration up to
+pairs red, some blue, and leaves the remaining pairs free: it stores red and
+blue mask layers.  One codec, `read_pairs` and `write_pairs`, reads and writes
+both as `<n> <pairstring>` text, row by row from the masks' bits.  This module
+owns the value types, serialization, exact canonical forms, enumeration up to
 isomorphism, and the parametric construction families used by the profile and
 search tools.
 
@@ -80,6 +82,62 @@ class ConstructionError(UsageError):
 def lex_pairs(n: int) -> list[tuple[int, int]]:
     """Unordered pairs of [0, n) in lexicographic order (0,1),(0,2),..."""
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _row_starts(n: int) -> list[int]:
+    """The index in lex_pairs(n) of each row's first pair (i, i + 1); row i
+    holds the n - 1 - i pairs (i, j) with j > i."""
+    return [i * (2 * n - i - 1) // 2 for i in range(n - 1)]
+
+
+@lru_cache(maxsize=None)
+def _alphabet_tables(letters: str) -> tuple:
+    """The translation tables of a pair alphabet: one that deletes its
+    letters, per layer l one that maps letters[l] to '1' and the rest to '0',
+    and one that writes layer 0's bits."""
+    ones = [str.maketrans(letters, "".join("01"[c == d] for c in letters)) for d in letters[:-1]]
+    return str.maketrans("", "", letters), ones, str.maketrans("10", letters[0] + letters[-1])
+
+
+def read_pairs(n: int, body: str, letters: str, fault) -> tuple[tuple[int, ...], ...]:
+    """The per-vertex mask layers of a pair string on n vertices, row by row:
+    a pair whose letter is letters[l] is in layer l, and one whose letter is
+    the last in none.  The caller checks the length; the first character not
+    in `letters`, at index t, raises fault(t, character)."""
+    delete, ones, _ = _alphabet_tables(letters)
+    illegal = body.translate(delete)
+    if illegal:
+        raise fault(body.index(illegal[0]), illegal[0])
+    layers = []
+    for table in ones:
+        pairs = int("0" + body.translate(table)[::-1], 2)  # bit t is pair t; n = 1 reads "0"
+        masks = [0] * n
+        for i, start in enumerate(_row_starts(n)):
+            row = (pairs >> start & (1 << n - 1 - i) - 1) << i + 1
+            masks[i] |= row
+            while row:  # mirror the row into the masks of its later vertices
+                low = row & -row
+                masks[low.bit_length() - 1] |= 1 << i
+                row ^= low
+        layers.append(tuple(masks))
+    return tuple(layers)
+
+
+def write_pairs(layers, letters: str) -> str:
+    """The `<n> <pairstring>` text of per-vertex mask layers (see
+    `read_pairs`), written row by row from the masks' bits."""
+    n = len(layers[0])
+    first = _alphabet_tables(letters)[2]
+    rest = tuple(zip(layers[1:], letters[1:]))
+    rows = [f"{n} "]
+    for i in range(n - 1):
+        form = f"0{n - 1 - i}b"
+        row = format(layers[0][i] >> i + 1, form)[::-1].translate(first)
+        for masks, letter in rest:
+            bits = format(masks[i] >> i + 1, form)[::-1]
+            row = "".join(letter if bit == "1" else c for bit, c in zip(bits, row))
+        rows.append(row)
+    return "".join(rows)
 
 
 def _relabel_masks(masks, perm) -> tuple[int, ...]:
@@ -168,51 +226,49 @@ class HostGraph:
         return HostGraph(k, tuple(masks))
 
     def to_text(self) -> str:
-        chars = ["R" if self.red(i, j) else "B" for i, j in lex_pairs(self.n)]
-        return f"{self.n} {''.join(chars)}"
+        return write_pairs((self.masks,), "RB")
 
 
 @dataclass(frozen=True)
 class PatternGraph:
-    """A pattern: red pairs must map to red, blue to blue, free pairs to either."""
+    """A pattern: red pairs must map to red, blue to blue, free pairs to either.
+
+    `red[i]` has bit j set iff pair {i, j} is red, and `blue[i]` iff it is
+    blue; a free pair is in neither.
+    """
 
     h: int
-    red_pairs: frozenset
-    blue_pairs: frozenset
-
-    def __post_init__(self):
-        for i, j in self.red_pairs | self.blue_pairs:
-            if not (0 <= i < j < self.h):
-                raise ValueError(f"pair ({i},{j}) out of range for h={self.h}")
-        if self.red_pairs & self.blue_pairs:
-            raise ValueError("red and blue pairs must be disjoint")
+    red: tuple[int, ...]
+    blue: tuple[int, ...]
 
     @staticmethod
     def of(h: int, red=(), blue=()) -> "PatternGraph":
-        norm = lambda ps: frozenset((min(i, j), max(i, j)) for i, j in ps)
-        return PatternGraph(h, norm(red), norm(blue))
-
-    def color_swap(self) -> "PatternGraph":
-        return PatternGraph(self.h, self.blue_pairs, self.red_pairs)
+        layers = ([0] * h, [0] * h)
+        for masks, pairs in zip(layers, (red, blue)):
+            for i, j in pairs:
+                i, j = min(i, j), max(i, j)
+                if not 0 <= i < j < h:
+                    raise ValueError(f"pair ({i},{j}) out of range for h={h}")
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+        if any(r & b for r, b in zip(*layers)):
+            raise ValueError("red and blue pairs must be disjoint")
+        return PatternGraph(h, tuple(layers[0]), tuple(layers[1]))
 
     def layers(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex red masks and blue masks; a free pair is in neither."""
-        pairs = (self.red_pairs, self.blue_pairs)
-        return tuple(HostGraph.from_red_pairs(self.h, ps).masks for ps in pairs)
+        """Per-vertex red masks and blue masks."""
+        return self.red, self.blue
 
     def to_text(self) -> str:
-        chars = []
-        for p in lex_pairs(self.h):
-            chars.append("R" if p in self.red_pairs else "B" if p in self.blue_pairs else "F")
-        return f"{self.h} {''.join(chars)}"
+        return write_pairs(self.layers(), "RBF")
 
 
-def _parse_header(text: str, what: str) -> tuple[int, str, int]:
+def _parse(text: str, what: str, letters: str) -> tuple:
+    """The vertex count and then the mask layers of `<n> <pairstring>` text."""
+    text = text.strip()
     sp = text.find(" ")
     if sp < 0:
         head, body, base = text, "", len(text)  # n = 1 has an empty pair string
-    elif sp == 0:
-        raise GraphFormatError(f"{what}: missing vertex count", 0)
     else:
         head, body, base = text[:sp], text[sp + 1 :], sp + 1
     if not head.isdigit():
@@ -220,49 +276,24 @@ def _parse_header(text: str, what: str) -> tuple[int, str, int]:
     n = int(head)
     if n < 1:
         raise GraphFormatError(f"{what}: vertex count must be positive", 0)
-    return n, body, base
+    want = n * (n - 1) // 2
+    if len(body) != want:
+        raise GraphFormatError(
+            f"{what}: pair string has {len(body)} characters, expected {want}",
+            base + len(body),
+        )
+    fault = lambda t, ch: GraphFormatError(f"{what}: illegal character {ch!r}", base + t)
+    return (n, *read_pairs(n, body, letters, fault))
 
 
 def parse_host(text: str) -> HostGraph:
     """Parse `<n> <pairstring>` with pairstring over {R, B} in lex pair order."""
-    text = text.strip()
-    n, body, base = _parse_header(text, "host")
-    want = n * (n - 1) // 2
-    if len(body) != want:
-        raise GraphFormatError(
-            f"host: pair string has {len(body)} characters, expected {want}",
-            base + len(body),
-        )
-    masks = [0] * n
-    for idx, (pair, ch) in enumerate(zip(lex_pairs(n), body)):
-        if ch == "R":
-            i, j = pair
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-        elif ch != "B":
-            raise GraphFormatError(f"host: illegal character {ch!r}", base + idx)
-    return HostGraph(n, tuple(masks))
+    return HostGraph(*_parse(text, "host", "RB"))
 
 
 def parse_pattern(text: str) -> PatternGraph:
     """Parse `<h> <pairstring>` with pairstring over {R, B, F}."""
-    text = text.strip()
-    h, body, base = _parse_header(text, "pattern")
-    want = h * (h - 1) // 2
-    if len(body) != want:
-        raise GraphFormatError(
-            f"pattern: pair string has {len(body)} characters, expected {want}",
-            base + len(body),
-        )
-    red, blue = set(), set()
-    for idx, (pair, ch) in enumerate(zip(lex_pairs(h), body)):
-        if ch == "R":
-            red.add(pair)
-        elif ch == "B":
-            blue.add(pair)
-        elif ch != "F":
-            raise GraphFormatError(f"pattern: illegal character {ch!r}", base + idx)
-    return PatternGraph(h, frozenset(red), frozenset(blue))
+    return PatternGraph(*_parse(text, "pattern", "RBF"))
 
 
 # ---------------------------------------------------------------------------
@@ -569,19 +600,14 @@ class PartedHost:
         )
 
     def to_host(self) -> HostGraph:
-        n = self.n
-        part_of = []
-        for p, s in enumerate(self.sizes):
-            part_of.extend([p] * s)
-        masks = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                pi, pj = part_of[i], part_of[j]
-                red = self.internal_red[pi] if pi == pj else self.cross_red[pi][pj]
-                if red:
-                    masks[i] |= 1 << j
-                    masks[j] |= 1 << i
-        return HostGraph(n, tuple(masks))
+        starts = [sum(self.sizes[:p]) for p in range(len(self.sizes) + 1)]
+        spans = list(zip(starts, starts[1:]))  # each part's vertices [a, b)
+        masks = []
+        for p, (a, b) in enumerate(spans):
+            red = [*self.cross_red[p][:p], self.internal_red[p], *self.cross_red[p][p + 1 :]]
+            reach = sum((1 << d) - (1 << c) for (c, d), r in zip(spans, red) if r)
+            masks += [reach & ~(1 << v) for v in range(a, b)]  # the parts red to part p
+        return HostGraph(self.n, tuple(masks))
 
 
 class Circulant(NamedTuple):

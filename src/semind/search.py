@@ -24,9 +24,11 @@ from .graphs import (
     PatternGraph,
     _MAX_INTERNAL_K,
     _graph_classes,
+    _row_starts,
     canonical_form,
     lex_pairs,
     make_construction,
+    write_pairs,
 )
 from .counting import _plan, _work, count_injections, flip_delta, flip_plans
 
@@ -99,15 +101,7 @@ def brute_force_profile(h: PatternGraph, n: int) -> dict:
     prs = lex_pairs(n)
     per_m = {m: -1 for m in range(len(prs) + 1)}
     for colored in range(1 << len(prs)):
-        masks = [0] * n
-        rest = colored
-        idx = 0
-        while rest:
-            if rest & 1:
-                _flip(masks, *prs[idx])
-            rest >>= 1
-            idx += 1
-        g = HostGraph(n, tuple(masks))
+        g = HostGraph.from_red_pairs(n, [pr for t, pr in enumerate(prs) if colored >> t & 1])
         m = colored.bit_count()
         c = count_injections(h, g)
         if c > per_m[m]:
@@ -119,11 +113,6 @@ def _make_counter(h: PatternGraph):
     """The climb's host -> count function; perfbench/tracer.py wraps it by
     name to count climb evaluations."""
     return lambda g: count_injections(h, g)
-
-
-def _row_starts(n: int) -> list[int]:
-    """The index in lex_pairs(n) of each row's first pair (i, i + 1)."""
-    return [i * (2 * n - i - 1) // 2 for i in range(n - 1)]
 
 
 def _pair_at(starts: list[int], t: int) -> tuple[int, int]:
@@ -143,11 +132,9 @@ def _random_masks(n: int, m: int, rng: random.Random) -> list[int]:
 
 def _adjust_edge_count(masks: list[int], n: int, m_target: int, rng: random.Random):
     starts = _row_starts(n)
-    red, blue = [], []  # pair indices by colour, each in increasing order
-    for i, first in enumerate(starts):
-        row = format(masks[i] >> i + 1, f"0{n - i - 1}b")
-        for t, bit in enumerate(reversed(row), first):
-            (red if bit == "1" else blue).append(t)
+    colours = write_pairs((masks,), "RB").partition(" ")[2]  # pair t's colour at t
+    red = [t for t, c in enumerate(colours) if c == "R"]
+    blue = [t for t, c in enumerate(colours) if c == "B"]
     current = len(red)
     rng.shuffle(red)
     rng.shuffle(blue)

@@ -29,6 +29,7 @@ from semind.certificates import (
 from semind.counting import ap4_pattern, peenn_pattern
 from semind.exactalg import Poly, Q2
 from semind.flags import basis_combo, expand_pattern, lift, unit_flag
+from semind.graphs import HostGraph
 
 
 def test_parse_poly_round_trip():
@@ -58,6 +59,12 @@ def test_parse_poly_sums_repeated_monomials():
     ("a^-1", "empty exponent in 'a^-1'"),
     ("2*B^+a", "empty exponent in '2*B^+a'"),
     ("3/0", "zero denominator in '3/0'"),
+    ("2*y", "factor 'y' in '2*y' is not a variable, an integer or a fraction"),
+    ("1.5*a", "factor '1.5' in '1.5*a' is not a variable, an integer or a fraction"),
+    ("a+1e3", "factor '1e3' in 'a+1e3' is not a variable, an integer or a fraction"),
+    ("3/2.0", "factor '3/2.0' in '3/2.0' is not a variable, an integer or a fraction"),
+    ("a^1.5", "exponent of 'a^1.5' in 'a^1.5' is not an integer"),
+    ("2*B^x", "exponent of 'B^x' in '2*B^x' is not an integer"),
     ("a+1/0*B", "zero denominator in 'a+1/0*B'"),
 ])
 def test_parse_poly_rejects_empty_exponents_and_zero_denominators(text, message):
@@ -70,10 +77,25 @@ def test_host_from_digits():
     c5 = host_from_digits(C5_DIGITS)
     assert c5.red_count() == 5
     assert set(c5.degrees()) == {2}
-    with pytest.raises(ValueError):
-        host_from_digits("12")
-    with pytest.raises(ValueError):
-        host_from_digits("103")
+    assert host_from_digits("") == HostGraph(1, (0,))
+    assert host_from_digits("122").to_text() == "3 BRR"
+
+
+@pytest.mark.parametrize("digits, message", [
+    ("12", "digit string length 2 is not triangular"),
+    ("1122221", "digit string length 7 is not triangular"),
+    ("3", "illegal digit '3'"),
+    ("31222a", "illegal digit '3'"),  # the first pair, and the first fault
+    ("103", "illegal digit '0'"),
+    ("112a22", "illegal digit 'a'"),
+    ("11222R", "illegal digit 'R'"),
+])
+def test_host_from_digits_pins_its_messages(digits, message):
+    # a malformed data file is a fault of the program, not a usage error
+    with pytest.raises(ValueError) as err:
+        host_from_digits(digits)
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
 
 
 def test_ap4_certificate_passes():

@@ -64,6 +64,11 @@ def test_count_injections_examples():
     assert count_injections(ap4_pattern(), parse_host("3 RRR")) == 0
 
 
+def _pairs(masks) -> set:
+    """The pairs (i, j), i < j, that a mask layer holds."""
+    return {(i, j) for i, m in enumerate(masks) for j in range(i + 1, len(masks)) if m >> j & 1}
+
+
 def _reference_count(h, g):
     """Plain backtracker: places the pattern's vertices in index order and
     checks each against the constrained pairs to earlier vertices; no vertex
@@ -71,8 +76,8 @@ def _reference_count(h, g):
     full = (1 << g.n) - 1
     blue = tuple(full ^ m ^ (1 << v) for v, m in enumerate(g.masks))
     back = [[] for _ in range(h.h)]  # back[v]: (u < v, host masks the pair {u, v} needs)
-    for pairs, masks in ((h.red_pairs, g.masks), (h.blue_pairs, blue)):
-        for u, v in pairs:
+    for layer, masks in zip(h.layers(), (g.masks, blue)):
+        for u, v in _pairs(layer):
             back[v].append((u, masks))
     assign = [0] * h.h
 
@@ -211,7 +216,7 @@ def test_automorphism_orders():
 
 def _relabeled(h: PatternGraph, perm) -> PatternGraph:
     move = lambda pairs: [(perm[i], perm[j]) for i, j in pairs]
-    return PatternGraph.of(h.h, move(h.red_pairs), move(h.blue_pairs))
+    return PatternGraph.of(h.h, *(move(_pairs(layer)) for layer in h.layers()))
 
 
 def _oracle_automorphisms(h: PatternGraph) -> int:
@@ -500,7 +505,7 @@ def test_complement_color_swap_symmetry():
         g = HostGraph(n, tuple(masks))
         for h in patterns:
             assert count_injections(h, g) == count_injections(
-                h.color_swap(), g.complement()
+                PatternGraph(h.h, h.blue, h.red), g.complement()
             )
 
 
@@ -531,12 +536,12 @@ FLIP_PATTERNS = [
 def _brute_orbits(h):
     """The orbits of ordered constrained pairs under every vertex permutation
     that carries h's red pairs onto red pairs and blue onto blue."""
-    layers = (h.red_pairs, h.blue_pairs)
+    layers = [_pairs(layer) for layer in h.layers()]
     auts = [
         p for p in permutations(range(h.h))
         if all({tuple(sorted((p[i], p[j]))) for i, j in pairs} == pairs for pairs in layers)
     ]
-    ordered = [q for a, b in h.red_pairs | h.blue_pairs for q in ((a, b), (b, a))]
+    ordered = [q for a, b in layers[0] | layers[1] for q in ((a, b), (b, a))]
     return {frozenset((p[a], p[b]) for p in auts) for a, b in ordered}
 
 
@@ -544,13 +549,14 @@ def test_flip_plans_orbits():
     sizes = {}
     for h in FLIP_PATTERNS:
         orbits = flip_plans(h, 8)
-        assert sum(size for _, _, size, _ in orbits) == 2 * len(h.red_pairs | h.blue_pairs)
+        red, blue = map(_pairs, h.layers())
+        assert sum(size for _, _, size, _ in orbits) == 2 * len(red | blue)
         brute = _brute_orbits(h)
         assert len(orbits) == len(brute), h.to_text()
         for (a, b), pair_red, size, plan in orbits:
             (orbit,) = [o for o in brute if (a, b) in o]
             assert size == len(orbit), (h.to_text(), a, b)
-            assert pair_red == ((min(a, b), max(a, b)) in h.red_pairs)
+            assert pair_red == ((min(a, b), max(a, b)) in red)
             assert plan == _plan(h, 8, (a, b))
         sizes[h.to_text()] = sorted(size for _, _, size, _ in orbits)
     assert sizes[ac4_pattern().to_text()] == [4, 4]

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semind import graphs
+from semind.certificates import host_from_digits
 from semind.counting import ap4_pattern, is_induced_subgraph, peenn_pattern
 from semind.graphs import (
     CLASS_COUNTS,
@@ -18,6 +19,7 @@ from semind.graphs import (
     Circulant,
     GraphFormatError,
     HostGraph,
+    PatternGraph,
     UnsupportedSizeError,
     apportion,
     basis_text,
@@ -111,14 +113,110 @@ def test_parse_errors_name_offsets():
         parse_host("3RRR")
 
 
+@pytest.mark.parametrize("parse, what", [(parse_host, "host"), (parse_pattern, "pattern")])
+@pytest.mark.parametrize("text, message, offset", [
+    ("x RRR", "malformed vertex count 'x'", 0),
+    ("3RRR", "malformed vertex count '3RRR'", 0),
+    ("+3 RRR", "malformed vertex count '+3'", 0),
+    ("", "malformed vertex count ''", 0),
+    ("0 ", "vertex count must be positive", 0),
+    ("3 RR", "pair string has 2 characters, expected 3", 4),
+    ("3 RRRR", "pair string has 4 characters, expected 3", 6),
+    ("3  RRR", "pair string has 4 characters, expected 3", 6),
+    ("2", "pair string has 0 characters, expected 1", 1),
+    ("1 R", "pair string has 1 characters, expected 0", 3),
+    ("4 XRRRRX", "illegal character 'X'", 2),  # the first pair, and the first fault
+    ("4 RRRXRR", "illegal character 'X'", 5),  # (1, 2), the first pair of row 1
+    ("4 RRRRRX", "illegal character 'X'", 7),  # the last pair
+    ("3 R R", "illegal character ' '", 3),
+])
+def test_parse_errors_pin_message_and_offset(parse, what, text, message, offset):
+    with pytest.raises(GraphFormatError) as e:
+        parse(text)
+    assert str(e.value) == f"{what}: {message} (byte offset {offset})"
+    assert e.value.offset == offset
+
+
+def test_one_vertex_and_free_letters():
+    for text in ("1", "1 ", " 1 \n"):
+        assert parse_host(text).masks == (0,)
+        assert parse_pattern(text).layers() == ((0,), (0,))
+        assert parse_host(text).to_text() == parse_pattern(text).to_text() == "1 "
+    with pytest.raises(GraphFormatError) as e:
+        parse_host("4 RRFRRR")
+    assert (str(e.value), e.value.offset) == ("host: illegal character 'F' (byte offset 4)", 4)
+    assert parse_pattern("4 RRFRRR").to_text() == "4 RRFRRR"
+
+
+# The per-pair codec that the row-wise one replaced, kept as its oracle.
+def _oracle_text(n, layers, letters):
+    chars = []
+    for i, j in lex_pairs(n):
+        hit = [c for masks, c in zip(layers, letters) if masks[i] >> j & 1]
+        chars.append(hit[0] if hit else letters[-1])
+    return f"{n} {''.join(chars)}"
+
+
+def _oracle_layers(n, body, letters):
+    layers = [[0] * n for _ in letters[:-1]]
+    for (i, j), ch in zip(lex_pairs(n), body):
+        if ch != letters[-1]:
+            masks = layers[letters.index(ch)]
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    return tuple(map(tuple, layers))
+
+
+@st.composite
+def pair_strings(draw, letters):
+    n = draw(st.integers(min_value=1, max_value=40))
+    return n, draw(st.text(alphabet=letters, min_size=comb(n, 2), max_size=comb(n, 2)))
+
+
+@given(pair_strings("RB"))
+@settings(max_examples=120, deadline=None)
+def test_host_codec_matches_per_pair_oracle(case):
+    n, body = case
+    g = parse_host(f"{n} {body}")
+    assert (g.masks,) == _oracle_layers(n, body, "RB")
+    assert g.to_text() == _oracle_text(n, (g.masks,), "RB") == f"{n} {body}"
+    assert host_from_digits(body.translate(str.maketrans("RB", "21"))) == g
+
+
+@given(pair_strings("RBF"))
+@settings(max_examples=120, deadline=None)
+def test_pattern_codec_matches_per_pair_oracle(case):
+    n, body = case
+    h = parse_pattern(f"{n} {body}")
+    assert h.layers() == _oracle_layers(n, body, "RBF")
+    assert h.to_text() == _oracle_text(n, h.layers(), "RBF") == f"{n} {body}"
+
+
+def test_codec_holds_no_list_of_pairs():
+    import tracemalloc
+
+    g = random_host(random.Random(4), 1000)
+    tracemalloc.start()
+    try:
+        text = g.to_text()
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert parse_host(text) == g
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert write_peak < 8 << 20 and read_peak < 8 << 20, (write_peak, read_peak)
+
+
 def test_pattern_parsing():
     h = parse_pattern("4 RFFBFR")
-    assert (0, 1) in h.red_pairs and (2, 3) in h.red_pairs
-    assert (1, 2) in h.blue_pairs
+    red, blue = h.layers()
+    assert red == (0b0010, 0b0001, 0b1000, 0b0100)  # (0, 1) and (2, 3)
+    assert blue == (0b0000, 0b0100, 0b0010, 0b0000)  # (1, 2)
+    assert h == PatternGraph.of(4, red=[(0, 1), (3, 2)], blue=[(2, 1)])
     assert h.to_text().split()[1].count("F") == 3
     assert parse_pattern(h.to_text()) == h
-    swapped = h.color_swap()
-    assert swapped.red_pairs == h.blue_pairs
+    assert PatternGraph(h.h, blue, red).to_text() == "4 BFFRFB"
 
 
 def test_canonical_invariance_random_permutations():

@@ -83,7 +83,7 @@ def test_full_profile_complement_symmetry():
     for h in (ap4_pattern(), star_pattern(2, 1)):
         for n in (4, 5, 6):
             left = full_profile(h, n).per_edge_count
-            right = full_profile(h.color_swap(), n).per_edge_count
+            right = full_profile(PatternGraph(h.h, h.blue, h.red), n).per_edge_count
             top = comb(n, 2)
             for m in range(top + 1):
                 assert left[m] == right[top - m], (h.to_text(), n, m)

@@ -60,6 +60,17 @@ def test_every_imported_name_is_read():
     assert not unread, f"imported but never read: {unread}"
 
 
+def test_only_small_tables_list_every_pair():
+    # lex_pairs(n) holds n^2 / 2 tuples, about 200 MiB at n = 2,002, so only
+    # the tables over k <= 6 vertices may build it, never a host-sized path
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) and _names_used(node)["lex_pairs"]:
+                callers.add(getattr(node, "name", f"{path.name} at module level"))
+    assert callers == {"_mask_class_table", "_profile_layout", "brute_force_profile"}
+
+
 def test_readme_lists_every_curve_tag():
     from semind.profiles import _CURVES, _form
 
