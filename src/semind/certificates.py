@@ -83,7 +83,7 @@ def parse_poly(text: str, names) -> Poly:
                 exps[names.index(base)] += exp
                 continue
             num, _, den = base.partition("/") if "/" in base else (base, "", "1")
-            if not all(d.isascii() and d.isdigit() for d in (num, den)):
+            if not (num + den).isascii() or not (num.isdigit() and den.isdigit()):
                 raise ValueError(
                     f"factor {base!r} in {text!r} is not a variable, an integer or a fraction"
                 )

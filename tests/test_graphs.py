@@ -125,7 +125,7 @@ def test_parse_errors_name_offsets():
     ("3  RRR", "pair string has 4 characters, expected 3", 6),
     ("2", "pair string has 0 characters, expected 1", 1),
     ("1 R", "pair string has 1 characters, expected 0", 3),
-    ("4 XRRRRX", "illegal character 'X'", 2),  # the first pair, and the first fault
+    ("4 XRRRRY", "illegal character 'X'", 2),  # the first pair, and the first fault
     ("4 RRRXRR", "illegal character 'X'", 5),  # (1, 2), the first pair of row 1
     ("4 RRRRRX", "illegal character 'X'", 7),  # the last pair
     ("3 R R", "illegal character ' '", 3),
