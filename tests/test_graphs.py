@@ -579,6 +579,64 @@ def test_construction_errors():
         make_construction(clique_plus_isolated(0.5), 1)
 
 
+# Every construction the CLI grammar builds: its describe() text and, at
+# n = 2, 7, 17 and 1000, its realized value, as the part sizes with the
+# colours inside each part and the rows of colours across (the diagonal
+# included), or as a circulant's (n, near, near_red).
+_PINNED_SIZES = (2, 7, 17, 1000)
+_PINNED_REALIZED = {
+    "clique_iso:0.5477": ("clique_plus_isolated:0.5477", "RB", "BB BB",
+                          [(1, 1), (4, 3), (9, 8), (548, 452)]),
+    "cliques:0.4,0.35,0.25": ("disjoint_cliques:0.4,0.35,0.25", "RRR", "BBB BBB BBB",
+                              [(1, 1, 0), (3, 2, 2), (7, 6, 4), (400, 350, 250)]),
+    "cliques:0.4387,0.4387,0.1225": (
+        "disjoint_cliques:0.4387,0.4387,0.1225", "RRRB", "BBBB BBBB BBBB BBBB",
+        [(1, 1, 0, 0), (3, 3, 1, 0), (8, 7, 2, 0), (439, 439, 122, 0)]),
+    "cliques:0.3,0.3": ("disjoint_cliques:0.3,0.3", "RRB", "BBB BBB BBB",
+                        [(1, 0, 1), (2, 2, 3), (5, 5, 7), (300, 300, 400)]),
+    "cliques:0.1,0.2,0.7": ("disjoint_cliques:0.1,0.2,0.7", "RRR", "BBB BBB BBB",
+                            [(0, 1, 1), (1, 1, 5), (2, 3, 12), (100, 200, 700)]),
+    "circulant:0.6667": ("circulant:0.6667", None, None,
+                         [(2, 1, True), (7, 4, True), (17, 10, True), (1000, 666, True)]),
+    "circulant:0.5": ("circulant:0.5", None, None,
+                      [(2, 0, True), (7, 2, True), (17, 8, True), (1000, 500, True)]),
+    "three_part:0.3,0.2": ("three_part:0.3,0.2", "BRB", "BRB RRB BBB",
+                           [(1, 0, 1), (2, 1, 4), (5, 3, 9), (300, 200, 500)]),
+    "complement:clique_iso:0.75": ("complement:clique_plus_isolated:0.75", "BR", "RR RR",
+                                   [(2, 0), (5, 2), (13, 4), (750, 250)]),
+    "complement:cliques:0.4,0.3": ("complement:disjoint_cliques:0.4,0.3", "BBR", "RRR RRR RRR",
+                                   [(1, 0, 1), (3, 2, 2), (7, 5, 5), (400, 300, 300)]),
+    "complement:circulant:0.5": ("complement:circulant:0.5", None, None,
+                                 [(2, 0, False), (7, 2, False), (17, 8, False),
+                                  (1000, 500, False)]),
+    "complement:complement:three_part:0.25,0.5": (
+        "complement:complement:three_part:0.25,0.5", "BRB", "BRB RRB BBB",
+        [(1, 1, 0), (2, 3, 2), (4, 9, 4), (250, 500, 250)]),
+    "complement:complement:circulant:0.52": (
+        "complement:complement:circulant:0.52", None, None,
+        [(2, 1, True), (7, 2, True), (17, 8, True), (1000, 519, True)]),
+}
+
+
+def test_realize_pins_every_cli_construction():
+    from semind.cli import construct_from_arg
+
+    def letters(bits):
+        return "".join("R" if b else "B" for b in bits)
+
+    for text, (name, internal, cross, values) in _PINNED_REALIZED.items():
+        spec = construct_from_arg(text)
+        assert spec.describe() == name, text
+        for n, value in zip(_PINNED_SIZES, values):
+            g = realize(spec, n)
+            if internal is None:
+                assert isinstance(g, Circulant) and (g.n, g.near, g.near_red) == value, (text, n)
+            else:
+                assert g.sizes == value, (text, n)
+                assert letters(g.internal_red) == internal, (text, n)
+                assert " ".join(map(letters, g.cross_red)) == cross, (text, n)
+
+
 def test_parted_host_matches_built_host():
     for spec, n in [
         (clique_plus_isolated(0.6), 10),
