@@ -9,8 +9,13 @@ over set partitions, with popcounts of candidate masks.  On all but the
 smallest hosts a tree-shaped pattern such as peenn or a double star therefore
 costs O(n^2) popcount steps instead of the O(n^(h-1)) of enumerating every
 vertex but the last.  `count_injections` and `count_work` also take a blow-up
-(`graphs.PartedHost`), counted from its parts, and a vertex-transitive
-`graphs.Circulant`, counted with one pattern vertex pinned to host vertex 0.
+(`graphs.PartedHost`) and a vertex-transitive `graphs.Circulant`, counted
+with one pattern vertex pinned to host vertex 0.  A blow-up is counted from
+one table, `_part_maps`: for each tuple of part multiplicities u, the number
+c of maps from the pattern's vertices to the parts that respect its colours.
+Part sizes s give sum c * prod (s_i)_(u_i) injections; the same table with
+part weights w gives the step construction's limit density,
+sum c * prod w_i^(u_i).
 `flip_delta` gives the exact change of a count when one host pair flips
 colour, with one pinned count per automorphism orbit of the pattern's ordered
 constrained pairs, whose plans `flip_plans` resolves once per host size.  The
@@ -729,50 +734,54 @@ def normalized_density(count: int, n: int, h: int) -> float:
     return count / n**h
 
 
-def blowup_injections(h: PatternGraph, parts: PartedHost) -> int:
-    """Exact injection count into a parted host, in O(parts^(h+1)) time.
+def _part_maps(h: PatternGraph, internal_red, cross_red) -> dict[tuple[int, ...], int]:
+    """The maps from h's vertices to the parts of a step construction (each
+    part one colour inside, `internal_red`, and each pair of parts one colour
+    across, `cross_red`) that respect h's red and blue pairs, counted by the
+    number of vertices each part receives: {multiplicities: maps}.
 
-    Works for any pattern and any host size, since vertices inside a part are
-    interchangeable."""
-    p = len(parts.sizes)
-    sizes = parts.sizes
+    A blow-up with part sizes s has sum maps * prod (s_i)_(u_i) injections,
+    and the step construction with part weights w has limit density
+    sum maps * prod w_i^(u_i)."""
+    p = len(internal_red)
+    red = [[internal_red[i] if i == j else cross_red[i][j] for j in range(p)] for i in range(p)]
     by_vertex = [  # per vertex: (earlier vertex, pair is red), the red pairs first
         [(i, True) for i in range(j) if h.red[j] >> i & 1]
         + [(i, False) for i in range(j) if h.blue[j] >> i & 1]
         for j in range(h.h)
     ]
-
-    def pair_red(pi: int, pj: int) -> bool:
-        return parts.internal_red[pi] if pi == pj else parts.cross_red[pi][pj]
-
     assign = [0] * h.h
     used = [0] * p
-    total = 0
+    table: dict[tuple[int, ...], int] = {}
 
     def rec(v: int):
-        nonlocal total
         if v == h.h:
-            mult = 1
-            for pi in range(p):
-                mult *= perm(sizes[pi], used[pi])
-            total += mult
+            key = tuple(used)
+            table[key] = table.get(key, 0) + 1
             return
         for pi in range(p):
-            if used[pi] >= sizes[pi]:
-                continue
-            ok = True
             for u, isred in by_vertex[v]:
-                if pair_red(assign[u], pi) != isred:
-                    ok = False
+                if red[assign[u]][pi] != isred:
                     break
-            if ok:
+            else:
                 assign[v] = pi
                 used[pi] += 1
                 rec(v + 1)
                 used[pi] -= 1
-        return
 
     rec(0)
+    return table
+
+
+def blowup_injections(h: PatternGraph, parts: PartedHost) -> int:
+    """Exact injection count into a parted host, in O(parts^(h+1)) time, from
+    `_part_maps`: any pattern and any host size, since vertices inside a part
+    are interchangeable."""
+    total = 0
+    for used, maps in _part_maps(h, parts.internal_red, parts.cross_red).items():
+        for s, u in zip(parts.sizes, used):
+            maps *= perm(s, u)
+        total += maps
     return total
 
 

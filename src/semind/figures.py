@@ -6,8 +6,8 @@ are byte-identical.  Curves are drawn only where their validity flag is set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import check_work
 from .profiles import CurveId, curve, eval_curve, find_crossover, s21_prog_boundary
@@ -22,8 +22,7 @@ _COLORS = (
 )
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(NamedTuple):
     curve_id: CurveId
     lo: float
     hi: float

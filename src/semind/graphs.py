@@ -592,13 +592,6 @@ class PartedHost:
                     red += self.sizes[i] * self.sizes[j]
         return red
 
-    def complement(self) -> "PartedHost":
-        return PartedHost(
-            self.sizes,
-            tuple(not b for b in self.internal_red),
-            tuple(tuple(not b for b in row) for row in self.cross_red),
-        )
-
     def to_host(self) -> HostGraph:
         starts = [sum(self.sizes[:p]) for p in range(len(self.sizes) + 1)]
         spans = list(zip(starts, starts[1:]))  # each part's vertices [a, b)
@@ -629,9 +622,6 @@ class Circulant(NamedTuple):
     def red_count(self) -> int:
         return self.n * self.degree // 2
 
-    def complement(self) -> "Circulant":
-        return self._replace(near_red=not self.near_red)
-
     @property
     def masks(self) -> tuple[int, ...]:
         """The red masks: vertex i is red to i + s (mod n) for each red offset s."""
@@ -647,28 +637,35 @@ class Circulant(NamedTuple):
         return HostGraph(self.n, self.masks)
 
 
-@dataclass(frozen=True)
-class ConstructionSpec:
-    """Parametric extremal-construction family.
+class ConstructionSpec(NamedTuple):
+    """A construction family member, stored as what it realizes.  A step
+    construction has part `weights` summing to 1, each part one colour inside
+    (`internal_red`) and each pair of parts one colour across (`cross_red`);
+    a circulant has the `degree_fraction` of its near offsets, which are red
+    when `near_red`.  `name` is the `describe()` text."""
 
-    kinds: clique_plus_isolated(a), disjoint_cliques(f1,...), circulant(d-frac),
-    three_part(x, y), complement(inner).
-    """
-
-    kind: str
-    fractions: tuple[float, ...] = ()
-    inner: "ConstructionSpec | None" = None
+    name: str
+    weights: tuple[float, ...] = ()
+    internal_red: tuple[bool, ...] = ()
+    cross_red: tuple[tuple[bool, ...], ...] = ()
+    degree_fraction: float | None = None
+    near_red: bool = True
 
     def describe(self) -> str:
-        if self.kind == "complement":
-            return f"complement:{self.inner.describe()}"
-        return f"{self.kind}:" + ",".join(f"{f:g}" for f in self.fractions)
+        return self.name
+
+
+def _step(kind: str, fractions, weights, internal_red, cross_red) -> ConstructionSpec:
+    name = f"{kind}:" + ",".join(f"{f:g}" for f in fractions)
+    return ConstructionSpec(name, weights, internal_red, cross_red)
 
 
 def clique_plus_isolated(a: float) -> ConstructionSpec:
     if not 0 <= a <= 1:
         raise ConstructionError("clique fraction must lie in [0,1]")
-    return ConstructionSpec("clique_plus_isolated", (float(a),))
+    a = float(a)
+    return _step("clique_plus_isolated", (a,), (a, 1 - a), (True, False),
+                 ((False, False), (False, False)))
 
 
 def disjoint_cliques(fractions) -> ConstructionSpec:
@@ -677,23 +674,36 @@ def disjoint_cliques(fractions) -> ConstructionSpec:
         raise ConstructionError("clique fractions must be nonnegative")
     if sum(fs) > 1 + 1e-9:
         raise ConstructionError("clique fractions must sum to at most 1")
-    return ConstructionSpec("disjoint_cliques", fs)
+    slack = 1 - sum(fs)
+    weights = fs + ((slack,) if slack > 1e-12 else ())  # the rest of the vertices, isolated
+    p = len(weights)
+    internal = (True,) * len(fs) + (False,) * (p - len(fs))
+    return _step("disjoint_cliques", fs, weights, internal, ((False,) * p,) * p)
 
 
 def circulant(degree_fraction: float) -> ConstructionSpec:
     if not 0 <= degree_fraction <= 1:
         raise ConstructionError("degree fraction must lie in [0,1]")
-    return ConstructionSpec("circulant", (float(degree_fraction),))
+    d = float(degree_fraction)
+    return ConstructionSpec(f"circulant:{d:g}", degree_fraction=d)
 
 
 def three_part(x: float, y: float) -> ConstructionSpec:
     if not (0 <= x and 0 <= y and x + y <= 1 + 1e-9):
         raise ConstructionError("three_part needs x, y >= 0 and x + y <= 1")
-    return ConstructionSpec("three_part", (float(x), float(y)))
+    x, y = float(x), float(y)
+    cross = ((False, True, False), (True, True, False), (False, False, False))
+    return _step("three_part", (x, y), (x, y, 1 - x - y), (False, True, False), cross)
 
 
 def complement_of(spec: ConstructionSpec) -> ConstructionSpec:
-    return ConstructionSpec("complement", (), spec)
+    """The spec with every colour it holds flipped."""
+    return spec._replace(
+        name=f"complement:{spec.name}",
+        internal_red=tuple(not r for r in spec.internal_red),
+        cross_red=tuple(tuple(not r for r in row) for row in spec.cross_red),
+        near_red=not spec.near_red,
+    )
 
 
 def apportion(fractions, n: int) -> list[int]:
@@ -716,30 +726,12 @@ def realize(spec: ConstructionSpec, n: int) -> PartedHost | Circulant:
     largest-remainder rounding) or as a circulant; `.to_host()` builds it."""
     if n < 2:
         raise ConstructionError("constructions need n >= 2")
-    if spec.kind == "complement":
-        return realize(spec.inner, n).complement()
-    if spec.kind == "circulant":
-        d = round(spec.fractions[0] * (n - 1))
-        return Circulant(n, d - 1 if d % 2 == 1 and n % 2 == 1 else d)  # odd-regular needs even n
-    if spec.kind == "clique_plus_isolated":
-        a = spec.fractions[0]
-        sizes = apportion([a, 1 - a], n)
-        return PartedHost(tuple(sizes), (True, False), ((False, False), (False, False)))
-    if spec.kind == "disjoint_cliques":
-        fs = list(spec.fractions)
-        slack = 1 - sum(fs)
-        parts = fs + ([slack] if slack > 1e-12 else [])
-        sizes = apportion(parts, n)
-        p = len(sizes)
-        internal = [True] * len(fs) + [False] * (p - len(fs))
-        cross = ((False,) * p,) * p
-        return PartedHost(tuple(sizes), tuple(internal), cross)
-    if spec.kind == "three_part":
-        x, y = spec.fractions
-        sizes = apportion([x, y, 1 - x - y], n)
-        cross = ((False, True, False), (True, True, False), (False, False, False))
-        return PartedHost(tuple(sizes), (False, True, False), cross)
-    raise ConstructionError(f"unknown construction kind {spec.kind!r}")
+    if spec.degree_fraction is None:
+        return PartedHost(tuple(apportion(spec.weights, n)), spec.internal_red, spec.cross_red)
+    d = round(spec.degree_fraction * (n - 1))
+    if d % 2 == 1 and n % 2 == 1:
+        d -= 1  # odd-regular needs even n
+    return Circulant(n, d, spec.near_red)
 
 
 def make_construction(spec: ConstructionSpec, n: int) -> HostGraph:

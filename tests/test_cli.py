@@ -299,8 +299,8 @@ def test_search_loads_enumerated_basis(capsys, cache, monkeypatch):
 def test_cli_paths_load_neither_numpy_nor_scipy(tmp_path):
     # each command runs in a fresh process, which then lists the modules it
     # loaded: numpy and scipy never, and of the package only what it runs;
-    # a bare import, which every command pays, loads no dataclasses, inspect
-    # or fractions either
+    # a bare import, which every command pays, and the curve commands
+    # `profile` and `figure` load no dataclasses, inspect or fractions either
     script = textwrap.dedent("""
         import json
         import sys
@@ -311,13 +311,12 @@ def test_cli_paths_load_neither_numpy_nor_scipy(tmp_path):
         def lazy_import():
             import colorsys
 
-        argv, expected = json.loads(sys.argv[1])
+        argv, expected, light = json.loads(sys.argv[1])
         import semind.cli
         if argv:
             assert semind.cli.main(argv) == 0
-        else:
-            heavy = loaded("dataclasses", "inspect", "fractions")
-            assert not heavy, heavy
+        heavy = loaded("dataclasses", "inspect", "fractions")
+        assert not (light and heavy), heavy
         assert not loaded("numpy", "scipy"), loaded("numpy", "scipy")
         assert loaded("semind") == sorted(expected), loaded("semind")
         assert not loaded("colorsys")
@@ -341,8 +340,10 @@ def test_cli_paths_load_neither_numpy_nor_scipy(tmp_path):
         (("verify", "stability"), ("graphs", "counting", "exactalg", "flags", "certificates")),
     ):
         expected = ["semind", "semind.cli", "semind.profiles", *(f"semind.{m}" for m in modules)]
+        light = modules in ((), ("figures",))
         proc = subprocess.run(
-            [sys.executable, "-c", script, json.dumps([argv, expected])], cwd=tmp_path, env=env,
+            [sys.executable, "-c", script, json.dumps([argv, expected, light])], cwd=tmp_path,
+            env=env,
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, (argv, proc.stderr)

@@ -397,8 +397,8 @@ def test_circulant_count_matches_generic():
         if h in named:
             sizes |= {2, 3, 40, 41}
         for n in sorted(sizes):
-            c = realize(circulant(rng.choice((0.3, 19 / 40, 0.5, 0.52, 0.8))), n)
-            for g in (c, c.complement()):
+            spec = circulant(rng.choice((0.3, 19 / 40, 0.5, 0.52, 0.8)))
+            for g in (realize(spec, n), realize(complement_of(spec), n)):
                 assert count_injections(h, g) == count_injections(h, g.to_host()), (
                     h.to_text(), g,
                 )
@@ -627,8 +627,7 @@ def test_fused_leaf_matches_reference():
                         masks[j] |= 1 << i
                 g = HostGraph(n, tuple(masks))
                 assert count_injections(h, g) == _reference_count(h, g), (h.to_text(), n)
-            c = realize(circulant(0.5), n)
-            for g in (c, c.complement()):
+            for g in (realize(circulant(0.5), n), realize(complement_of(circulant(0.5)), n)):
                 want = _reference_count(h, g.to_host())
                 assert count_injections(h, g) == count_injections(h, g.to_host()) == want, (
                     h.to_text(), n,

@@ -8,17 +8,28 @@ import numpy as np
 import pytest
 
 from semind import profiles
+from semind.counting import _part_maps, ac4_pattern, peenn_pattern, star_pattern
 from semind.exactalg import Q2, isolate_roots
 from semind.figures import figure_definition
+from semind.graphs import (
+    PatternGraph,
+    clique_plus_isolated,
+    complement_of,
+    disjoint_cliques,
+    three_part,
+)
 from semind.profiles import (
     BracketError,
     CurveSpecError,
+    _c,
+    _cc,
     _falls,
     _linspace,
+    _peenn_hi,
+    _peenn_lo,
     _prog_critical,
     _prog_objective,
     ac4_clique_value,
-    ac4_clique_value_exact,
     curve,
     eval_curve,
     find_crossover,
@@ -111,19 +122,114 @@ def test_rw_star_curve():
 
 
 def test_ac4_clique_values():
-    u, w, v = ac4_clique_value(Fraction(2, 5))
+    u, w, v = ac4_clique_value(0.4)
     assert abs(v - 0.08566600788) <= 1e-9
     assert 0 <= w <= u
-    for k in range(2, 11):
-        exact = ac4_clique_value_exact(Fraction(1, k))
-        assert exact is not None
-        u_e, w_e, v_e = exact
-        assert u_e == w_e == Fraction(1, k)
-        assert v_e == Fraction(1, k) ** 2 * (1 - Fraction(1, k))
+    for k in range(2, 11):  # the split at 1/k is k equal cliques, to 2 ulps
+        u, w, _ = ac4_clique_value(1 / k)
+        assert max(abs(u - 1 / k), abs(w - 1 / k)) <= 2 * math.ulp(1 / k), k
     u, w, v = ac4_clique_value(0.5)
     assert (u, w, v) == (0.5, 0.5, 0.125)
     with pytest.raises(ValueError):
         ac4_clique_value(0.0)
+
+
+# ---------------------------------------------------------------------------
+# each step curve is the exact limit density of its step construction
+
+_RED_PAIR = PatternGraph.of(2, red=[(0, 1)])
+
+
+def _step_density(h, spec, weights):
+    """The limit density of h in the step construction with spec's part
+    colours and these part weights: the sum over `_part_maps` of the number
+    of maps times prod w_i^u_i, exact for Fraction weights."""
+    assert len(weights) == len(spec.weights)
+    table = _part_maps(h, spec.internal_red, spec.cross_red)
+    return sum(maps * math.prod(w**u for w, u in zip(weights, used))
+               for used, maps in table.items())
+
+
+_CLIQUE_FRACTIONS = [Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(3, 4), Fraction(5, 7)]
+
+
+@pytest.mark.parametrize("a", _CLIQUE_FRACTIONS)
+def test_peenn_curves_are_clique_plus_isolated_densities(a):
+    # a clique on a fraction a: beta = a^2 and peenn = a^3 (1 - a), which is
+    # beta^(3/2) - beta^2, the high branch; the complement has beta = 1 - a^2
+    # and the same density, the low branch
+    spec, weights = clique_plus_isolated(a), (a, 1 - a)
+    for spec, beta, curve_at in ((spec, a * a, _peenn_hi),
+                                 (complement_of(spec), 1 - a * a, _peenn_lo)):
+        assert _step_density(_RED_PAIR, spec, weights) == beta
+        value = _step_density(peenn_pattern(), spec, weights)
+        assert value == a**3 * (1 - a)
+        assert math.isclose(curve_at(float(beta)), value, rel_tol=1e-14, abs_tol=1e-16), (a, spec)
+
+
+@pytest.mark.parametrize("a, b", [(2, 1), (1, 2), (3, 1)])
+def test_c_curves_are_clique_plus_isolated_densities(a, b):
+    # s:a,b on a clique of fraction r = sqrt(beta) is r r^a (1 - r)^b, the c
+    # curve; on the complement, where beta = 1 - r^2, it is r (1 - r)^a r^b,
+    # the cc curve
+    for r in _CLIQUE_FRACTIONS:
+        spec, weights = clique_plus_isolated(r), (r, 1 - r)
+        value = _step_density(star_pattern(a, b), spec, weights)
+        assert value == r * r**a * (1 - r) ** b
+        assert math.isclose(_c(float(r * r), a, b), value, rel_tol=1e-14)
+        value = _step_density(star_pattern(a, b), complement_of(spec), weights)
+        assert value == r * (1 - r) ** a * r**b
+        assert math.isclose(_cc(float(1 - r * r), a, b), value, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("a, b", [(2, 1), (1, 2), (3, 2), (4, 4)])
+def test_prog_objective_is_the_three_part_density(a, b):
+    # on Fractions `_prog_objective` is exact: at beta = 2xy + y^2 it is the
+    # density of s:a,b in three_part(x, y)
+    for x, y in ((Fraction(1, 5), Fraction(3, 10)), (Fraction(1, 10), Fraction(1, 2)),
+                 (Fraction(2, 7), Fraction(1, 7)), (Fraction(0), Fraction(3, 5))):
+        spec, weights = three_part(x, y), (x, y, 1 - x - y)
+        beta = _step_density(_RED_PAIR, spec, weights)
+        assert beta == 2 * x * y + y * y
+        value = _step_density(star_pattern(a, b), spec, weights)
+        assert value == x * y**a * (1 - y) ** b + y * (x + y) ** a * (1 - x - y) ** b
+        assert _prog_objective(y, beta, a, b) == value
+
+
+def test_prog_objective_rounds_within_a_plus_b_ulps():
+    # at (4, 4), beta = 0.0055 the float objective at the solver's own point,
+    # read exactly, is 3.4 ulps below the exact three_part density there: the
+    # rounding that `test_prog_value_within_two_ulps_of_the_exact_maximum`
+    # allows for is the evaluation's, not the root's
+    a, b = 4, 4
+    x, y, value = solve_prog_s(0.0055, a, b)
+    x, y = Fraction(x), Fraction(y)
+    exact = _step_density(star_pattern(a, b), three_part(x, y), (x, y, 1 - x - y))
+    assert abs(Fraction(value) - exact) <= (a + b) * Fraction(math.ulp(value))
+
+
+def test_ac4_cliques_curve_is_the_clique_split_density():
+    # disjoint cliques of weights w have beta = sum w^2 and ac4 density
+    # beta^2 - sum w^4; k equal ones give (1/k)^2 (1 - 1/k)
+    for k in range(2, 8):
+        weights = (Fraction(1, k),) * k
+        spec = disjoint_cliques(weights)
+        assert _step_density(_RED_PAIR, spec, weights) == Fraction(1, k)
+        value = _step_density(ac4_pattern(), spec, weights)
+        assert value == Fraction(1, k) ** 2 * (1 - Fraction(1, k))
+        assert math.isclose(ac4_clique_value(1 / k)[2], value, rel_tol=1e-14)
+    # j cliques of weight u and one of weight w, the split the optimizer finds
+    for j, u in ((2, Fraction(2, 5)), (2, Fraction(3, 7)), (3, Fraction(3, 10)),
+                 (4, Fraction(2, 9))):
+        w = 1 - j * u
+        weights = (u,) * j + (w,)
+        spec = disjoint_cliques(weights)
+        beta = _step_density(_RED_PAIR, spec, weights)
+        assert beta == j * u * u + w * w
+        value = _step_density(ac4_pattern(), spec, weights)
+        assert value == beta**2 - (j * u**4 + w**4)
+        got = ac4_clique_value(float(beta))
+        assert all(math.isclose(g, e, rel_tol=1e-12) for g, e in zip(got, (u, w, value))), j
 
 
 def test_linspace_matches_numpy():

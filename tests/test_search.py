@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -173,7 +172,7 @@ def test_hill_climb_ac4_thirds():
 
 
 def test_hill_climb_ac4_two_fifths():
-    u, w, _ = ac4_clique_value(Fraction(2, 5))
+    u, w, _ = ac4_clique_value(0.4)
     res = hill_climb(
         ac4_pattern(),
         60,
