@@ -175,26 +175,36 @@ def test_verify_output_is_unchanged(capsys, cache, tmp_path, argv):
     assert body.endswith("\n" + out) and body.count("\n# sha256 data/") == 3
 
 
-@pytest.mark.parametrize("argv,class_lines,verdict,named,unnamed", [
+# sha256 of the `class=` lines and of the full stdout of each failing run;
+# the full stdout pins the "at ..." and "near ..." points of every FAIL line
+@pytest.mark.parametrize("argv,class_lines,stdout,verdict,fails,named,unnamed", [
     (("verify", "ap4", "--alpha-max", "3/5"),
      "7ee976f33b6d5709549a435328fd2bb8b47bd2fc8e6cefbc206d90a50a255d3a",
-     "verdict=FAIL classes=11 max_coeff=VIOLATION", ("C4",), ("C3", "class=")),
+     "3462120f46531dfea17c278991b3d1c05caa72060d692a066b36e831d9af14ad",
+     "verdict=FAIL classes=11 max_coeff=VIOLATION", 1, ("C4",), ("C3", "class=")),
     (("verify", "peenn", "--B", "sqrt2-1", "--C", "-0.1", "--interval", "1/sqrt2,0.8"),
      "951d711f0281470a4dc6e7ceeca97b4559afb71573e092fc34613143f9c9e61d",
-     "verdict=FAIL classes=34 max_coeff=VIOLATION",
+     "616c7657becb8415e8170dea98e879c46c46dbfc48ebb9697744b986d2e795cf",
+     "verdict=FAIL classes=34 max_coeff=VIOLATION", 2,
      ("class='5 BBRRBRRRRR'", "30*C"), ()),
-], ids=["ap4", "peenn"])
-def test_verify_failing_runs(capsys, cache, argv, class_lines, verdict, named, unnamed):
+    (("verify", "peenn", "--B", "1e-3", "--C", "0", "--interval", "4/5,1"),
+     "1bcf15f0fa5137bf2d4280623c5cf86403c266d5a99653317a41fc6a53a353af",
+     "fdc1a8702cbd889397ff3bb74001d3bbc42edd4338c8a8d8f56e872a24a541c9",
+     "verdict=FAIL classes=34 max_coeff=VIOLATION", 14,
+     ("at a=0.800000", "near a=0.950000", "near a=0.996875"), ("square multiplier",)),
+], ids=["ap4", "peenn", "peenn-rational"])
+def test_verify_failing_runs(capsys, cache, argv, class_lines, stdout, verdict, fails, named, unnamed):
     code, out, _ = run(capsys, *argv)
     lines = out.splitlines()
     assert code == 1 and lines[-1] == verdict
     got = "".join(ln + "\n" for ln in lines if ln.startswith("class="))
     assert hashlib.sha256(got.encode()).hexdigest() == class_lines
     failures = [ln for ln in lines if ln.startswith("FAIL ")]
-    assert len(failures) == len(named)
+    assert len(failures) == fails
     for word in named:
         assert any(word in f for f in failures), (word, failures)
     assert not any(word in f for f in failures for word in unnamed)
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout
 
 
 def test_verify_reports_archived(capsys, cache, tmp_path, monkeypatch):
