@@ -21,16 +21,7 @@ from importlib import resources
 from typing import Callable, NamedTuple
 
 from .counting import is_induced_subgraph
-from .exactalg import (
-    HALF_SQRT2,
-    Poly,
-    Q2,
-    SQRT2,
-    isolate_roots,
-    poly_eval,
-    poly_nonnegative_on,
-    sign_and_roots,
-)
+from .exactalg import HALF_SQRT2, Poly, Q2, SQRT2, sign_cells
 from .flags import (
     GraphCombo,
     RootedFlag,
@@ -338,19 +329,20 @@ def check_certificate(cert: Certificate) -> CertReport:
             zero_classes.append(code)
             report.lines.append(CertLine(code, str(value), "zero"))
             continue
-        ok, n_inside = sign_and_roots(cs, lo, hi, include_lo, include_hi)
-        if include_lo and poly_eval(cs, lo).sign() == 0:
+        signs = sign_cells(cs, lo, hi)
+        ok = signs.nonpositive(include_lo, include_hi)
+        if include_lo and signs.at_lo == 0:
             lo_zero.append(code)
-        if n_inside:
-            interior[code] = n_inside
+        if signs.roots:
+            interior[code] = len(signs.roots)
         report.lines.append(CertLine(code, str(value), "nonpositive" if ok else "VIOLATION"))
         if not ok:
             where = [
                 f"at {var}={float(x):.6f}"
-                for x, inside in ((lo, include_lo), (hi, include_hi))
-                if inside and poly_eval(cs, x).sign() > 0
+                for x, inside, sign in ((lo, include_lo, signs.at_lo), (hi, include_hi, signs.at_hi))
+                if inside and sign > 0
             ]
-            where += [f"near {var}={float(a + b) / 2:.6f}" for a, b in isolate_roots(cs, lo, hi)]
+            where += [f"near {var}={float(a + b) / 2:.6f}" for a, b in signs.roots]
             report.fail(
                 f"positivity violation class={code!r} on {var} in [{lo}, {hi}]"
                 + (f" ({'; '.join(where)})" if where else "")
@@ -360,7 +352,7 @@ def check_certificate(cert: Certificate) -> CertReport:
         if t.kind != "square":
             continue
         mult = mults[t.name].substitute(**fixed).univariate(var)
-        if not poly_nonnegative_on(mult, lo, hi, include_lo, include_hi):
+        if not sign_cells([-c for c in mult], lo, hi).nonpositive(include_lo, include_hi):
             report.fail(
                 f"square multiplier {t.name} = {t.multiplier} is negative somewhere "
                 f"on {var} in [{lo}, {hi}]"

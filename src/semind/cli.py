@@ -172,7 +172,7 @@ def exact_from_arg(text: str):
     fractions, decimals."""
     from fractions import Fraction
 
-    from .exactalg import Q2, SQRT2
+    from .exactalg import HALF_SQRT2, Q2, SQRT2
 
     t = text.strip().replace(" ", "")
     if t == "sqrt2":
@@ -182,7 +182,7 @@ def exact_from_arg(text: str):
     if t == "1-sqrt2":
         return Q2.of(1) - SQRT2
     if t == "1/sqrt2" or t == "sqrt2/2":
-        return Q2(Fraction(0), Fraction(1, 2))
+        return HALF_SQRT2
     try:
         return Q2.of(Fraction(t))
     except (ValueError, ZeroDivisionError) as exc:

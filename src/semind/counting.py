@@ -39,6 +39,7 @@ from .graphs import (
     _min_placements,
     _relabel_masks,
     _twins,
+    blue_masks,
     canonical_form,
     lex_pairs,
 )
@@ -412,12 +413,6 @@ def _extend(plan: _Plan, red, blue, assign: list[int], pos: int, used: int) -> i
     return scale * rec(pos, used)
 
 
-def _red_blue(masks) -> tuple:
-    """The red masks and blue masks of a host with the given red masks."""
-    full = (1 << len(masks)) - 1
-    return masks, tuple(full ^ m ^ (1 << v) for v, m in enumerate(masks))
-
-
 def count_injections(h: PatternGraph, g: HostGraph | PartedHost | Circulant) -> int:
     """Number of injections respecting red->red and blue->blue on constrained
     pairs; free pairs are unconstrained.  Returns 0 when h has more vertices
@@ -434,9 +429,9 @@ def count_injections(h: PatternGraph, g: HostGraph | PartedHost | Circulant) -> 
                 f"circulants are capped at n <= {MAX_CIRCULANT_N} (memory guard)"
             )
         plan = _pinned_plan(h, g.n)
-        return g.n * _extend(plan, *_red_blue(g.masks), [0] * len(plan.cons), 1, 1)
+        return g.n * _extend(plan, g.masks, blue_masks(g.masks), [0] * len(plan.cons), 1, 1)
     plan = _plan(h, g.n)
-    return _extend(plan, *_red_blue(g.masks), [0] * len(plan.cons), 0, 0)
+    return _extend(plan, g.masks, blue_masks(g.masks), [0] * len(plan.cons), 0, 0)
 
 
 def _pinned_plan(h: PatternGraph, n: int) -> _Plan:
@@ -531,9 +526,6 @@ class InducedProfile:
 
     k: int
     counts: dict
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 @lru_cache(maxsize=None)

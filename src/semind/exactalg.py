@@ -8,10 +8,12 @@ Three layers, all free of floating point:
   triple is also the form in which the Sturm layer evaluates points.
 * ``Poly`` -- sparse multivariate polynomials with Q2 coefficients over a
   fixed tuple of variable names.
-* univariate helpers -- an exact decision procedure for "p <= 0 on
-  [lo, hi]" with endpoints in Q2, root counting and isolation.  They clear
-  denominators once and run on ints: one fraction-free Sturm chain over
-  Z[sqrt2] per polynomial, evaluated at points (r + s*sqrt2) / t.
+* ``sign_cells`` -- the one exact sign routine for a univariate polynomial
+  on [lo, hi] with endpoints in Q2.  It clears denominators once and runs on
+  ints: one fraction-free Sturm chain over Z[sqrt2] per polynomial,
+  evaluated at points (r + s*sqrt2) / t.  One bisection isolates the roots
+  inside the interval, and the result holds the signs at both ends and on
+  each cell between roots; `Signs.nonpositive` decides "p <= 0 there".
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
 def _frac(x) -> Fraction:
@@ -118,21 +120,6 @@ class Q2:
         return _reduced(self.a * a + 2 * self.b * b, self.a * b + self.b * a, self.d * d)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "Q2":
-        # d / (a + b*sqrt2) = d (a - b*sqrt2) / (a^2 - 2 b^2); the norm is
-        # nonzero for any nonzero element because sqrt2 is irrational.
-        a, b, d = self.a, self.b, self.d
-        norm = a * a - 2 * b * b
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt2)")
-        return _reduced(d * a, -d * b, norm)
-
-    def __truediv__(self, other):
-        return self * Q2.of(other).inverse()
-
-    def __rtruediv__(self, other):
-        return Q2.of(other) * self.inverse()
 
     def sign(self) -> int:
         return _sign(self.a, self.b)
@@ -244,13 +231,6 @@ class Poly:
     def const(names, c) -> "Poly":
         names = tuple(names)
         return Poly(names, {(0,) * len(names): Q2.of(c)})
-
-    @staticmethod
-    def var(names, name, power: int = 1) -> "Poly":
-        names = tuple(names)
-        exps = [0] * len(names)
-        exps[names.index(name)] = power
-        return Poly(names, {tuple(exps): ONE})
 
     def _check(self, other: "Poly"):
         if self.names != other.names:
@@ -398,13 +378,6 @@ def poly_trim(cs: Sequence[Q2]) -> list[Q2]:
     return cs
 
 
-def poly_eval(cs: Sequence[Q2], x: Q2) -> Q2:
-    acc = ZERO
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
-
-
 # The sign analysis runs on plain ints.  An element u + v*sqrt2 of Z[sqrt2] is
 # the pair (u, v); a polynomial is a list of pairs in ascending degree whose
 # last pair is nonzero; a point (r + s*sqrt2) / t with t > 0 is the triple
@@ -542,96 +515,71 @@ def _root_counter(cs: list[tuple[int, int]]):
     return count
 
 
-def _no_positive_inside(cs, count, lo, hi, depth: int = 0) -> bool:
-    """True iff the int polynomial cs is <= 0 on the open interval between
-    the points lo < hi.
+class Signs(NamedTuple):
+    """The signs of a polynomial p on [lo, hi]: at lo, on each open cell that
+    the distinct roots of p inside (lo, hi) cut the interval into, and at hi.
 
-    count is the `_root_counter` of cs."""
-    if depth > 200:  # pragma: no cover - structural safeguard
-        raise RuntimeError("root separation failed to converge")
-    k = count(lo, hi)
-    if k == 1:  # with neither end a root, each side of the one root has its end's sign
-        ends = _sign_at(cs, lo), _sign_at(cs, hi)
-        if 0 not in ends:
-            return ends == (-1, -1)
-    mid = _midpoint(lo, hi)
-    smid = _sign_at(cs, mid)
-    if k == 0:
-        # constant sign throughout; mid cannot be a root here
-        return smid < 0 if smid != 0 else True
-    if smid > 0:
-        return False
-    return _no_positive_inside(cs, count, lo, mid, depth + 1) and _no_positive_inside(
-        cs, count, mid, hi, depth + 1
-    )
+    `roots` holds those roots in increasing order, each isolated as an exact
+    point (x, x) or as an interval (x, y) that holds it alone and whose ends
+    are not roots.  `cells` has one sign more than `roots`, or none when
+    lo >= hi."""
+
+    at_lo: int
+    cells: tuple
+    at_hi: int
+    roots: tuple
+
+    def nonpositive(self, include_lo: bool = True, include_hi: bool = True) -> bool:
+        """Whether p <= 0 on the interval, each end included as its flag says."""
+        return (
+            all(s <= 0 for s in self.cells)
+            and not (include_lo and self.at_lo > 0)
+            and not (include_hi and self.at_hi > 0)
+        )
 
 
-def sign_and_roots(
-    cs: Sequence[Q2],
-    lo: Q2,
-    hi: Q2,
-    include_lo: bool = True,
-    include_hi: bool = True,
-) -> tuple[bool, int]:
-    """Exact decision of `p(x) <= 0 for all x in the interval [lo, hi]`,
-    together with the number of distinct roots of p in the open (lo, hi).
+def sign_cells(cs: Sequence[Q2], lo: Q2, hi: Q2) -> Signs:
+    """The exact `Signs` of the Q2 polynomial cs on [lo, hi], from one Sturm
+    chain over Z[sqrt2] and no floating point.
 
-    Both come from one Sturm chain over Z[sqrt2].  Endpoint inclusion is
-    controlled by the flags; the interior is always checked.  No floating
-    point is involved.
-    """
-    cs = _int_poly(cs)
-    if not cs:
-        return True, 0
+    One bisection of (lo, hi) isolates the roots: a root that a midpoint hits
+    is an exact point, and a piece that holds one root is halved once more
+    and its half kept, or halved again while an end of that half is a root.
+    Each cell is then sampled once, midway between the ends of the isolating
+    intervals that bound it."""
+    p = _int_poly(cs)
+    if not p:
+        return Signs(0, (0,) if lo < hi else (), 0, ())
+    sign = lambda x: _sign_at(p, x)
     a, b = _triple(lo), _triple(hi)
-    ok = not (include_lo and _sign_at(cs, a) > 0)
-    ok = ok and not (include_hi and _sign_at(cs, b) > 0)
-    if lo >= hi:
-        return ok, 0
-    count = _root_counter(cs)
-    return ok and _no_positive_inside(cs, count, a, b), count(a, b)
+    if not lo < hi:
+        return Signs(sign(a), (), sign(b), ())
+    count = _root_counter(p)
+    roots = []
 
-
-def poly_nonpositive_on(
-    cs: Sequence[Q2],
-    lo: Q2,
-    hi: Q2,
-    include_lo: bool = True,
-    include_hi: bool = True,
-) -> bool:
-    """Exact decision of `p(x) <= 0 for all x in the interval [lo, hi]`; see
-    `sign_and_roots`."""
-    return sign_and_roots(cs, lo, hi, include_lo, include_hi)[0]
-
-
-def poly_nonnegative_on(cs, lo, hi, include_lo=True, include_hi=True) -> bool:
-    return poly_nonpositive_on([-c for c in cs], lo, hi, include_lo, include_hi)
-
-
-def isolate_roots(cs: Sequence[Q2], lo: Q2, hi: Q2) -> list[tuple[Q2, Q2]]:
-    """Isolating intervals (or exact points as (x, x)) for the distinct roots
-    of cs inside the open interval (lo, hi), in increasing order."""
-    cs = _int_poly(cs)
-    count = _root_counter(cs)
-    out: list[tuple[Q2, Q2]] = []
-
-    def rec(a, b, depth: int):
-        if depth > 200:  # pragma: no cover
+    def isolate(a, b, k: int, depth: int):
+        # the k >= 1 roots inside (a, b), appended in increasing order
+        if depth > 200:  # pragma: no cover - structural safeguard
             raise RuntimeError("root isolation failed to converge")
-        k = count(a, b)
-        if k == 0:
-            return
         m = _midpoint(a, b)
-        m_is_root = _sign_at(cs, m) == 0
+        left, m_is_root = count(a, m), sign(m) == 0
         if k == 1 and not m_is_root:
-            # a single root strictly inside (a, m) or (m, b)
-            out.append((_raw(*a), _raw(*m)) if count(a, m) else (_raw(*m), _raw(*b)))
+            half = (a, m) if left else (m, b)
+            if sign(half[0]) and sign(half[1]):
+                roots.append(half)
+            else:
+                isolate(*half, 1, depth + 1)
             return
-        rec(a, m, depth + 1)
+        if left:
+            isolate(a, m, left, depth + 1)
         if m_is_root:
-            out.append((_raw(*m), _raw(*m)))
-        rec(m, b, depth + 1)
+            roots.append((m, m))
+        if k - left - m_is_root:
+            isolate(m, b, k - left - m_is_root, depth + 1)
 
-    if lo < hi:
-        rec(_triple(lo), _triple(hi), 0)
-    return out
+    k = count(a, b)
+    if k:
+        isolate(a, b, k, 0)
+    ends = [a, *(x for root in roots for x in root), b]
+    cells = tuple(sign(_midpoint(x, y)) for x, y in zip(ends[::2], ends[1::2]))
+    return Signs(sign(a), cells, sign(b), tuple((_raw(*x), _raw(*y)) for x, y in roots))

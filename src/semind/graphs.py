@@ -140,6 +140,13 @@ def write_pairs(layers, letters: str) -> str:
     return "".join(rows)
 
 
+def blue_masks(masks) -> tuple[int, ...]:
+    """The blue masks of a complete graph with the given red masks: each
+    vertex is blue to every other vertex it is not red to."""
+    full = (1 << len(masks)) - 1
+    return tuple(full ^ m ^ (1 << v) for v, m in enumerate(masks))
+
+
 def _relabel_masks(masks, perm) -> tuple[int, ...]:
     """The masks relabelled so that new vertex i is old vertex perm[i]."""
     inv = [0] * len(masks)
@@ -202,10 +209,7 @@ class HostGraph:
         return sum(m.bit_count() for m in self.masks) // 2
 
     def complement(self) -> "HostGraph":
-        full = (1 << self.n) - 1
-        return HostGraph(
-            self.n, tuple((full ^ m ^ (1 << i)) for i, m in enumerate(self.masks))
-        )
+        return HostGraph(self.n, blue_masks(self.masks))
 
     def to_host(self) -> "HostGraph":
         return self

@@ -25,6 +25,7 @@ from .graphs import (
     _MAX_INTERNAL_K,
     _graph_classes,
     _row_starts,
+    blue_masks,
     canonical_form,
     lex_pairs,
     make_construction,
@@ -207,7 +208,6 @@ def hill_climb(
     rng = random.Random(seed)
     counter = _make_counter(h)
     npairs = comb(n, 2)
-    full = (1 << n) - 1
     m_target = None
     if target_density is not None:
         m_target = round(target_density * npairs)
@@ -241,7 +241,7 @@ def hill_climb(
             if m_target is not None:
                 _adjust_edge_count(red, n, m_target, rng)
         cur = counter(HostGraph(n, tuple(red)))
-        blue = [full ^ m ^ (1 << v) for v, m in enumerate(red)]
+        blue = list(blue_masks(red))
         plateau = 0
         for _ in range(_STEPS_PER_VERTEX * n):
             if m_target is None:

@@ -182,7 +182,7 @@ def test_ap4_vanishing_term_is_six_times_blue_density_minus_x():
     names = AP4.names
     (E,) = (t for t in AP4.terms if t.name == "E")
     blue_pair = unit_flag(host_from_digits("1"), (), names)
-    x = Poly.var(names, "x")
+    x = Poly(names, {(1,): 1})
     want = lift(blue_pair, 4).scale(6) - basis_combo(4, names).scale(x * 6)
     assert _term_combo(E, AP4.pattern, 4, names).terms == want.terms
 

@@ -12,17 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semind
-from semind.exactalg import (
-    HALF_SQRT2,
-    Poly,
-    Q2,
-    SQRT2,
-    isolate_roots,
-    poly_eval,
-    poly_nonnegative_on,
-    poly_nonpositive_on,
-    sign_and_roots,
-)
+from semind.exactalg import HALF_SQRT2, Poly, Q2, SQRT2, sign_cells
 
 
 def test_import_loads_no_dataclasses():
@@ -37,8 +27,6 @@ def test_field_arithmetic():
     x = SQRT2 - Q2.of(1)
     y = SQRT2 + Q2.of(1)
     assert x * y == Q2.of(1)
-    assert x.inverse() == y
-    assert (x / x) == Q2.of(1)
     assert SQRT2 * SQRT2 == Q2.of(2)
     assert HALF_SQRT2 * SQRT2 == Q2.of(1)
 
@@ -55,36 +43,42 @@ def test_sign_analysis():
 
 def test_poly_basics():
     names = ("a", "B")
-    a = Poly.var(names, "a")
-    B = Poly.var(names, "B")
+    a = Poly(names, {(1, 0): 1})
+    B = Poly(names, {(0, 1): 1})
     p = (a + B) * (a - B)
     assert p == a * a - B * B
     q = p.substitute(B=SQRT2)
     assert q == a * a - Poly.const(names, 2)
-    cs = q.univariate("a")
-    assert poly_eval(cs, SQRT2).sign() == 0
-    assert poly_eval(cs, Q2.of(2)) == Q2.of(2)
+    assert q.substitute(a=SQRT2).is_zero()
+    assert q.substitute(a=Q2.of(2)) == Poly.const(names, 2)
+    # a^2 - 2 vanishes at sqrt2 and is positive at 2
+    signs = sign_cells(q.univariate("a"), SQRT2, Q2.of(2))
+    assert (signs.at_lo, signs.cells, signs.at_hi, signs.roots) == (0, (1,), 1, ())
 
 
 def _upoly(*coeffs):
     return [Q2.of(Fraction(c)) for c in coeffs]
 
 
+def _neg(cs):
+    return [-c for c in cs]
+
+
 def test_root_counting():
     # (x - 1)(x - 2)(x - 3) = x^3 - 6x^2 + 11x - 6
     p = _upoly(-6, 11, -6, 1)
-    assert sign_and_roots(p, Q2.of(0), Q2.of(4))[1] == 3
-    assert sign_and_roots(p, Q2.of(Fraction(3, 2)), Q2.of(4))[1] == 2
-    assert sign_and_roots(p, Q2.of(1), Q2.of(3))[1] == 1  # open: excludes 1 and 3
+    assert len(sign_cells(p, Q2.of(0), Q2.of(4)).roots) == 3
+    assert len(sign_cells(p, Q2.of(Fraction(3, 2)), Q2.of(4)).roots) == 2
+    assert len(sign_cells(p, Q2.of(1), Q2.of(3)).roots) == 1  # open: excludes 1 and 3
     # x^2 - 2 has the field element sqrt2 as root
     q = _upoly(-2, 0, 1)
-    assert sign_and_roots(q, Q2.of(1), Q2.of(2))[1] == 1
-    assert sign_and_roots(q, SQRT2, Q2.of(2))[1] == 0
+    assert len(sign_cells(q, Q2.of(1), Q2.of(2)).roots) == 1
+    assert len(sign_cells(q, SQRT2, Q2.of(2)).roots) == 0
 
 
 def test_isolate_roots():
     p = _upoly(-6, 11, -6, 1)
-    roots = isolate_roots(p, Q2.of(0), Q2.of(4))
+    roots = sign_cells(p, Q2.of(0), Q2.of(4)).roots
     assert len(roots) == 3
     vals = sorted(float((a + b)) / 2 for a, b in roots)
     assert all(abs(v - t) < 1 for v, t in zip(vals, (1, 2, 3)))
@@ -93,30 +87,30 @@ def test_isolate_roots():
 def test_nonpositive_decisions():
     # -(x - 1/2)^2 <= 0 everywhere, with a double root inside
     p = _upoly(Fraction(-1, 4), 1, -1)
-    assert poly_nonpositive_on(p, Q2.of(0), Q2.of(1))
-    assert not poly_nonnegative_on(p, Q2.of(0), Q2.of(1))
+    assert sign_cells(p, Q2.of(0), Q2.of(1)).nonpositive()
+    assert not sign_cells(_neg(p), Q2.of(0), Q2.of(1)).nonpositive()
     # x(1 - x) >= 0 on [0, 1] but not nonpositive
     q = _upoly(0, 1, -1)
-    assert poly_nonnegative_on(q, Q2.of(0), Q2.of(1))
-    assert not poly_nonpositive_on(q, Q2.of(0), Q2.of(1))
+    assert sign_cells(_neg(q), Q2.of(0), Q2.of(1)).nonpositive()
+    assert not sign_cells(q, Q2.of(0), Q2.of(1)).nonpositive()
     # strictly positive at the right endpoint only when included
     r = _upoly(Fraction(-1, 2), 1)  # x - 1/2
-    assert poly_nonpositive_on(r, Q2.of(0), Q2.of(Fraction(1, 2)))
-    assert not poly_nonpositive_on(r, Q2.of(0), Q2.of(1))
-    assert poly_nonpositive_on(r, Q2.of(0), Q2.of(Fraction(1, 2)), include_hi=False)
+    assert sign_cells(r, Q2.of(0), Q2.of(Fraction(1, 2))).nonpositive()
+    assert not sign_cells(r, Q2.of(0), Q2.of(1)).nonpositive()
+    assert sign_cells(r, Q2.of(0), Q2.of(Fraction(1, 2))).nonpositive(include_hi=False)
     # zero polynomial
-    assert poly_nonpositive_on([], Q2.of(0), Q2.of(1))
+    assert sign_cells([], Q2.of(0), Q2.of(1)).nonpositive()
 
 
 def test_nonpositive_with_sqrt2_endpoints():
     # p(x) = x^2 - 2 is nonpositive exactly on [-sqrt2, sqrt2]
     p = _upoly(-2, 0, 1)
-    assert poly_nonpositive_on(p, Q2.of(0), SQRT2)
-    assert not poly_nonpositive_on(p, Q2.of(0), Q2.of(Fraction(3, 2)))
+    assert sign_cells(p, Q2.of(0), SQRT2).nonpositive()
+    assert not sign_cells(p, Q2.of(0), Q2.of(Fraction(3, 2))).nonpositive()
     # (x - 2)^2 counts its double root once and touches zero there
     sq = _upoly(4, -4, 1)
-    assert sign_and_roots(sq, Q2.of(0), Q2.of(3))[1] == 1
-    assert poly_nonnegative_on(sq, Q2.of(0), Q2.of(3))
+    assert len(sign_cells(sq, Q2.of(0), Q2.of(3)).roots) == 1
+    assert sign_cells(_neg(sq), Q2.of(0), Q2.of(3)).nonpositive()
 
 
 def test_sign_analysis_separates_roots_1e15_apart():
@@ -125,7 +119,8 @@ def test_sign_analysis_separates_roots_1e15_apart():
     r = SQRT2 - Q2.of(1)
     for eps, want in ((Fraction(1, 10**30), (False, 2)), (Fraction(-1, 10**30), (True, 0))):
         cs = [-(r * r) + eps, r * 2, Q2.of(-1)]
-        assert sign_and_roots(cs, Q2.of(0), Q2.of(1)) == want
+        signs = sign_cells(cs, Q2.of(0), Q2.of(1))
+        assert (signs.nonpositive(), len(signs.roots)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -206,28 +201,41 @@ def test_one_chain_root_counting_matches_known_roots(case):
     lo, hi, mults, lead = case
     cs = _expand(mults, lead)
     inside = sorted(r for r in mults if lo < r < hi)
-    assert sign_and_roots(cs, lo, hi)[1] == len(inside)
+    signs = sign_cells(cs, lo, hi)
+    assert len(signs.roots) == len(inside)
 
     covered = []
-    intervals = isolate_roots(cs, lo, hi)
+    intervals = signs.roots
     assert all(b1 <= a2 for (_, b1), (a2, _) in zip(intervals, intervals[1:]))
     for a, b in intervals:
         assert lo <= a <= b <= hi
         hits = [r for r in inside if (r == a if a == b else a < r < b)]
         assert len(hits) == 1, (a, b, inside)
         covered.append(hits[0])
+        if a != b:  # an isolating interval ends at no root
+            assert _sign_at(a, mults, lead) and _sign_at(b, mults, lead), (a, b, mults)
     assert sorted(covered) == inside
 
     # cs keeps one sign between consecutive roots and endpoints
     points = sorted({lo, hi, *inside})
     gaps = [_sign_at((a + b) * Fraction(1, 2), mults, lead) for a, b in zip(points, points[1:])]
     at_lo, at_hi = _sign_at(lo, mults, lead), _sign_at(hi, mults, lead)
+    assert (signs.at_lo, signs.cells, signs.at_hi) == (at_lo, tuple(gaps), at_hi)
+    negated = sign_cells([-c for c in cs], lo, hi)
     for include_lo, include_hi in product((True, False), repeat=2):
         ends = [s for s, inc in ((at_lo, include_lo), (at_hi, include_hi)) if inc]
         want_nonpos = all(s <= 0 for s in gaps + ends)
         want_nonneg = all(s >= 0 for s in gaps + ends)
-        assert poly_nonpositive_on(cs, lo, hi, include_lo, include_hi) == want_nonpos
-        assert poly_nonnegative_on(cs, lo, hi, include_lo, include_hi) == want_nonneg
+        assert signs.nonpositive(include_lo, include_hi) == want_nonpos
+        assert negated.nonpositive(include_lo, include_hi) == want_nonneg
+
+    # an end where cs > 0 also makes the cell next to it positive, so only on
+    # the one-point interval [lo, lo] do the flags decide alone
+    point = sign_cells(cs, lo, lo)
+    assert (point.at_lo, point.cells, point.at_hi, point.roots) == (at_lo, (), at_lo, ())
+    for include_lo, include_hi in product((True, False), repeat=2):
+        want = at_lo <= 0 or not (include_lo or include_hi)
+        assert point.nonpositive(include_lo, include_hi) == want
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +310,6 @@ def test_q2_matches_fraction_pair_oracle(p1, q1, p2, q2, n, f):
         _assert_matches(other - x, other - p1, -q1)
         _assert_matches(x * other, p1 * other, q1 * other)
         _assert_matches(other * x, p1 * other, q1 * other)
-    if p2 or q2:
-        norm = p2 * p2 - 2 * q2 * q2
-        ip, iq = p2 / norm, -q2 / norm
-        _assert_matches(y.inverse(), ip, iq)
-        _assert_matches(x / y, p1 * ip + 2 * q1 * iq, p1 * iq + q1 * ip)
-        _assert_matches(n / y, n * ip, n * iq)
-    if n:
-        _assert_matches(x / n, p1 / n, q1 / n)
     s = _oracle_sign(p1 - p2, q1 - q2)
     assert (x < y, x <= y, x > y, x >= y, x == y) == (s < 0, s <= 0, s > 0, s >= 0, s == 0)
     z = (x + y) - y  # x again, built another way

@@ -9,7 +9,7 @@ import pytest
 
 from semind import profiles
 from semind.counting import _part_maps, ac4_pattern, peenn_pattern, star_pattern
-from semind.exactalg import Q2, isolate_roots
+from semind.exactalg import Q2, sign_cells
 from semind.figures import figure_definition
 from semind.graphs import (
     PatternGraph,
@@ -447,9 +447,9 @@ def _exact_prog(beta, a, b):
 
 def _exact_falls(g, lo, hi):
     """Brackets narrower than 2^-80 of the roots in (lo, hi) where the exact
-    polynomial g falls through zero, from `exactalg.isolate_roots`."""
+    polynomial g falls through zero, from `exactalg.sign_cells`."""
     out = []
-    for u, v in isolate_roots([Q2.of(c) for c in g], Q2.of(Fraction(lo)), Q2.of(Fraction(hi))):
+    for u, v in sign_cells([Q2.of(c) for c in g], Q2.of(Fraction(lo)), Q2.of(Fraction(hi))).roots:
         u, v = u.p - Fraction(1, 2**90), v.p + Fraction(1, 2**90)
         rising = _peval(g, u) < 0
         while v - u > Fraction(1, 2**80):
@@ -543,7 +543,7 @@ def test_s21_boundary_in_conjectured_range():
 def test_s21_boundary_is_the_square_of_the_quintic_root():
     boundary = s21_prog_boundary()
     quintic = [Q2.of(c) for c in profiles._S21_QUINTIC]
-    ((u, v),) = isolate_roots(quintic, Q2.of(0), Q2.of(Fraction(1, 4)))
+    ((u, v),) = sign_cells(quintic, Q2.of(0), Q2.of(Fraction(1, 4))).roots
     u, v = u.p, v.p
     while v - u > Fraction(1, 2**100):
         m = (u + v) / 2
