@@ -279,9 +279,10 @@ def check_certificate(cert: Certificate) -> CertReport:
     1. build every term with the `flags` routines;
     2. diff the terms and their sum against the reference tables;
     3. substitute the fixed parameters;
-    4. on every class, decide sum - bound <= 0 on the interval by exact root
-       counting, and report the sum;
-    5. check every square's multiplier is >= 0 on the interval.
+    4. on every class, decide sum - bound <= 0 on the interval from one exact
+       `sign_cells` call, and report the sum;
+    5. check every square's multiplier is >= 0 on the interval, from one
+       `sign_cells` call on its negation.
     Zero loci (identically-zero classes, left-endpoint zeros, interior
     roots) are recorded on the report.
     """
