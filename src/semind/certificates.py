@@ -29,7 +29,6 @@ from .flags import (
     combo_square,
     expand_pattern,
     flag_product,
-    lift,
     unit_flag,
     unlabel,
 )
@@ -189,13 +188,13 @@ class Term(NamedTuple):
     """One summand `multiplier * combo` of a certificate.  The kind names the
     combo on the certificate's k-classes:
 
-    * "pattern": the pattern's expansion, lifted to k if it is smaller;
+    * "pattern": the pattern's density expanded on the k-classes;
     * "basis": the constant 1, every k-class with coefficient 1;
     * "square": scale * unlabel(v^2) for the flag vector v = `vector`, whose
       flags are rooted at their first `roots` vertices;
-    * "vanishing": flag_product(L, pair, k) - lift(L, k) * density for the
-      unrooted combination L = `vector` and `pair` = (digit, density): it is
-      zero wherever that pair class has that density.
+    * "vanishing": flag_product(L, pair - density * 1, k) for the unrooted
+      combination L = `vector`, `pair` = (digit, density) and the all-ones 1:
+      it is zero wherever that pair class has that density.
 
     `vector` holds (digit key, coefficient) entries.  The multiplier, scale,
     coefficients and density are texts that `parse_poly` reads.
@@ -259,8 +258,7 @@ def _vector(entries: tuple, roots: int, names: tuple) -> GraphCombo:
 def _term_combo(term: Term, pattern: str, k: int, names: tuple) -> GraphCombo:
     """A term's combo on the k-classes, before its multiplier."""
     if term.kind == "pattern":
-        h = parse_pattern(pattern)
-        return lift(expand_pattern(h, h.h, names), k)
+        return expand_pattern(parse_pattern(pattern), k, names)
     if term.kind == "basis":
         return basis_combo(k, names)
     v = _vector(term.vector, term.roots, names)
@@ -269,7 +267,8 @@ def _term_combo(term: Term, pattern: str, k: int, names: tuple) -> GraphCombo:
     if term.kind == "vanishing":
         digit, density = term.pair
         pair = unit_flag(host_from_digits(digit), (), names)
-        return flag_product(v, pair, k) - lift(v, k).scale(parse_poly(density, names))
+        ones = basis_combo(pair.k, names, parse_poly(density, names))
+        return flag_product(v, pair - ones, k)
     raise ValueError(f"unknown term kind {term.kind!r}")
 
 
@@ -284,7 +283,8 @@ def check_certificate(cert: Certificate) -> CertReport:
     5. check every square's multiplier is >= 0 on the interval, from one
        `sign_cells` call on its negation.
     Zero loci (identically-zero classes, left-endpoint zeros, interior
-    roots) are recorded on the report.
+    roots) are recorded on the report.  An open end changes no verdict
+    (`Signs.nonpositive`); it only drops its left-end zeros and "at" points.
     """
     report = CertReport(name=cert.name, passed=True)
     names, var = cert.names, cert.var
@@ -331,7 +331,7 @@ def check_certificate(cert: Certificate) -> CertReport:
             report.lines.append(CertLine(code, str(value), "zero"))
             continue
         signs = sign_cells(cs, lo, hi)
-        ok = signs.nonpositive(include_lo, include_hi)
+        ok = signs.nonpositive()
         if include_lo and signs.at_lo == 0:
             lo_zero.append(code)
         if signs.roots:
@@ -353,7 +353,7 @@ def check_certificate(cert: Certificate) -> CertReport:
         if t.kind != "square":
             continue
         mult = mults[t.name].substitute(**fixed).univariate(var)
-        if not sign_cells([-c for c in mult], lo, hi).nonpositive(include_lo, include_hi):
+        if not sign_cells([-c for c in mult], lo, hi).nonpositive():
             report.fail(
                 f"square multiplier {t.name} = {t.multiplier} is negative somewhere "
                 f"on {var} in [{lo}, {hi}]"

@@ -250,8 +250,8 @@ def cmd_count(args, cfg: RunConfig) -> int:
     if args.profile_k is not None:
         prof = induced_profile(g.to_host(), args.profile_k)
         print("class_code,count")
-        for code in sorted(prof.counts):
-            print(f"{code.decode()},{prof.counts[code]}")
+        for code in sorted(prof):
+            print(f"{code.decode()},{prof[code]}")
     curve_tag = _CURVE_FOR_PATTERN.get(args.pattern)
     if args.pattern.startswith("ds:"):
         curve_tag = args.pattern

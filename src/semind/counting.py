@@ -520,14 +520,6 @@ def flip_delta(plans, red: list[int], blue: list[int], u: int, v: int) -> int:
     return delta
 
 
-@dataclass(frozen=True)
-class InducedProfile:
-    """Counts of k-subsets of a host by the isomorphism class they induce."""
-
-    k: int
-    counts: dict
-
-
 @lru_cache(maxsize=None)
 def _mask_class_table(k: int) -> tuple[bytes, ...]:
     """The class code of each k-vertex host, indexed by the mask of its red
@@ -601,8 +593,9 @@ def _profile_layout(k: int) -> tuple:
     return place, red_cells
 
 
-def induced_profile(g: HostGraph, k: int) -> InducedProfile:
-    """Exact induced k-profile; k <= 5, within the work budget (`profile_work`).
+def induced_profile(g: HostGraph, k: int) -> dict[bytes, int]:
+    """Exact induced k-profile: {class code: number of k-subsets of the host
+    that induce that class}; k <= 5, within the work budget (`profile_work`).
 
     Only the first k - 2 vertices of each k-subset are enumerated.  The host
     vertices after such a prefix fall into 2^(k-2) classes S_s by their
@@ -716,7 +709,7 @@ def induced_profile(g: HostGraph, k: int) -> InducedProfile:
         if cnt:
             code = table[mask]
             counts[code] = counts.get(code, 0) + cnt
-    return InducedProfile(k, counts)
+    return counts
 
 
 def normalized_density(count: int, n: int, h: int) -> float:

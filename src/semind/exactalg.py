@@ -529,13 +529,11 @@ class Signs(NamedTuple):
     at_hi: int
     roots: tuple
 
-    def nonpositive(self, include_lo: bool = True, include_hi: bool = True) -> bool:
-        """Whether p <= 0 on the interval, each end included as its flag says."""
-        return (
-            all(s <= 0 for s in self.cells)
-            and not (include_lo and self.at_lo > 0)
-            and not (include_hi and self.at_hi > 0)
-        )
+    def nonpositive(self) -> bool:
+        """Whether p <= 0 on [lo, hi].  When lo < hi, an end where p > 0 also
+        makes the cell next to it positive, so the verdict on an interval
+        open at an end is the same."""
+        return all(s <= 0 for s in (self.at_lo, *self.cells, self.at_hi))
 
 
 def sign_cells(cs: Sequence[Q2], lo: Q2, hi: Q2) -> Signs:

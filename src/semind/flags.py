@@ -4,6 +4,9 @@ A rooted flag is a host graph with an ordered tuple of root vertices; its
 type is the colored graph induced on the roots in root order.  Products,
 the unlabeling average, and pattern expansion all use exact rational
 probabilities, with coefficients living in polynomial rings over Q(sqrt2).
+Lifting an unrooted k-vertex combination L to l > k vertices is its product
+with the unit 1, the sum of every (l - k)-vertex class:
+flag_product(L, basis_combo(l - k, names), l).
 
 Conventions (fixed by the verified reference tables):
 
@@ -32,7 +35,7 @@ from .graphs import (
     _min_placements,
     canonical_host,
 )
-from .counting import count_injections, induced_profile
+from .counting import count_injections
 
 # A flag basis labels every rooted ordering of every k-vertex class, a cost
 # that no work estimate covers; the certificates need k <= 5.
@@ -250,37 +253,15 @@ def unlabel(c: GraphCombo) -> GraphCombo:
     return out
 
 
-def lift(c: GraphCombo, target_k: int) -> GraphCombo:
-    """Express an unrooted k-combo on the target_k basis via subset densities."""
-    if c.r != 0:
-        raise FlagTypeError("lift applies to unrooted combos")
-    if target_k < c.k:
-        raise ValueError("cannot lift downward")
-    if target_k == c.k:
-        return c
-    out = GraphCombo(target_k, 0, (), c.names, {})
-    denom = comb(target_k, c.k)
-    codes = {flag: flag.graph.to_text().encode() for flag in c.terms}
-    for G in _graph_classes(target_k):
-        counts = induced_profile(G, c.k).counts
-        acc = Poly.const(c.names, 0)
-        for flag, poly in c.terms.items():
-            cnt = counts.get(codes[flag], 0)
-            if cnt:
-                acc = acc + poly * Fraction(cnt, denom)
-        if not acc.is_zero():
-            out.add_term(RootedFlag(G), acc)
-    return out
-
-
 def expand_pattern(h: PatternGraph, k: int, names=("a",)) -> GraphCombo:
-    """Pattern as an integer combination of the k-vertex classes: the class F
-    carries the number of constraint-respecting vertex bijections into F."""
-    if h.h != k:
-        raise ValueError("pattern must have exactly k vertices (no lifting)")
+    """Pattern as a combination of the k-vertex classes, for any k >= h.h: the
+    class G carries the constraint-respecting injections of h into G over
+    C(k, h.h).  At k = h.h that is the integer count of bijections into G."""
+    if k < h.h:
+        raise ValueError("k must be at least the pattern's vertex count")
     items = []
     for g in _graph_classes(k):
         c = count_injections(h, g)
         if c:
-            items.append((RootedFlag(g), c))
+            items.append((RootedFlag(g), Fraction(c, comb(k, h.h))))
     return GraphCombo.build(k, 0, (), tuple(names), items)

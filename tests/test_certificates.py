@@ -18,6 +18,7 @@ from semind.certificates import (
     Term,
     _class_code,
     _term_combo,
+    _vector,
     ap4_reference_table,
     check_certificate,
     host_from_digits,
@@ -28,8 +29,9 @@ from semind.certificates import (
 )
 from semind.counting import ap4_pattern, peenn_pattern
 from semind.exactalg import Poly, Q2
-from semind.flags import basis_combo, expand_pattern, lift, unit_flag
-from semind.graphs import HostGraph
+from semind.flags import basis_combo, expand_pattern, unit_flag
+from semind.graphs import HostGraph, parse_pattern
+from test_flags import _oracle_product
 
 
 def test_parse_poly_round_trip():
@@ -181,9 +183,10 @@ def _with_term(cert, name, **changes):
 def test_ap4_vanishing_term_is_six_times_blue_density_minus_x():
     names = AP4.names
     (E,) = (t for t in AP4.terms if t.name == "E")
-    blue_pair = unit_flag(host_from_digits("1"), (), names)
+    # three times the blue-pair pattern's density counts the blue pairs
+    blue_pairs = expand_pattern(parse_pattern("2 B"), 4, names).scale(3)
     x = Poly(names, {(1,): 1})
-    want = lift(blue_pair, 4).scale(6) - basis_combo(4, names).scale(x * 6)
+    want = blue_pairs - basis_combo(4, names).scale(x * 6)
     assert _term_combo(E, AP4.pattern, 4, names).terms == want.terms
 
 
@@ -249,6 +252,22 @@ RED_PAIR = Certificate(
         Term("V", "-2", "vanishing", (("", "1"),), pair=("2", "b")),
     ),
 )
+
+
+def test_vanishing_terms_match_the_subset_oracle():
+    # L (pair - density) = L pair - (L 1) density, each product taken over
+    # every subset split
+    for cert in (AP4, PEENN_SQRT2, RED_PAIR):
+        (term,) = (t for t in cert.terms if t.kind == "vanishing")
+        names = cert.names
+        L = _vector(term.vector, term.roots, names)
+        digit, density = term.pair
+        pair = unit_flag(host_from_digits(digit), (), names)
+        ones = basis_combo(pair.k, names)
+        want = _oracle_product(L, pair, cert.k) - _oracle_product(L, ones, cert.k).scale(
+            parse_poly(density, names)
+        )
+        assert _term_combo(term, cert.pattern, cert.k, names).terms == want.terms, cert.name
 
 
 def test_red_pair_certificate_passes():

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
 from math import gcd
 from pathlib import Path
 
@@ -93,11 +92,10 @@ def test_nonpositive_decisions():
     q = _upoly(0, 1, -1)
     assert sign_cells(_neg(q), Q2.of(0), Q2.of(1)).nonpositive()
     assert not sign_cells(q, Q2.of(0), Q2.of(1)).nonpositive()
-    # strictly positive at the right endpoint only when included
+    # zero at the right end of [0, 1/2], positive beyond it
     r = _upoly(Fraction(-1, 2), 1)  # x - 1/2
     assert sign_cells(r, Q2.of(0), Q2.of(Fraction(1, 2))).nonpositive()
     assert not sign_cells(r, Q2.of(0), Q2.of(1)).nonpositive()
-    assert sign_cells(r, Q2.of(0), Q2.of(Fraction(1, 2))).nonpositive(include_hi=False)
     # zero polynomial
     assert sign_cells([], Q2.of(0), Q2.of(1)).nonpositive()
 
@@ -222,20 +220,13 @@ def test_one_chain_root_counting_matches_known_roots(case):
     at_lo, at_hi = _sign_at(lo, mults, lead), _sign_at(hi, mults, lead)
     assert (signs.at_lo, signs.cells, signs.at_hi) == (at_lo, tuple(gaps), at_hi)
     negated = sign_cells([-c for c in cs], lo, hi)
-    for include_lo, include_hi in product((True, False), repeat=2):
-        ends = [s for s, inc in ((at_lo, include_lo), (at_hi, include_hi)) if inc]
-        want_nonpos = all(s <= 0 for s in gaps + ends)
-        want_nonneg = all(s >= 0 for s in gaps + ends)
-        assert signs.nonpositive(include_lo, include_hi) == want_nonpos
-        assert negated.nonpositive(include_lo, include_hi) == want_nonneg
+    assert signs.nonpositive() == all(s <= 0 for s in [at_lo, *gaps, at_hi])
+    assert negated.nonpositive() == all(s >= 0 for s in [at_lo, *gaps, at_hi])
 
-    # an end where cs > 0 also makes the cell next to it positive, so only on
-    # the one-point interval [lo, lo] do the flags decide alone
+    # on the one-point interval [lo, lo] there is no cell, so the end decides
     point = sign_cells(cs, lo, lo)
     assert (point.at_lo, point.cells, point.at_hi, point.roots) == (at_lo, (), at_lo, ())
-    for include_lo, include_hi in product((True, False), repeat=2):
-        want = at_lo <= 0 or not (include_lo or include_hi)
-        assert point.nonpositive(include_lo, include_hi) == want
+    assert point.nonpositive() == (at_lo <= 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Flag products, unlabeling, lifting, and pattern expansion."""
+"""Flag products, unlabeling, lifting as the product with 1, and pattern
+expansion."""
 
 import random
 from fractions import Fraction
@@ -7,7 +8,13 @@ from math import comb, perm
 
 import pytest
 
-from semind.counting import count_injections, induced_profile, peenn_pattern
+from semind.counting import (
+    ap4_pattern,
+    count_injections,
+    induced_profile,
+    peenn_pattern,
+    star_pattern,
+)
 from semind.certificates import host_from_digits
 from semind.exactalg import Poly, Q2
 from semind.flags import (
@@ -21,7 +28,6 @@ from semind.flags import (
     flag_product,
     _rooted_counts,
     flags_of_type,
-    lift,
     rooted_canonical,
     unit_flag,
     unlabel,
@@ -31,6 +37,7 @@ from semind.graphs import (
     PatternGraph,
     canonical_host,
     enumerate_colored_graphs,
+    parse_pattern,
 )
 
 NAMES = ("a",)
@@ -125,14 +132,15 @@ def test_unlabel_commutes_with_color_swap():
 
 
 def test_lift_probabilities():
+    # lifting is the product with 1, the all-ones combination
     edge = unit_flag(host_from_digits("2"), (), NAMES)
-    lifted = lift(edge, 4)
+    lifted = flag_product(edge, basis_combo(2, NAMES), 4)
     for flag, poly in lifted.terms.items():
         m = flag.graph.red_count()
         assert poly == Poly.const(NAMES, Fraction(m, 6))
     # the all-ones combination lifts to the all-ones combination
     ones2 = basis_combo(2, NAMES)
-    lifted1 = lift(ones2, 5)
+    lifted1 = flag_product(ones2, basis_combo(3, NAMES), 5)
     one = Poly.const(NAMES, 1)
     assert all(p == one for p in lifted1.terms.values())
     assert len(lifted1.terms) == 34
@@ -160,7 +168,7 @@ def test_evaluation_homomorphism_exhaustive_small():
         for g in enumerate_colored_graphs(n):
             prof = induced_profile(g, 5)
             total = 0
-            for code, cnt in prof.counts.items():
+            for code, cnt in prof.items():
                 poly = coeffs.get(code)
                 if poly is not None:
                     ((exps, q2),) = poly.terms.items()
@@ -184,7 +192,7 @@ def test_evaluation_homomorphism_random_hosts():
         g = HostGraph(n, tuple(masks))
         prof = induced_profile(g, 5)
         total = 0
-        for code, cnt in prof.counts.items():
+        for code, cnt in prof.items():
             poly = coeffs.get(code)
             if poly is not None:
                 ((exps, q2),) = poly.terms.items()
@@ -224,7 +232,7 @@ def test_unlabeled_square_nearly_nonnegative_on_hosts():
         prof = induced_profile(g, 5)
         tot = comb(n, 5)
         value = sum(
-            coeffs.get(code, 0.0) * cnt / tot for code, cnt in prof.counts.items()
+            coeffs.get(code, 0.0) * cnt / tot for code, cnt in prof.items()
         )
         assert value >= -10 / n
 
@@ -326,3 +334,13 @@ def test_products_and_unlabel_match_the_subset_oracle():
                 got = flag_product(c1, c2, k1 + k2 - r)
                 assert got.k == k1 + k2 - r and got.r == r and got.type_colors == t
                 assert got.terms == _oracle_product(c1, c2, k1 + k2 - r).terms, (k1, k2, r, t)
+
+
+def test_expand_pattern_on_more_vertices_is_the_product_with_the_unit():
+    # the density on k > h vertices is the h-vertex expansion lifted, each
+    # product taken over every subset split
+    cases = [(parse_pattern("2 R"), k) for k in (3, 4, 5)]
+    cases += [(ap4_pattern(), 5), (star_pattern(2, 1), 5)]
+    for h, k in cases:
+        want = _oracle_product(expand_pattern(h, h.h, NAMES), basis_combo(k - h.h, NAMES), k)
+        assert expand_pattern(h, k, NAMES).terms == want.terms, (h.to_text(), k)
