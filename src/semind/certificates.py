@@ -225,10 +225,10 @@ class Certificate(NamedTuple):
     squares then add something >= 0 and the vanishing terms add 0, so the
     pattern and basis terms together stay at most the bound.
 
-    `fixed` is ((name, Q2 value), ...); `interval` is (lo, hi, include_lo,
-    include_hi) inside `domain`, the (lo, hi) that `var` can take; `notes`
-    are `str.format` templates over the fixed values, var, lo, hi,
-    include_lo, include_hi and the zero-locus counts zero, lo_zero, roots.
+    `fixed` is ((name, Q2 value), ...); `interval` is (lo, hi, include_lo)
+    inside `domain`, the (lo, hi) that `var` can take; the interval always
+    holds hi.  `notes` are `str.format` templates over the fixed values, var,
+    lo, hi, include_lo and the zero-locus counts zero, lo_zero, roots.
     """
 
     name: str
@@ -320,7 +320,7 @@ def check_certificate(cert: Certificate) -> CertReport:
             report.notes.append(ref.note)
 
     fixed = dict(cert.fixed)
-    lo, hi, include_lo, include_hi = cert.interval
+    lo, hi, include_lo = cert.interval
     bound = parse_poly(cert.bound, names).substitute(**fixed)
     zero_classes, lo_zero, interior = [], [], {}
     for code in codes:
@@ -338,11 +338,9 @@ def check_certificate(cert: Certificate) -> CertReport:
             interior[code] = len(signs.roots)
         report.lines.append(CertLine(code, str(value), "nonpositive" if ok else "VIOLATION"))
         if not ok:
-            where = [
-                f"at {var}={float(x):.6f}"
-                for x, inside, sign in ((lo, include_lo, signs.at_lo), (hi, include_hi, signs.at_hi))
-                if inside and sign > 0
-            ]
+            ends = [(lo, signs.at_lo)] if include_lo else []
+            ends.append((hi, signs.at_hi))  # the interval always holds hi
+            where = [f"at {var}={float(x):.6f}" for x, sign in ends if sign > 0]
             where += [f"near {var}={float(a + b) / 2:.6f}" for a, b in signs.roots]
             report.fail(
                 f"positivity violation class={code!r} on {var} in [{lo}, {hi}]"
@@ -363,7 +361,7 @@ def check_certificate(cert: Certificate) -> CertReport:
     report.boundary_zero_classes = tuple(lo_zero)
     report.interior_root_classes = interior
     counts = {"zero": len(zero_classes), "lo_zero": len(lo_zero), "roots": sum(interior.values())}
-    fields = dict(fixed, var=var, lo=lo, hi=hi, include_lo=include_lo, include_hi=include_hi)
+    fields = dict(fixed, var=var, lo=lo, hi=hi, include_lo=include_lo)
     report.notes += [note.format(**fields, **counts) for note in cert.notes]
     return report
 
@@ -377,7 +375,7 @@ AP4 = Certificate(
     names=("x",),
     var="x",
     fixed=(),
-    interval=(Q2.of(0), Q2.of(Fraction(1, 2)), True, True),
+    interval=(Q2.of(0), Q2.of(Fraction(1, 2)), True),
     domain=(Q2.of(0), Q2.of(1)),
     bound="24*x^3-48*x^2+24*x",
     terms=(
@@ -404,7 +402,7 @@ PEENN_SQRT2 = Certificate(
     names=("a", "B", "C"),
     var="a",
     fixed=(("B", SQRT2 - Q2.of(1)), ("C", SQRT2 - Q2.of(1))),
-    interval=(HALF_SQRT2, Q2.of(Fraction(4, 5)), True, True),
+    interval=(HALF_SQRT2, Q2.of(Fraction(4, 5)), True),
     domain=(Q2.of(0), Q2.of(1)),
     bound="0",
     terms=(
@@ -432,14 +430,14 @@ PEENN_SQRT2 = Certificate(
         Reference(peenn_reference_coeffs),
     ),
     notes=(
-        "B={B} C={C} interval=[{lo}, {hi}] include_lo={include_lo} include_hi={include_hi}",
+        "B={B} C={C} interval=[{lo}, {hi}] include_lo={include_lo} include_hi=True",
         "identically-zero classes: {zero}; vanishing at the left endpoint: {lo_zero}; "
         "interior roots found: {roots}",
     ),
 )
 PEENN_RATIONAL = PEENN_SQRT2._replace(
     fixed=(("B", Q2.of(Fraction(361, 1000))), ("C", Q2.of(0))),
-    interval=(Q2.of(Fraction(4, 5)), Q2.of(1), False, True),
+    interval=(Q2.of(Fraction(4, 5)), Q2.of(1), False),
 )
 
 

@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Subcommands: count, enumerate, search, profile, verify, figure, oracle.
-Configuration comes from an optional key=value file plus flags (flags win);
-the SEMIND_CACHE environment variable selects the cache directory, which
-holds enumerated bases (loaded back after validation, see `graphs`) and
-archived verification reports.  Exit codes: 0 success / verification PASS,
-1 verification FAIL, 2 usage error (a `semind.UsageError`, a malformed
-command line, or an unreadable or unwritable file the user named; one
-`error:` line on stderr), 3 internal fault (its traceback on stderr).
+Each run input is set by one flag: --seed, --beta-grid-step and --cache-dir
+(default: the SEMIND_CACHE environment variable, else .semind-cache).  The
+cache directory holds enumerated bases (loaded back after validation, see
+`graphs`) and archived verification reports.  Exit codes: 0 success /
+verification PASS, 1 verification FAIL, 2 usage error (a `semind.UsageError`,
+a malformed command line, or an unreadable or unwritable file the user
+named; one `error:` line on stderr), 3 internal fault (its traceback on
+stderr).
 
 Import rule: each command imports, inside its own function, the package
 modules it runs, so that a short run pays the import time of those modules
@@ -28,58 +29,6 @@ from pathlib import Path
 
 from . import UsageError, __version__
 from .profiles import curve, eval_curve, known_curves
-
-
-class RunConfig:
-    __slots__ = ("cache_dir", "beta_grid_step", "seed")
-
-    def __init__(self, cache_dir: Path, beta_grid_step: float = 0.001, seed: int = 0):
-        self.cache_dir, self.beta_grid_step, self.seed = cache_dir, beta_grid_step, seed
-
-
-def load_config(args) -> RunConfig:
-    values = {
-        "cache_dir": os.environ.get("SEMIND_CACHE", ".semind-cache"),
-        "beta_grid_step": 0.001,
-        "seed": 0,
-    }
-    cfg_file = getattr(args, "config", None)
-    if cfg_file:
-        for lineno, line in enumerate(_read_text(cfg_file).splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, val = line.partition("=")
-            if not sep:
-                raise UsageError(f"{cfg_file}:{lineno}: expected key=value")
-            key = key.strip()
-            val = val.strip()
-            if key not in values:
-                raise UsageError(f"{cfg_file}:{lineno}: unknown key {key!r}")
-            if key == "cache_dir":
-                values[key] = val
-                continue
-            convert, kind = (int, "an integer") if key == "seed" else (float, "a number")
-            try:
-                values[key] = convert(val)
-            except ValueError:
-                raise UsageError(
-                    f"{cfg_file}:{lineno}: {key}: expected {kind}, got {val!r}"
-                ) from None
-    for key in ("beta_grid_step", "seed"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    if getattr(args, "cache_dir", None):
-        values["cache_dir"] = args.cache_dir
-    cfg = RunConfig(
-        cache_dir=Path(values["cache_dir"]),
-        beta_grid_step=float(values["beta_grid_step"]),
-        seed=int(values["seed"]),
-    )
-    if not 0 < cfg.beta_grid_step <= 0.1:
-        raise UsageError("beta_grid_step must lie in (0, 0.1]")
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +165,7 @@ def _check_n(h, n: int) -> None:
         raise UsageError(f"--n must be at least the pattern's {h.h} vertices (got {n})")
 
 
-def cmd_count(args, cfg: RunConfig) -> int:
+def cmd_count(args) -> int:
     from .counting import (
         check_count, count_injections, induced_profile, normalized_density, profile_work,
     )
@@ -264,19 +213,19 @@ def cmd_count(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_enumerate(args, cfg: RunConfig) -> int:
+def cmd_enumerate(args) -> int:
     from .graphs import basis_text, enumerate_colored_graphs
 
     k = args.k
     classes = enumerate_colored_graphs(k)
-    out = Path(args.out) if args.out else cfg.cache_dir / f"basis-k{k}.txt"
+    out = Path(args.out) if args.out else args.cache_dir / f"basis-k{k}.txt"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(basis_text(classes))
     print(f"k={k} count={len(classes)} file={out}")
     return 0
 
 
-def cmd_search(args, cfg: RunConfig) -> int:
+def cmd_search(args) -> int:
     from .counting import normalized_density
     from .search import exact_max, full_profile, hill_climb
 
@@ -289,7 +238,7 @@ def cmd_search(args, cfg: RunConfig) -> int:
             args.n,
             target_density=args.beta,
             restarts=2 if args.restarts is None else args.restarts,
-            seed=cfg.seed,
+            seed=args.seed,
             seeds=seeds,
         )
     else:
@@ -311,14 +260,14 @@ def cmd_search(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_profile(args, cfg: RunConfig) -> int:
+def cmd_profile(args) -> int:
     from .figures import Series, csv_text, series_rows
 
     cids = [curve(c) for c in args.curve.split("+")]
     lo, hi = args.beta_min, args.beta_max
     if not 0 <= lo <= hi <= 1:
         raise UsageError("need 0 <= --beta-min <= --beta-max <= 1")
-    body = csv_text(series_rows([Series(cid, lo, hi) for cid in cids], cfg.beta_grid_step))
+    body = csv_text(series_rows([Series(cid, lo, hi) for cid in cids], args.beta_grid_step))
     if args.out:
         Path(args.out).write_text(body)
         print(f"wrote {args.out}")
@@ -341,10 +290,10 @@ def _report_header(argv) -> list[str]:
     return lines
 
 
-def _archive_report(cfg: RunConfig, argv, cmd: str, text: str) -> None:
+def _archive_report(cache_dir: Path, argv, cmd: str, text: str) -> None:
     """Write the report to a new file; a name taken in the same second gets
     a numeric suffix instead of being overwritten."""
-    reports = cfg.cache_dir / "reports"
+    reports = cache_dir / "reports"
     reports.mkdir(parents=True, exist_ok=True)
     name = f"{time.strftime('%Y%m%d-%H%M%S')}-{cmd}"
     body = "\n".join(_report_header(argv) + [text]) + "\n"
@@ -368,7 +317,7 @@ _VERIFY_READS = {
 }
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     from .certificates import (
         AP4,
         PEENN_RATIONAL,
@@ -388,7 +337,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
             hi = exact_from_arg(args.alpha_max)
             if hi <= 0:
                 raise UsageError(f"--alpha-max must be positive (got {args.alpha_max!r})")
-            certs = [AP4._replace(interval=(AP4.interval[0], hi, True, True))]
+            certs = [AP4._replace(interval=(AP4.interval[0], hi, True))]
         if args.B or args.C or args.interval or args.open_lo:
             if not (args.B and args.C and args.interval):
                 raise UsageError("peenn overrides need --B, --C and --interval")
@@ -397,7 +346,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
             if lo >= hi:
                 raise UsageError(f"--interval {args.interval!r} needs lo < hi")
             fixed = (("B", exact_from_arg(args.B)), ("C", exact_from_arg(args.C)))
-            certs = [PEENN_SQRT2._replace(fixed=fixed, interval=(lo, hi, not args.open_lo, True))]
+            certs = [PEENN_SQRT2._replace(fixed=fixed, interval=(lo, hi, not args.open_lo))]
         for cert in certs:
             (lo, hi, *_), (d_lo, d_hi) = cert.interval, cert.domain
             if not (d_lo <= lo and hi <= d_hi):
@@ -407,20 +356,20 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         reports = [check_certificate(cert) for cert in certs]
     text = "\n".join(r.render() for r in reports)
     print(text)
-    _archive_report(cfg, args.argv, f"verify-{args.which}", text)
+    _archive_report(args.cache_dir, args.argv, f"verify-{args.which}", text)
     return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_figure(args, cfg: RunConfig) -> int:
+def cmd_figure(args) -> int:
     from .figures import emit_figure
 
-    paths = emit_figure(args.id, Path(args.out), step=cfg.beta_grid_step)
+    paths = emit_figure(args.id, Path(args.out), step=args.beta_grid_step)
     for p in paths:
         print(p)
     return 0
 
 
-def cmd_oracle(args, cfg: RunConfig) -> int:
+def cmd_oracle(args) -> int:
     from .counting import normalized_density
     from .search import brute_force_profile
 
@@ -468,14 +417,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"unrecognized arguments: {flag}; {message}" if flag else message)
 
 
+def _grid_step(text: str) -> float:
+    """A --beta-grid-step value: a number in (0, 0.1]."""
+    try:
+        step = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0 < step <= 0.1:  # also false for nan
+        raise argparse.ArgumentTypeError(f"must lie in (0, 0.1], got {text!r}")
+    return step
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="semind",
         description="semi-inducibility workbench for red/blue colored complete graphs",
     )
-    p.add_argument("--config", help="key=value configuration file")
-    p.add_argument("--cache-dir", help="cache directory (or SEMIND_CACHE)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--cache-dir", type=Path, help="cache directory (or SEMIND_CACHE)",
+                   default=os.environ.get("SEMIND_CACHE", ".semind-cache"))
+    p.add_argument("--seed", type=int, default=0, help="hill-climb seed")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("count", help="count semi-induced pattern copies")
@@ -509,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pr.add_argument("--beta-min", type=float, default=0.0)
     pr.add_argument("--beta-max", type=float, default=1.0)
-    pr.add_argument("--beta-grid-step", type=float, default=None)
+    pr.add_argument("--beta-grid-step", type=_grid_step, default=0.001)
     pr.add_argument("--out")
     pr.set_defaults(func=cmd_profile)
 
@@ -525,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("figure", help="emit a figure as CSV + SVG")
     f.add_argument("--id", type=int, required=True, choices=(4, 5, 6, 7))
     f.add_argument("--out", default="figures")
-    f.add_argument("--beta-grid-step", type=float, default=None)
+    f.add_argument("--beta-grid-step", type=_grid_step, default=0.001)
     f.set_defaults(func=cmd_figure)
 
     o = sub.add_parser("oracle", help="raw brute-force per-m maxima (n <= 6)")
@@ -544,14 +504,13 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         args.argv = argv
-        cfg = load_config(args)
         if args.cmd not in _READS_CLASSES:
-            code = args.func(args, cfg)
+            code = args.func(args)
         else:
             from .graphs import basis_cache
 
-            with basis_cache(cfg.cache_dir):
-                code = args.func(args, cfg)
+            with basis_cache(args.cache_dir):
+                code = args.func(args)
         sys.stdout.flush()  # so that a closed stdout shows here, not at exit
         return code
     except SystemExit as exc:  # --help

@@ -201,7 +201,7 @@ def figure_definition(fig_id: int, step: float):
     return series, markers, title
 
 
-def emit_figure(fig_id: int, outdir: Path, step: float = 0.001) -> list[Path]:
+def emit_figure(fig_id: int, outdir: Path, step: float) -> list[Path]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     series, markers, title = figure_definition(fig_id, step)

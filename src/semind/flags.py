@@ -168,8 +168,8 @@ class GraphCombo:
         else:
             self.terms[rep] = poly
 
-    def _like(self, k=None) -> "GraphCombo":
-        return GraphCombo(k if k is not None else self.k, self.r, self.type_colors, self.names, {})
+    def _like(self) -> "GraphCombo":
+        return GraphCombo(self.k, self.r, self.type_colors, self.names, {})
 
     def __add__(self, other: "GraphCombo") -> "GraphCombo":
         if (self.k, self.r, self.type_colors, self.names) != (

@@ -68,10 +68,8 @@ _basis_dir: Path | None = None
 class GraphFormatError(UsageError):
     """Malformed host/pattern text; `offset` is the byte position at fault."""
 
-    def __init__(self, message: str, offset: int | None = None):
-        if offset is not None:
-            message = f"{message} (byte offset {offset})"
-        super().__init__(message)
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
 
 

@@ -122,7 +122,7 @@ def test_ap4_fault_injection_detected():
 
 
 def test_ap4_multiplier_fails_past_half():
-    report = check_certificate(AP4._replace(interval=(Q2.of(0), Q2.of(Fraction(3, 5)), True, True)))
+    report = check_certificate(AP4._replace(interval=(Q2.of(0), Q2.of(Fraction(3, 5)), True)))
     assert not report.passed
     assert any("C4" in f for f in report.failures)
     assert not any("C3" in f for f in report.failures)
@@ -168,7 +168,7 @@ def test_peenn_negative_multiplier_fails():
 def test_peenn_fails_below_exact_left_endpoint():
     # just below 1/sqrt2 several class coefficients turn positive
     report = check_certificate(
-        PEENN_SQRT2._replace(interval=(Q2.of(Fraction(705, 1000)), Q2.of(Fraction(4, 5)), True, True))
+        PEENN_SQRT2._replace(interval=(Q2.of(Fraction(705, 1000)), Q2.of(Fraction(4, 5)), True))
     )
     assert not report.passed
     assert any("positivity violation" in f for f in report.failures)
@@ -244,7 +244,7 @@ RED_PAIR = Certificate(
     names=("b",),
     var="b",
     fixed=(),
-    interval=(Q2.of(0), Q2.of(1), True, True),
+    interval=(Q2.of(0), Q2.of(1), True),
     domain=(Q2.of(0), Q2.of(1)),
     bound="2*b",
     terms=(

@@ -359,7 +359,7 @@ def test_cli_paths_load_neither_numpy_nor_scipy(tmp_path):
         assert proc.returncode == 0, (argv, proc.stderr)
 
 
-def test_profile_deterministic_and_threaded(capsys, cache, tmp_path):
+def test_profile_deterministic_and_threaded(capsys, cache):
     args = (
         "profile", "--curve", "ap4+ds:2", "--beta-min", "0", "--beta-max", "1",
         "--beta-grid-step", "0.01",
@@ -369,10 +369,6 @@ def test_profile_deterministic_and_threaded(capsys, cache, tmp_path):
     assert out1 == out2
     code, out3, _ = run(capsys, "--threads", "2", *args)
     assert code == 2 and out3 == ""
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("threads = 2\n")
-    code, out3, err = run(capsys, "--config", str(cfg), *args)
-    assert code == 2 and out3 == "" and "unknown key 'threads'" in err
     header = out1.splitlines()[0]
     assert header == "beta,value,curve,flag"
     assert any(",ds:2,0" in ln for ln in out1.splitlines())  # flagged rows
@@ -447,31 +443,40 @@ def test_figures_deterministic(capsys, cache, tmp_path):
     assert run(capsys, "figure", "--id", "3", "--out", str(out1))[0] == 2
 
 
-def test_config_file_and_flag_precedence(capsys, cache, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("beta_grid_step = 0.5\n")
-    code, _, err = run(
-        capsys, "--config", str(cfg), "profile", "--curve", "ap4",
-    )
-    assert code == 2  # config value out of range
-    cfg.write_text("beta_grid_step = 0.05\n")
-    code, out, _ = run(capsys, "--config", str(cfg), "profile", "--curve", "ap4")
-    assert code == 0
-    assert len(out.splitlines()) == 22  # header + 21 grid points
-    code, out, _ = run(
-        capsys, "--config", str(cfg), "profile", "--curve", "ap4",
-        "--beta-grid-step", "0.1",
-    )
-    assert code == 0
-    assert len(out.splitlines()) == 12  # flags win over the config file
-    cfg.write_text("tolerance = 1e-10\n")
-    code, _, err = run(capsys, "--config", str(cfg), "profile", "--curve", "ap4")
-    assert code == 2 and "unknown key 'tolerance'" in err
-    for key, value, kind in (("seed", "x", "an integer"), ("beta_grid_step", "fine", "a number")):
-        cfg.write_text(f"# run settings\n{key} = {value}\n")
-        code, out, err = run(capsys, "--config", str(cfg), "profile", "--curve", "ap4")
-        assert code == 2 and out == ""
-        assert f"{cfg}:2: {key}: expected {kind}, got '{value}'" in err
+@pytest.mark.parametrize("step", ["0", "-0.01", "0.5", "nan", "abc"])
+def test_bad_beta_grid_step_is_refused_before_any_write(capsys, cache, tmp_path, step):
+    out_dir = tmp_path / "D"
+    for argv in (
+        ("profile", "--curve", "ap4", "--out", str(out_dir / "x.csv")),
+        ("figure", "--id", "6", "--out", str(out_dir)),
+    ):
+        out, err = usage_error(capsys, *argv, "--beta-grid-step", step)
+        assert out == "" and "argument --beta-grid-step: " in err
+        want = "expected a number" if step == "abc" else "must lie in (0, 0.1]"
+        assert f"{want}, got {step!r}" in err
+    assert not out_dir.exists()
+
+
+def test_cache_dir_flag_wins_over_the_environment(capsys, cache, tmp_path):
+    flag_dir = tmp_path / "B"
+    assert run(capsys, "--cache-dir", str(flag_dir), "verify", "stability")[0] == 0
+    assert run(capsys, "--cache-dir", str(flag_dir), "enumerate", "--k", "3")[0] == 0
+    assert len(list((flag_dir / "reports").iterdir())) == 1
+    assert (flag_dir / "basis-k3.txt").read_text().startswith("# semind-basis k=3 ")
+    assert not (tmp_path / "cache").exists()  # SEMIND_CACHE, set by the fixture
+
+
+def test_seed_and_grid_step_defaults(capsys, cache):
+    climb = ("search", "--hill", "--pattern", "ac4", "--n", "14", "--beta", "0.5",
+             "--restarts", "1")
+    code, out, _ = run(capsys, *climb)
+    assert code == 0 and out.startswith("n=14 ")
+    assert run(capsys, "--seed", "0", *climb) == (0, out, "")
+    code, out, _ = run(capsys, "profile", "--curve", "ap4")
+    assert code == 0 and len(out.splitlines()) == 1 + 1001  # header + the 0.001 grid
+    assert run(capsys, "profile", "--curve", "ap4", "--beta-grid-step", "0.001") == (0, out, "")
+    code, out, _ = run(capsys, "profile", "--curve", "ap4", "--beta-grid-step", "0.1")
+    assert code == 0 and len(out.splitlines()) == 1 + 11  # the largest step is accepted
 
 
 def test_count_pattern_file(capsys, cache, tmp_path):
@@ -548,7 +553,7 @@ def test_usage_errors_share_one_class():
     (("count", "--pattern", "@missing.txt", "--host", "3 RRR"), "'missing.txt'"),
     (("count", "--pattern", "ap4", "--host", "@missing.txt"), "'missing.txt'"),
     (("count", "--pattern", "@binary.txt", "--host", "3 RRR"), "binary.txt: not UTF-8 text"),
-    (("--config", "missing.cfg", "profile", "--curve", "ap4"), "'missing.cfg'"),
+    (("--config", "run.cfg", "profile", "--curve", "ap4"), "unrecognized arguments: --config"),
     (("profile", "--curve", "ap4", "--out", "no/such/dir/x.csv"), "'no/such/dir/x.csv'"),
     (("count", "--pattern", "ap4", "--construct", "cliques:0.5", "--n", "1"),
      "constructions need n >= 2"),
@@ -754,7 +759,7 @@ def test_closed_stdout_ends_the_run_quietly(capsys, cache, monkeypatch, on):
 
 
 def test_internal_fault_exits_3_with_a_traceback(capsys, cache, monkeypatch):
-    def fault(args, cfg):
+    def fault(args):
         raise ValueError("internal fault")
 
     monkeypatch.setattr(cli, "cmd_count", fault)

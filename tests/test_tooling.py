@@ -1,5 +1,6 @@
 """Repository hygiene: the library keeps no code that only its tests call,
-and no module imports a name it never reads."""
+no parameter default that no call overrides, and no module imports a name
+it never reads."""
 
 import ast
 from collections import Counter
@@ -42,6 +43,50 @@ def test_every_top_level_name_has_a_caller_in_the_package():
             if node.name not in TEST_ORACLES and used[node.name] == _names_used(node)[node.name]:
                 unused.append(f"{fname}: {node.name}")
     assert not unused, f"no caller in the package: {unused}"
+
+
+def _functions(body, owner=None):
+    """Each function under body, with the name of the class whose method it
+    is (None for a plain function)."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node, owner
+            yield from _functions(node.body)
+
+
+def test_every_parameter_default_is_overridden_by_some_call():
+    # a default that every call leaves alone is a knob nothing turns: the
+    # value belongs in the body.  Calls match by name, a class's __init__ by
+    # the class name; a call with *args or **kwargs may pass anything
+    calls = {}
+    for path in sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn, owner in _functions(ast.parse(path.read_text()).body):
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            # a method's first parameter is bound, not passed, unless it is static
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            bound = 1 if owner and not static else 0
+            first_default = len(positional) - len(a.defaults)
+            params = [(i - bound, p.arg) for i, p in enumerate(positional) if i >= first_default]
+            params += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+            name = owner if fn.name == "__init__" else fn.name
+            for index, param in params:
+                if not any(
+                    any(kw.arg in (param, None) for kw in call.keywords)
+                    or any(isinstance(arg, ast.Starred) for arg in call.args)
+                    or index is not None and len(call.args) > index
+                    for call in calls.get(name, ())
+                ):
+                    unused.append(f"{path.name}: {fn.name}({param})")
+    assert not unused, f"a default that no call overrides: {unused}"
 
 
 def test_every_imported_name_is_read():
