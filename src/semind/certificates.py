@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+import time
 from fractions import Fraction
+from pathlib import Path
 from functools import lru_cache
-from importlib import resources
 from typing import Callable, NamedTuple
 
+from . import Record, UsageError, __version__
 from .counting import is_induced_subgraph
 from .exactalg import HALF_SQRT2, Poly, Q2, SQRT2, sign_cells
 from .flags import (
@@ -86,6 +87,8 @@ def parse_poly(text: str, names) -> Poly:
 
 
 def _data_lines(fname: str):
+    from importlib import resources
+
     text = resources.files("semind").joinpath("data", fname).read_text()
     for line in text.splitlines():
         line = line.strip()
@@ -142,23 +145,27 @@ def peenn_expansion_reference() -> dict:
 # report plumbing
 
 
-@dataclass
-class CertLine:
+class CertLine(NamedTuple):
     code: str
     coeff: str
     status: str  # nonpositive | zero | VIOLATION (certificates), yes | no (stability)
 
 
-@dataclass
-class CertReport:
-    name: str
-    passed: bool
-    lines: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    zero_classes: tuple = ()
-    boundary_zero_classes: tuple = ()
-    interior_root_classes: dict = field(default_factory=dict)
+class CertReport(Record):
+    """A check's verdict and findings, filled in as the check runs."""
+
+    __slots__ = ("name", "passed", "lines", "failures", "notes", "zero_classes",
+                 "boundary_zero_classes", "interior_root_classes")
+
+    def __init__(self, name: str, passed: bool):
+        self.name, self.passed = name, passed
+        self.lines: list[CertLine] = []
+        self.failures: list[str] = []
+        self.notes: list[str] = []
+        self.zero_classes: tuple = ()
+        self.boundary_zero_classes: tuple = ()
+        self.interior_root_classes: dict = {}
+
 
     def fail(self, message: str) -> None:
         self.passed = False
@@ -493,3 +500,104 @@ def stability_family_check() -> CertReport:
         )
     report.zero_classes = tuple(sorted(c5_embeds))
     return report
+
+
+# ---------------------------------------------------------------------------
+# the `verify` command
+
+
+def exact_from_arg(text: str) -> Q2:
+    """An exact `exactalg.Q2` value: 'sqrt2-1', '1/sqrt2', 'sqrt2/2',
+    fractions, decimals."""
+    t = text.strip().replace(" ", "")
+    if t == "sqrt2":
+        return SQRT2
+    if t == "sqrt2-1":
+        return SQRT2 - Q2.of(1)
+    if t == "1-sqrt2":
+        return Q2.of(1) - SQRT2
+    if t == "1/sqrt2" or t == "sqrt2/2":
+        return HALF_SQRT2
+    try:
+        return Q2.of(Fraction(t))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"cannot parse exact value {text!r}") from exc
+
+
+def _report_header(argv) -> list[str]:
+    """Version, command line and reference-table digests of a report."""
+    import hashlib
+    import shlex
+    from importlib import resources
+
+    lines = [f"# semind {__version__}", f"# argv: {shlex.join(argv)}"]
+    data = resources.files("semind").joinpath("data")
+    for entry in sorted(data.iterdir(), key=lambda e: e.name):
+        if entry.name.endswith(".txt"):
+            digest = hashlib.sha256(entry.read_bytes()).hexdigest()
+            lines.append(f"# sha256 data/{entry.name} {digest}")
+    return lines
+
+
+def _archive_report(cache_dir: Path, argv, cmd: str, text: str) -> None:
+    """Write the report to a new file; a name taken in the same second gets
+    a numeric suffix instead of being overwritten."""
+    reports = cache_dir / "reports"
+    reports.mkdir(parents=True, exist_ok=True)
+    name = f"{time.strftime('%Y%m%d-%H%M%S')}-{cmd}"
+    body = "\n".join(_report_header(argv) + [text]) + "\n"
+    path = reports / f"{name}.txt"
+    suffix = 0
+    while True:
+        try:
+            with open(path, "x") as fh:
+                fh.write(body)
+            return
+        except FileExistsError:
+            suffix += 1
+            path = reports / f"{name}-{suffix}.txt"
+
+
+# the flags that each certificate of `verify` reads; it rejects the others
+_VERIFY_READS = {
+    "ap4": ("--alpha-max",),
+    "peenn": ("--B", "--C", "--interval", "--open-lo"),
+    "stability": (),
+}
+
+
+def cmd_verify(args) -> int:
+    from .cli import _numbers, _reject_unread
+
+    reads = _VERIFY_READS[args.which]
+    unread = [flag for flags in _VERIFY_READS.values() for flag in flags if flag not in reads]
+    _reject_unread(args, unread, f"by verify {args.which}")
+    if args.which == "stability":
+        reports = [stability_family_check()]
+    else:
+        certs = [AP4] if args.which == "ap4" else [PEENN_SQRT2, PEENN_RATIONAL]
+        if args.alpha_max:
+            hi = exact_from_arg(args.alpha_max)
+            if hi <= 0:
+                raise UsageError(f"--alpha-max must be positive (got {args.alpha_max!r})")
+            certs = [AP4._replace(interval=(AP4.interval[0], hi, True))]
+        if args.B or args.C or args.interval or args.open_lo:
+            if not (args.B and args.C and args.interval):
+                raise UsageError("peenn overrides need --B, --C and --interval")
+            form = "lo,hi with exact endpoints (e.g. 1/sqrt2,4/5)"
+            lo, hi = _numbers("--interval", args.interval, args.interval, form, 2, exact_from_arg)
+            if lo >= hi:
+                raise UsageError(f"--interval {args.interval!r} needs lo < hi")
+            fixed = (("B", exact_from_arg(args.B)), ("C", exact_from_arg(args.C)))
+            certs = [PEENN_SQRT2._replace(fixed=fixed, interval=(lo, hi, not args.open_lo))]
+        for cert in certs:
+            (lo, hi, *_), (d_lo, d_hi) = cert.interval, cert.domain
+            if not (d_lo <= lo and hi <= d_hi):
+                raise UsageError(
+                    f"the interval [{lo}, {hi}] of {cert.var} leaves its domain [{d_lo}, {d_hi}]"
+                )
+        reports = [check_certificate(cert) for cert in certs]
+    text = "\n".join(r.render() for r in reports)
+    print(text)
+    _archive_report(args.cache_dir, args.argv, f"verify-{args.which}", text)
+    return 0 if all(r.passed for r in reports) else 1

@@ -1,34 +1,38 @@
 """Command-line front end.
 
 Subcommands: count, enumerate, search, profile, verify, figure, oracle.
-Each run input is set by one flag: --seed, --beta-grid-step and --cache-dir
-(default: the SEMIND_CACHE environment variable, else .semind-cache).  The
-cache directory holds enumerated bases (loaded back after validation, see
-`graphs`) and archived verification reports.  Exit codes: 0 success /
-verification PASS, 1 verification FAIL, 2 usage error (a `semind.UsageError`,
-a malformed command line, or an unreadable or unwritable file the user
-named; one `error:` line on stderr), 3 internal fault (its traceback on
-stderr).
+Each run input is set by one flag, and a command refuses a flag it does not
+read.  --seed (default 0) is read by `search --hill`; --cache-dir (default:
+the SEMIND_CACHE environment variable, else .semind-cache) by `enumerate`,
+`search` and `verify`.  The cache directory holds enumerated bases (loaded
+back after validation, see `graphs`) and archived verification reports.
+Exit codes: 0 success / verification PASS, 1 verification FAIL, 2 usage
+error (a `semind.UsageError`, a malformed command line, or an unreadable or
+unwritable file the user named; one `error:` line on stderr), 3 internal
+fault (its traceback on stderr).
 
-Import rule: each command imports, inside its own function, the package
-modules it runs, so that a short run pays the import time of those modules
-only (`profile` and `figure` load no graph or counting code).  The one
-module imported here is `profiles`: the parser's `profile --curve` help
-lists `known_curves()`, and the benchmark's traced mode reads the import
-time of `semind.profiles` from a bare `import semind.cli`.
+Import rule: this module holds only the parser, the dispatch and the
+argument helpers that several commands share.  Each command's body,
+`cmd_<name>`, lives in the module whose code it drives (`counting`, `graphs`,
+`search`, `figures` or `certificates`), with the helpers only it uses, and
+`main` imports that module when the command runs.  So a short run compiles
+and imports the modules it runs and no other command's code: `profile` and
+`figure` load no graph or counting code, and only `verify` loads the report
+archive's `shlex` and `hashlib`.  The one package module imported here is
+`profiles`: the parser's `profile --curve` help lists `known_curves()`, and
+the benchmark's traced mode reads the import time of `semind.profiles` from
+a bare `import semind.cli`.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import shlex
 import sys
-import time
 from pathlib import Path
 
-from . import UsageError, __version__
-from .profiles import curve, eval_curve, known_curves
+from . import UsageError
+from .profiles import known_curves
 
 
 # ---------------------------------------------------------------------------
@@ -116,40 +120,6 @@ def construct_from_arg(text: str):
     raise UsageError(f"unknown construction {text!r}")
 
 
-def exact_from_arg(text: str):
-    """An exact `exactalg.Q2` value: 'sqrt2-1', '1/sqrt2', 'sqrt2/2',
-    fractions, decimals."""
-    from fractions import Fraction
-
-    from .exactalg import HALF_SQRT2, Q2, SQRT2
-
-    t = text.strip().replace(" ", "")
-    if t == "sqrt2":
-        return SQRT2
-    if t == "sqrt2-1":
-        return SQRT2 - Q2.of(1)
-    if t == "1-sqrt2":
-        return Q2.of(1) - SQRT2
-    if t == "1/sqrt2" or t == "sqrt2/2":
-        return HALF_SQRT2
-    try:
-        return Q2.of(Fraction(t))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse exact value {text!r}") from exc
-
-
-_CURVE_FOR_PATTERN = {
-    "ap4": "ap4",
-    "ac4": "ac4",
-    "peenn": "peenn",
-    "s:2,1": "s21",
-}
-
-
-# ---------------------------------------------------------------------------
-# commands
-
-
 def _reject_unread(args, flags, mode: str) -> None:
     """A UsageError for the first of `flags` that was given although `mode`
     does not read it."""
@@ -157,230 +127,6 @@ def _reject_unread(args, flags, mode: str) -> None:
         value = getattr(args, flag.lstrip("-").replace("-", "_"))
         if value is not None and value is not False:
             raise UsageError(f"{flag} is not read {mode}")
-
-
-def _check_n(h, n: int) -> None:
-    """Exact search and the oracle need a host at least as large as h."""
-    if n < h.h:
-        raise UsageError(f"--n must be at least the pattern's {h.h} vertices (got {n})")
-
-
-def cmd_count(args) -> int:
-    from .counting import (
-        check_count, count_injections, induced_profile, normalized_density, profile_work,
-    )
-    from .graphs import parse_host, realize
-
-    h = pattern_from_arg(args.pattern)
-    if args.host and args.construct:
-        raise UsageError("give either --host or --construct, not both")
-    if args.construct:
-        if args.n is None:
-            raise UsageError("--construct requires --n")
-        spec = construct_from_arg(args.construct)
-        g = realize(spec, args.n)  # a blow-up or a circulant, built only for a profile
-        host_desc = f"{spec.describe()}:n={args.n}"
-    elif args.host:
-        _reject_unread(args, ("--n",), "with --host")
-        text = args.host
-        if text.startswith("@"):
-            text = _read_text(text[1:])
-        g = parse_host(text)
-        host_desc = g.to_text()
-    else:
-        raise UsageError("count needs --host or --construct")
-    n = g.n
-    check_count(h, g, 0 if args.profile_k is None else profile_work(n, args.profile_k))
-    count = count_injections(h, g)
-    rho = normalized_density(count, n, h.h) if n >= h.h else 0.0
-    npairs = n * (n - 1) // 2
-    beta = g.red_count() / npairs if npairs else 0.0
-    print(f"pattern={h.to_text()!r} host={host_desc!r} count={count} rho={rho:.12g}")
-    if args.profile_k is not None:
-        prof = induced_profile(g.to_host(), args.profile_k)
-        print("class_code,count")
-        for code in sorted(prof):
-            print(f"{code.decode()},{prof[code]}")
-    curve_tag = _CURVE_FOR_PATTERN.get(args.pattern)
-    if args.pattern.startswith("ds:"):
-        curve_tag = args.pattern
-    if curve_tag:
-        cv = eval_curve(curve(curve_tag), beta)
-        print(
-            f"curve={curve_tag} beta={beta:.12g} value={cv.value:.12g} "
-            f"in_range={int(cv.in_range)}"
-        )
-    return 0
-
-
-def cmd_enumerate(args) -> int:
-    from .graphs import basis_text, enumerate_colored_graphs
-
-    k = args.k
-    classes = enumerate_colored_graphs(k)
-    out = Path(args.out) if args.out else args.cache_dir / f"basis-k{k}.txt"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(basis_text(classes))
-    print(f"k={k} count={len(classes)} file={out}")
-    return 0
-
-
-def cmd_search(args) -> int:
-    from .counting import normalized_density
-    from .search import exact_max, full_profile, hill_climb
-
-    h = pattern_from_arg(args.pattern)
-    if args.hill:
-        _reject_unread(args, ("--m",), "with --hill")
-        seeds = [construct_from_arg(args.seed_construct)] if args.seed_construct else []
-        res = hill_climb(
-            h,
-            args.n,
-            target_density=args.beta,
-            restarts=2 if args.restarts is None else args.restarts,
-            seed=args.seed,
-            seeds=seeds,
-        )
-    else:
-        _reject_unread(args, ("--beta", "--seed-construct", "--restarts"), "without --hill")
-        _check_n(h, args.n)
-        if args.profile:
-            _reject_unread(args, ("--m",), "with --profile")
-            res = full_profile(h, args.n)
-            print("m,best,rho")
-            for m in sorted(res.per_edge_count):
-                best = res.per_edge_count[m]
-                rho = normalized_density(best, args.n, h.h)
-                print(f"{m},{best},{rho:.12g}")
-            return 0
-        res = exact_max(h, args.n, args.m)
-    rho = normalized_density(res.best_count, args.n, h.h)
-    for wit in map(bytes.decode, res.witnesses):  # its header is digits: each R is a red pair
-        print(f"n={args.n} m={wit.count('R')} best={res.best_count} rho={rho:.12g} witness={wit!r}")
-    return 0
-
-
-def cmd_profile(args) -> int:
-    from .figures import Series, csv_text, series_rows
-
-    cids = [curve(c) for c in args.curve.split("+")]
-    lo, hi = args.beta_min, args.beta_max
-    if not 0 <= lo <= hi <= 1:
-        raise UsageError("need 0 <= --beta-min <= --beta-max <= 1")
-    body = csv_text(series_rows([Series(cid, lo, hi) for cid in cids], args.beta_grid_step))
-    if args.out:
-        Path(args.out).write_text(body)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(body)
-    return 0
-
-
-def _report_header(argv) -> list[str]:
-    """Version, command line and reference-table digests of a report."""
-    import hashlib
-    from importlib import resources
-
-    lines = [f"# semind {__version__}", f"# argv: {shlex.join(argv)}"]
-    data = resources.files("semind").joinpath("data")
-    for entry in sorted(data.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".txt"):
-            digest = hashlib.sha256(entry.read_bytes()).hexdigest()
-            lines.append(f"# sha256 data/{entry.name} {digest}")
-    return lines
-
-
-def _archive_report(cache_dir: Path, argv, cmd: str, text: str) -> None:
-    """Write the report to a new file; a name taken in the same second gets
-    a numeric suffix instead of being overwritten."""
-    reports = cache_dir / "reports"
-    reports.mkdir(parents=True, exist_ok=True)
-    name = f"{time.strftime('%Y%m%d-%H%M%S')}-{cmd}"
-    body = "\n".join(_report_header(argv) + [text]) + "\n"
-    path = reports / f"{name}.txt"
-    suffix = 0
-    while True:
-        try:
-            with open(path, "x") as fh:
-                fh.write(body)
-            return
-        except FileExistsError:
-            suffix += 1
-            path = reports / f"{name}-{suffix}.txt"
-
-
-# the flags that each certificate of `verify` reads; it rejects the others
-_VERIFY_READS = {
-    "ap4": ("--alpha-max",),
-    "peenn": ("--B", "--C", "--interval", "--open-lo"),
-    "stability": (),
-}
-
-
-def cmd_verify(args) -> int:
-    from .certificates import (
-        AP4,
-        PEENN_RATIONAL,
-        PEENN_SQRT2,
-        check_certificate,
-        stability_family_check,
-    )
-
-    reads = _VERIFY_READS[args.which]
-    unread = [flag for flags in _VERIFY_READS.values() for flag in flags if flag not in reads]
-    _reject_unread(args, unread, f"by verify {args.which}")
-    if args.which == "stability":
-        reports = [stability_family_check()]
-    else:
-        certs = [AP4] if args.which == "ap4" else [PEENN_SQRT2, PEENN_RATIONAL]
-        if args.alpha_max:
-            hi = exact_from_arg(args.alpha_max)
-            if hi <= 0:
-                raise UsageError(f"--alpha-max must be positive (got {args.alpha_max!r})")
-            certs = [AP4._replace(interval=(AP4.interval[0], hi, True))]
-        if args.B or args.C or args.interval or args.open_lo:
-            if not (args.B and args.C and args.interval):
-                raise UsageError("peenn overrides need --B, --C and --interval")
-            form = "lo,hi with exact endpoints (e.g. 1/sqrt2,4/5)"
-            lo, hi = _numbers("--interval", args.interval, args.interval, form, 2, exact_from_arg)
-            if lo >= hi:
-                raise UsageError(f"--interval {args.interval!r} needs lo < hi")
-            fixed = (("B", exact_from_arg(args.B)), ("C", exact_from_arg(args.C)))
-            certs = [PEENN_SQRT2._replace(fixed=fixed, interval=(lo, hi, not args.open_lo))]
-        for cert in certs:
-            (lo, hi, *_), (d_lo, d_hi) = cert.interval, cert.domain
-            if not (d_lo <= lo and hi <= d_hi):
-                raise UsageError(
-                    f"the interval [{lo}, {hi}] of {cert.var} leaves its domain [{d_lo}, {d_hi}]"
-                )
-        reports = [check_certificate(cert) for cert in certs]
-    text = "\n".join(r.render() for r in reports)
-    print(text)
-    _archive_report(args.cache_dir, args.argv, f"verify-{args.which}", text)
-    return 0 if all(r.passed for r in reports) else 1
-
-
-def cmd_figure(args) -> int:
-    from .figures import emit_figure
-
-    paths = emit_figure(args.id, Path(args.out), step=args.beta_grid_step)
-    for p in paths:
-        print(p)
-    return 0
-
-
-def cmd_oracle(args) -> int:
-    from .counting import normalized_density
-    from .search import brute_force_profile
-
-    h = pattern_from_arg(args.pattern)
-    _check_n(h, args.n)
-    per_m = brute_force_profile(h, args.n)
-    print("m,best,rho")
-    for m in sorted(per_m):
-        rho = normalized_density(per_m[m], args.n, h.h)
-        print(f"{m},{per_m[m]},{rho:.12g}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="semind",
         description="semi-inducibility workbench for red/blue colored complete graphs",
     )
-    p.add_argument("--cache-dir", type=Path, help="cache directory (or SEMIND_CACHE)",
-                   default=os.environ.get("SEMIND_CACHE", ".semind-cache"))
-    p.add_argument("--seed", type=int, default=0, help="hill-climb seed")
+    p.add_argument("--cache-dir", type=Path,
+                   help="cache directory of enumerate, search and verify "
+                        "(default: SEMIND_CACHE, else .semind-cache)")
+    p.add_argument("--seed", type=int, help="seed of search --hill (default 0)")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("count", help="count semi-induced pattern copies")
@@ -445,12 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int)
     c.add_argument("--profile-k", type=int,
                    help="also print the host's induced k-profile as CSV")
-    c.set_defaults(func=cmd_count)
 
     e = sub.add_parser("enumerate", help="enumerate colorings up to isomorphism")
     e.add_argument("--k", type=int, required=True)
     e.add_argument("--out")
-    e.set_defaults(func=cmd_enumerate)
 
     s = sub.add_parser("search", help="extremal search over colorings")
     s.add_argument("--pattern", required=True)
@@ -461,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--beta", type=float, help="pinned red density for --hill")
     s.add_argument("--restarts", type=int, help="climb restarts for --hill (default 2)")
     s.add_argument("--seed-construct", help="construction spec used as climb seed")
-    s.set_defaults(func=cmd_search)
 
     pr = sub.add_parser("profile", help="curve values on a beta grid (CSV)")
     pr.add_argument(
@@ -471,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--beta-max", type=float, default=1.0)
     pr.add_argument("--beta-grid-step", type=_grid_step, default=0.001)
     pr.add_argument("--out")
-    pr.set_defaults(func=cmd_profile)
 
     v = sub.add_parser("verify", help="re-verify a certificate")
     v.add_argument("which", choices=("ap4", "peenn", "stability"))
@@ -480,19 +223,47 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--interval", help="lo,hi with exact endpoints (e.g. 1/sqrt2,4/5)")
     v.add_argument("--open-lo", action="store_true", help="exclude the left endpoint")
     v.add_argument("--alpha-max", help="upper endpoint for the ap4 multiplier check")
-    v.set_defaults(func=cmd_verify)
 
     f = sub.add_parser("figure", help="emit a figure as CSV + SVG")
     f.add_argument("--id", type=int, required=True, choices=(4, 5, 6, 7))
     f.add_argument("--out", default="figures")
     f.add_argument("--beta-grid-step", type=_grid_step, default=0.001)
-    f.set_defaults(func=cmd_figure)
 
     o = sub.add_parser("oracle", help="raw brute-force per-m maxima (n <= 6)")
     o.add_argument("--pattern", required=True)
     o.add_argument("--n", type=int, required=True)
-    o.set_defaults(func=cmd_oracle)
     return p
+
+
+def _run(args) -> int:
+    """Run the command's body, importing the module that holds it."""
+    if args.cmd == "count":
+        from . import counting
+
+        return counting.cmd_count(args)
+    if args.cmd == "enumerate":
+        from . import graphs
+
+        return graphs.cmd_enumerate(args)
+    if args.cmd == "search":
+        from . import search
+
+        return search.cmd_search(args)
+    if args.cmd == "oracle":
+        from . import search
+
+        return search.cmd_oracle(args)
+    if args.cmd == "profile":
+        from . import figures
+
+        return figures.cmd_profile(args)
+    if args.cmd == "figure":
+        from . import figures
+
+        return figures.cmd_figure(args)
+    from . import certificates  # verify, the one command left
+
+    return certificates.cmd_verify(args)
 
 
 # the commands that read class lists, which a basis in the cache directory serves
@@ -504,13 +275,18 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         args.argv = argv
+        if args.cmd != "search":
+            _reject_unread(args, ("--seed",), f"by {args.cmd}")
         if args.cmd not in _READS_CLASSES:
-            code = args.func(args)
+            _reject_unread(args, ("--cache-dir",), f"by {args.cmd}")
+            code = _run(args)
         else:
             from .graphs import basis_cache
 
+            if args.cache_dir is None:
+                args.cache_dir = Path(os.environ.get("SEMIND_CACHE", ".semind-cache"))
             with basis_cache(args.cache_dir):
-                code = args.func(args)
+                code = _run(args)
         sys.stdout.flush()  # so that a closed stdout shows here, not at exit
         return code
     except SystemExit as exc:  # --help

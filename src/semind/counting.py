@@ -24,7 +24,6 @@ test suite checks the counters against a plain backtracker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial, perm
@@ -42,11 +41,12 @@ from .graphs import (
     blue_masks,
     canonical_form,
     lex_pairs,
+    parse_host,
+    realize,
 )
 
 
-@dataclass(frozen=True)
-class DegreeStats:
+class DegreeStats(NamedTuple):
     """Red-degree statistics of a host.
 
     t counts 3-vertex sets spanning exactly two red edges; s_open counts
@@ -840,3 +840,62 @@ def pattern_automorphism_order(h: PatternGraph) -> int:
     for below in twins:
         order *= below.bit_count() + 1  # the i-th twin of a class adds a factor i
     return order
+
+
+# ---------------------------------------------------------------------------
+# the `count` command
+
+# the profile curve that `count` evaluates at the host's red density, by
+# pattern argument; a ds:<s> pattern names its own curve
+_CURVE_FOR_PATTERN = {
+    "ap4": "ap4",
+    "ac4": "ac4",
+    "peenn": "peenn",
+    "s:2,1": "s21",
+}
+
+
+def cmd_count(args) -> int:
+    from .cli import _read_text, _reject_unread, construct_from_arg, pattern_from_arg
+    from .profiles import curve, eval_curve
+
+    h = pattern_from_arg(args.pattern)
+    if args.host and args.construct:
+        raise UsageError("give either --host or --construct, not both")
+    if args.construct:
+        if args.n is None:
+            raise UsageError("--construct requires --n")
+        spec = construct_from_arg(args.construct)
+        g = realize(spec, args.n)  # a blow-up or a circulant, built only for a profile
+        host_desc = f"{spec.describe()}:n={args.n}"
+    elif args.host:
+        _reject_unread(args, ("--n",), "with --host")
+        text = args.host
+        if text.startswith("@"):
+            text = _read_text(text[1:])
+        g = parse_host(text)
+        host_desc = g.to_text()
+    else:
+        raise UsageError("count needs --host or --construct")
+    n = g.n
+    check_count(h, g, 0 if args.profile_k is None else profile_work(n, args.profile_k))
+    count = count_injections(h, g)
+    rho = normalized_density(count, n, h.h) if n >= h.h else 0.0
+    npairs = n * (n - 1) // 2
+    beta = g.red_count() / npairs if npairs else 0.0
+    print(f"pattern={h.to_text()!r} host={host_desc!r} count={count} rho={rho:.12g}")
+    if args.profile_k is not None:
+        prof = induced_profile(g.to_host(), args.profile_k)
+        print("class_code,count")
+        for code in sorted(prof):
+            print(f"{code.decode()},{prof[code]}")
+    curve_tag = _CURVE_FOR_PATTERN.get(args.pattern)
+    if args.pattern.startswith("ds:"):
+        curve_tag = args.pattern
+    if curve_tag:
+        cv = eval_curve(curve(curve_tag), beta)
+        print(
+            f"curve={curve_tag} beta={beta:.12g} value={cv.value:.12g} "
+            f"in_range={int(cv.in_range)}"
+        )
+    return 0

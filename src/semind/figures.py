@@ -6,10 +6,11 @@ are byte-identical.  Curves are drawn only where their validity flag is set.
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from . import check_work
+from . import UsageError, check_work
 from .profiles import CurveId, curve, eval_curve, find_crossover, s21_prog_boundary
 
 _COLORS = (
@@ -211,3 +212,28 @@ def emit_figure(fig_id: int, outdir: Path, step: float) -> list[Path]:
     csv_path.write_text(csv_text(per_series))
     render_svg(svg_path, series, per_series, markers, title)
     return [csv_path, svg_path]
+
+
+# ---------------------------------------------------------------------------
+# the `profile` and `figure` commands
+
+
+def cmd_profile(args) -> int:
+    cids = [curve(c) for c in args.curve.split("+")]
+    lo, hi = args.beta_min, args.beta_max
+    if not 0 <= lo <= hi <= 1:
+        raise UsageError("need 0 <= --beta-min <= --beta-max <= 1")
+    body = csv_text(series_rows([Series(cid, lo, hi) for cid in cids], args.beta_grid_step))
+    if args.out:
+        Path(args.out).write_text(body)
+        print(f"wrote {args.out}")
+    else:
+        sys.stdout.write(body)
+    return 0
+
+
+def cmd_figure(args) -> int:
+    paths = emit_figure(args.id, Path(args.out), step=args.beta_grid_step)
+    for p in paths:
+        print(p)
+    return 0

@@ -20,13 +20,12 @@ Conventions (fixed by the verified reference tables):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, perm
 
-from . import UnsupportedSizeError
+from . import Frozen, Record, UnsupportedSizeError
 from .exactalg import Poly
 from .graphs import (
     HostGraph,
@@ -46,19 +45,31 @@ class FlagTypeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RootedFlag:
-    """A host graph with an ordered tuple of distinct root vertices."""
+class RootedFlag(Frozen):
+    """A host graph with an ordered tuple of distinct root vertices.  Equal
+    flags compare and hash equal."""
 
-    graph: HostGraph
-    roots: tuple[int, ...] = ()
+    __slots__ = ("graph", "roots")
 
-    def __post_init__(self):
-        if len(set(self.roots)) != len(self.roots):
+    def __init__(self, graph: HostGraph, roots: tuple[int, ...] = ()):
+        if len(set(roots)) != len(roots):
             raise ValueError("roots must be distinct")
-        for v in self.roots:
-            if not 0 <= v < self.graph.n:
+        for v in roots:
+            if not 0 <= v < graph.n:
                 raise ValueError("root out of range")
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "roots", roots)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.roots == other.roots and self.graph == other.graph
+
+    def __hash__(self):
+        return hash((self.graph, self.roots))
+
+    def __repr__(self):
+        return f"RootedFlag(graph={self.graph!r}, roots={self.roots!r})"
 
     @property
     def k(self) -> int:
@@ -131,16 +142,16 @@ def _splits(F: RootedFlag, k1: int) -> dict:
     return tally
 
 
-@dataclass
-class GraphCombo:
+class GraphCombo(Record):
     """Linear combination of canonical k-vertex flags of one fixed type with
     polynomial coefficients.  r = 0 gives plain unrooted combinations."""
 
-    k: int
-    r: int
-    type_colors: tuple
-    names: tuple
-    terms: dict = field(default_factory=dict)
+    __slots__ = ("k", "r", "type_colors", "names", "terms")
+
+    def __init__(self, k: int, r: int, type_colors: tuple, names: tuple, terms: dict):
+        self.k, self.r, self.type_colors, self.names, self.terms = (
+            k, r, type_colors, names, terms
+        )
 
     @staticmethod
     def build(k, r, type_colors, names, items) -> "GraphCombo":

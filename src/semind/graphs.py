@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
-from . import UnsupportedSizeError, UsageError
+from . import Frozen, UnsupportedSizeError, UsageError
 
 
 # Caps that no work estimate replaces.  Canonical labelling has no cost
@@ -161,18 +160,34 @@ def _relabel_masks(masks, perm) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class HostGraph:
+class HostGraph(Frozen):
     """An n-vertex red/blue coloring of the complete graph.
 
     `masks[i]` has bit j set iff pair {i, j} is red.  Blue is the complement
-    on off-diagonal pairs.
+    on off-diagonal pairs.  Equal colorings compare and hash equal.
     """
 
-    n: int
-    masks: tuple[int, ...]
+    __slots__ = ("n", "masks")
+
+    def __init__(self, n: int, masks: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "masks", masks)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.masks == other.masks
+
+    def __hash__(self):
+        return hash((self.n, self.masks))
+
+    def __repr__(self):
+        return f"HostGraph(n={self.n!r}, masks={self.masks!r})"
 
     def __post_init__(self):
+        """The validation of every new host, kept under this name: the
+        benchmark's tracer counts host builds by wrapping it."""
         if self.n < 1:
             raise ValueError("host needs at least one vertex")
         if len(self.masks) != self.n:
@@ -231,8 +246,7 @@ class HostGraph:
         return write_pairs((self.masks,), "RB")
 
 
-@dataclass(frozen=True)
-class PatternGraph:
+class PatternGraph(NamedTuple):
     """A pattern: red pairs must map to red, blue to blue, free pairs to either.
 
     `red[i]` has bit j set iff pair {i, j} is red, and `blue[i]` iff it is
@@ -305,13 +319,24 @@ def parse_pattern(text: str) -> PatternGraph:
 def _twins(layers) -> list[int]:
     """For each vertex, the bitmask of its twins below it: vertices whose
     colours to every other vertex agree in every mask layer, so that swapping
-    them is an automorphism.  All pairs inside a twin class share a colour."""
+    them is an automorphism.  All pairs inside a twin class share a colour.
+
+    u and v are twins exactly when, in the layer holding their pair (if
+    any), their masks with their own bits added are equal, and in every
+    other layer their masks are equal.  So the vertices are grouped once per
+    choice of that layer, by the masks with the own bit added in that layer
+    alone; each twin pair meets in exactly one grouping."""
     n = len(layers[0])
     below = [0] * n
-    for v in range(n):
-        for u in range(v):
-            if all(not (m[u] ^ m[v]) & ~(1 << u | 1 << v) for m in layers):
-                below[v] |= 1 << u
+    for own in range(-1, len(layers)):  # the layer holding the pair; -1 for none
+        keys = zip(*(
+            [m[v] | 1 << v for v in range(n)] if i == own else m for i, m in enumerate(layers)
+        ))
+        seen: dict = {}
+        for v, key in enumerate(keys):
+            group = seen.get(key, 0)
+            below[v] |= group
+            seen[key] = group | 1 << v
     return below
 
 
@@ -571,8 +596,7 @@ def enumerate_colored_graphs(k: int) -> list[HostGraph]:
 # constructions
 
 
-@dataclass(frozen=True)
-class PartedHost:
+class PartedHost(NamedTuple):
     """Host assembled from uniform parts: each part is internally all-red or
     all-blue, and each pair of parts is uniformly colored across."""
 
@@ -739,3 +763,17 @@ def realize(spec: ConstructionSpec, n: int) -> PartedHost | Circulant:
 def make_construction(spec: ConstructionSpec, n: int) -> HostGraph:
     """The construction on n vertices, built."""
     return realize(spec, n).to_host()
+
+
+# ---------------------------------------------------------------------------
+# the `enumerate` command
+
+
+def cmd_enumerate(args) -> int:
+    k = args.k
+    classes = enumerate_colored_graphs(k)
+    out = Path(args.out) if args.out else args.cache_dir / f"basis-k{k}.txt"
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(basis_text(classes))
+    print(f"k={k} count={len(classes)} file={out}")
+    return 0

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from . import UnsupportedSizeError, UsageError, check_work
 from .graphs import (
@@ -31,7 +31,9 @@ from .graphs import (
     make_construction,
     write_pairs,
 )
-from .counting import _plan, _work, count_injections, flip_delta, flip_plans
+from .counting import (
+    _plan, _work, count_injections, flip_delta, flip_plans, normalized_density,
+)
 
 # Work of the climb and the oracle outside the counts, in `check_work`'s unit
 # (timed on a 2-vertex pattern, whose counts cost almost nothing): each host
@@ -43,8 +45,7 @@ _FLIP_WORK = 12
 _STEPS_PER_VERTEX = 60  # a climb from one start proposes 60n moves
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     best_count: int
     witnesses: tuple[bytes, ...]
     per_edge_count: dict | None = None
@@ -274,3 +275,61 @@ def hill_climb(
     host = HostGraph(n, tuple(best_masks))
     witness = canonical_form(host) if n <= MAX_CANONICAL_N else host.to_text().encode()
     return SearchResult(best, (witness,))
+
+
+# ---------------------------------------------------------------------------
+# the `search` and `oracle` commands
+
+
+def _check_n(h: PatternGraph, n: int) -> None:
+    """Exact search and the oracle need a host at least as large as h."""
+    if n < h.h:
+        raise UsageError(f"--n must be at least the pattern's {h.h} vertices (got {n})")
+
+
+def cmd_search(args) -> int:
+    from .cli import _reject_unread, construct_from_arg, pattern_from_arg
+
+    h = pattern_from_arg(args.pattern)
+    if args.hill:
+        _reject_unread(args, ("--m",), "with --hill")
+        seeds = [construct_from_arg(args.seed_construct)] if args.seed_construct else []
+        res = hill_climb(
+            h,
+            args.n,
+            target_density=args.beta,
+            restarts=2 if args.restarts is None else args.restarts,
+            seed=0 if args.seed is None else args.seed,
+            seeds=seeds,
+        )
+    else:
+        _reject_unread(args, ("--seed", "--beta", "--seed-construct", "--restarts"),
+                       "without --hill")
+        _check_n(h, args.n)
+        if args.profile:
+            _reject_unread(args, ("--m",), "with --profile")
+            res = full_profile(h, args.n)
+            print("m,best,rho")
+            for m in sorted(res.per_edge_count):
+                best = res.per_edge_count[m]
+                rho = normalized_density(best, args.n, h.h)
+                print(f"{m},{best},{rho:.12g}")
+            return 0
+        res = exact_max(h, args.n, args.m)
+    rho = normalized_density(res.best_count, args.n, h.h)
+    for wit in map(bytes.decode, res.witnesses):  # its header is digits: each R is a red pair
+        print(f"n={args.n} m={wit.count('R')} best={res.best_count} rho={rho:.12g} witness={wit!r}")
+    return 0
+
+
+def cmd_oracle(args) -> int:
+    from .cli import pattern_from_arg
+
+    h = pattern_from_arg(args.pattern)
+    _check_n(h, args.n)
+    per_m = brute_force_profile(h, args.n)
+    print("m,best,rho")
+    for m in sorted(per_m):
+        rho = normalized_density(per_m[m], args.n, h.h)
+        print(f"{m},{per_m[m]},{rho:.12g}")
+    return 0

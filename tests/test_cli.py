@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import semind
-from semind import cli, counting, flags, graphs, profiles, search
+from semind import certificates, cli, counting, flags, graphs, profiles, search
 from semind.cli import main
 
 
@@ -208,7 +208,7 @@ def test_verify_failing_runs(capsys, cache, argv, class_lines, stdout, verdict, 
 
 
 def test_verify_reports_archived(capsys, cache, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20260101-000000")
+    monkeypatch.setattr(certificates.time, "strftime", lambda fmt: "20260101-000000")
     for _ in range(3):  # all within one (pinned) second
         code, _, _ = run(capsys, "verify", "stability")
         assert code == 0
@@ -308,9 +308,8 @@ def test_search_loads_enumerated_basis(capsys, cache, monkeypatch):
 
 def test_cli_paths_load_neither_numpy_nor_scipy(tmp_path):
     # each command runs in a fresh process, which then lists the modules it
-    # loaded: numpy and scipy never, and of the package only what it runs;
-    # a bare import, which every command pays, and the curve commands
-    # `profile` and `figure` load no dataclasses, inspect or fractions either
+    # loaded: numpy, scipy, dataclasses and inspect never, fractions only for
+    # `verify`'s exact arithmetic, and of the package only what it runs
     script = textwrap.dedent("""
         import json
         import sys
@@ -321,13 +320,13 @@ def test_cli_paths_load_neither_numpy_nor_scipy(tmp_path):
         def lazy_import():
             import colorsys
 
-        argv, expected, light = json.loads(sys.argv[1])
+        argv, expected = json.loads(sys.argv[1])
         import semind.cli
         if argv:
             assert semind.cli.main(argv) == 0
-        heavy = loaded("dataclasses", "inspect", "fractions")
-        assert not (light and heavy), heavy
-        assert not loaded("numpy", "scipy"), loaded("numpy", "scipy")
+        heavy = loaded("numpy", "scipy", "dataclasses", "inspect")
+        assert not heavy, heavy
+        assert bool(loaded("fractions")) == (argv[:1] == ["verify"]), loaded("fractions")
         assert loaded("semind") == sorted(expected), loaded("semind")
         assert not loaded("colorsys")
         lazy_import()
@@ -343,6 +342,8 @@ def test_cli_paths_load_neither_numpy_nor_scipy(tmp_path):
         (("count", "--pattern", "peenn", "--construct", "clique_iso:0.8", "--n", "1000"),
          ("graphs", "counting")),
         (("search", "--pattern", "ap4", "--n", "5", "--profile"), search_modules),
+        (("--seed", "1", "search", "--hill", "--pattern", "ac4", "--n", "10", "--beta", "0.5",
+          "--restarts", "1"), search_modules),
         (("oracle", "--pattern", "ap4", "--n", "4"), search_modules),
         (("figure", "--id", "6", "--beta-grid-step", "0.05"), ("figures",)),
         (("profile", "--curve", "prog_s:2,1+conj_s21", "--beta-grid-step", "0.05"),
@@ -350,9 +351,8 @@ def test_cli_paths_load_neither_numpy_nor_scipy(tmp_path):
         (("verify", "stability"), ("graphs", "counting", "exactalg", "flags", "certificates")),
     ):
         expected = ["semind", "semind.cli", "semind.profiles", *(f"semind.{m}" for m in modules)]
-        light = modules in ((), ("figures",))
         proc = subprocess.run(
-            [sys.executable, "-c", script, json.dumps([argv, expected, light])], cwd=tmp_path,
+            [sys.executable, "-c", script, json.dumps([argv, expected])], cwd=tmp_path,
             env=env,
             capture_output=True, text=True, timeout=120,
         )
@@ -585,6 +585,22 @@ def test_usage_errors_share_one_class():
     (("verify", "stability", "--open-lo"), "--open-lo is not read by verify stability"),
     (("verify", "stability", "--alpha-max", "1/4"),
      "--alpha-max is not read by verify stability"),
+    # the global flags are read by some commands only
+    (("--seed", "5", "profile", "--curve", "ap4"), "--seed is not read by profile"),
+    (("--seed", "5", "count", "--pattern", "ap4", "--host", "3 RRR"),
+     "--seed is not read by count"),
+    (("--seed", "0", "enumerate", "--k", "3"), "--seed is not read by enumerate"),
+    (("--seed", "5", "verify", "stability"), "--seed is not read by verify"),
+    (("--seed", "5", "figure", "--id", "6"), "--seed is not read by figure"),
+    (("--seed", "5", "oracle", "--pattern", "ap4", "--n", "4"), "--seed is not read by oracle"),
+    (("--seed", "5", "search", "--pattern", "ap4", "--n", "5", "--profile"),
+     "--seed is not read without --hill"),
+    (("--cache-dir", "x", "oracle", "--pattern", "ap4", "--n", "4"),
+     "--cache-dir is not read by oracle"),
+    (("--cache-dir", "x", "count", "--pattern", "ap4", "--host", "3 RRR"),
+     "--cache-dir is not read by count"),
+    (("--cache-dir", "x", "profile", "--curve", "ap4"), "--cache-dir is not read by profile"),
+    (("--cache-dir", "x", "figure", "--id", "6"), "--cache-dir is not read by figure"),
     # flags are spelled out: a prefix of a flag is no flag
     (("search", "--pattern", "ap4", "--n", "5", "--pro"), "unrecognized arguments: --pro"),
     (("count", "--pattern", "ap4", "--host", "3 RRR", "--profile", "3"),
@@ -762,7 +778,7 @@ def test_internal_fault_exits_3_with_a_traceback(capsys, cache, monkeypatch):
     def fault(args):
         raise ValueError("internal fault")
 
-    monkeypatch.setattr(cli, "cmd_count", fault)
+    monkeypatch.setattr(counting, "cmd_count", fault)
     code, out, err = run(capsys, "count", "--pattern", "ap4", "--host", "3 RRR")
     assert code == 3 and out == ""
     assert err.startswith("Traceback") and err.endswith("ValueError: internal fault\n")

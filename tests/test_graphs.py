@@ -99,6 +99,80 @@ def test_invalid_hosts_are_rejected(build, message):
         build()
 
 
+def _value_pairs():
+    """name -> (make, other, field, frozen): make() builds a fresh value,
+    other differs from it in field, frozen says whether values are immutable."""
+    from semind.certificates import CertLine, CertReport
+    from semind.counting import DegreeStats
+    from semind.flags import GraphCombo, RootedFlag
+    from semind.graphs import PartedHost
+    from semind.search import SearchResult
+
+    path = lambda: HostGraph(3, (0b010, 0b101, 0b010))
+    return {
+        "HostGraph": (path, HostGraph(3, (0b110, 0b101, 0b011)), "masks", True),
+        "PatternGraph": (lambda: PatternGraph.of(3, red=[(0, 1)], blue=[(1, 2)]),
+                         PatternGraph.of(3, red=[(0, 1)]), "blue", True),
+        "PartedHost": (lambda: PartedHost((2, 1), (True, False), ((False, True), (True, False))),
+                       PartedHost((2, 1), (True, True), ((False, True), (True, False))),
+                       "internal_red", True),
+        "DegreeStats": (lambda: DegreeStats((1, 2, 1), 2, 1, 0),
+                        DegreeStats((1, 2, 1), 2, 1, 1), "s_open", True),
+        "SearchResult": (lambda: SearchResult(2, (b"3 RBR",)), SearchResult(2, (b"3 RRB",)),
+                         "witnesses", True),
+        "RootedFlag": (lambda: RootedFlag(path(), (1,)), RootedFlag(path(), (0,)), "roots", True),
+        "GraphCombo": (lambda: GraphCombo(3, 1, (), ("a",), {}),
+                       GraphCombo(3, 0, (), ("a",), {}), "r", False),
+        "CertLine": (lambda: CertLine("3 RRR", "0", "zero"), CertLine("3 RRR", "0", "no"),
+                     "status", True),
+        "CertReport": (lambda: CertReport("ap4", True), CertReport("ap4", False), "passed",
+                       False),
+    }
+
+
+@pytest.mark.parametrize("name", list(_value_pairs()))
+def test_value_types_compare_by_value(name):
+    make, other, field, frozen = _value_pairs()[name]
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    assert a != other and other != a
+    assert repr(a).startswith(f"{name}(")
+    if frozen:
+        assert hash(a) == hash(b)
+        assert len({a, b, other}) == 2
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(other, field))
+        assert a == b
+    else:  # filled in as a check runs, so unhashable
+        with pytest.raises(TypeError):
+            hash(a)
+        setattr(a, field, getattr(other, field))
+        assert a == other and a != b
+
+
+def test_host_validation_runs_once_per_build(monkeypatch):
+    # perfbench's tracer counts host builds by wrapping HostGraph.__post_init__
+    calls = []
+    validate = HostGraph.__post_init__
+
+    def counted(self):
+        calls.append(self.n)
+        validate(self)
+
+    monkeypatch.setattr(HostGraph, "__post_init__", counted)
+    g = HostGraph(3, (0b010, 0b101, 0b010))
+    assert calls == [3]
+    for build in (lambda: parse_host("3 RBR"), lambda: g.relabel((2, 0, 1)),
+                  lambda: HostGraph.from_red_pairs(4, [(0, 1), (2, 3)])):
+        calls.clear()
+        build()
+        assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(ValueError, match="symmetric"):
+        HostGraph(3, (0b010, 0b000, 0b000))
+    assert calls == [3]
+
+
 def test_parse_errors_name_offsets():
     with pytest.raises(GraphFormatError) as e:
         parse_host("x RRR")
@@ -245,6 +319,35 @@ def test_twins_are_placed_once():
     # every ordering of all-red K_8 has the same code; its vertices are twins
     k8 = HostGraph(8, tuple(0xFF ^ (1 << i) for i in range(8)))
     assert graphs._min_placements((k8.masks,)) == [tuple(range(8))]
+
+
+def _reference_twins(layers):
+    """The pairwise definition: u < v are twins when their colours to every
+    other vertex agree in every layer."""
+    n = len(layers[0])
+    return [
+        sum(1 << u for u in range(v)
+            if all(not (m[u] ^ m[v]) & ~(1 << u | 1 << v) for m in layers))
+        for v in range(n)
+    ]
+
+
+def test_twins_by_grouping_match_the_pairwise_definition():
+    rng = random.Random(32)
+    cases = [
+        (random_host(rng, rng.randint(1, 9), rng.choice([0.1, 0.5, 0.9])).masks,)
+        for _ in range(2000)
+    ]
+    for _ in range(1000):  # two layers, with free pairs
+        h = rng.randint(1, 9)
+        colours = [rng.choice("RBF") if rng.random() < 0.7 else "F" for _ in lex_pairs(h)]
+        cases.append(parse_pattern(f"{h} {''.join(colours)}").layers())
+    with_twins = 0
+    for layers in cases:
+        want = _reference_twins(layers)
+        assert graphs._twins(layers) == want, layers
+        with_twins += any(want)
+    assert with_twins > 1000  # so the comparison is not vacuous
 
 
 def _reference_min_placements(layers, fixed=()):

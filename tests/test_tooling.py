@@ -105,6 +105,23 @@ def test_every_imported_name_is_read():
     assert not unread, f"imported but never read: {unread}"
 
 
+def test_no_module_imports_dataclasses():
+    # dataclasses loads inspect, ast, dis and tokenize: about 10 ms of every
+    # short command, for types that NamedTuple or __slots__ give as well
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "dataclasses" in modules:
+                importers.append(f"{path.name}:{node.lineno}")
+    assert not importers, f"dataclasses imported at {importers}"
+
+
 def test_only_small_tables_list_every_pair():
     # lex_pairs(n) holds n^2 / 2 tuples, about 200 MiB at n = 2,002, so only
     # the tables over k <= 6 vertices may build it, never a host-sized path
