@@ -16,8 +16,8 @@ import math
 import re
 import time
 from fractions import Fraction
-from pathlib import Path
 from functools import lru_cache
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import Record, UsageError, __version__
@@ -165,7 +165,6 @@ class CertReport(Record):
         self.zero_classes: tuple = ()
         self.boundary_zero_classes: tuple = ()
         self.interior_root_classes: dict = {}
-
 
     def fail(self, message: str) -> None:
         self.passed = False
