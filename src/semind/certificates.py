@@ -20,7 +20,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import Record, UsageError, __version__
+from . import UsageError, __version__
 from .counting import is_induced_subgraph
 from .exactalg import HALF_SQRT2, Poly, Q2, SQRT2, sign_cells
 from .flags import (
@@ -151,24 +151,20 @@ class CertLine(NamedTuple):
     status: str  # nonpositive | zero | VIOLATION (certificates), yes | no (stability)
 
 
-class CertReport(Record):
-    """A check's verdict and findings, filled in as the check runs."""
+class CertReport(NamedTuple):
+    """A check's findings; it passes when it found no failure."""
 
-    __slots__ = ("name", "passed", "lines", "failures", "notes", "zero_classes",
-                 "boundary_zero_classes", "interior_root_classes")
+    name: str
+    lines: list[CertLine]
+    failures: list[str]
+    notes: list[str]
+    zero_classes: tuple
+    boundary_zero_classes: tuple
+    interior_root_classes: dict
 
-    def __init__(self, name: str, passed: bool):
-        self.name, self.passed = name, passed
-        self.lines: list[CertLine] = []
-        self.failures: list[str] = []
-        self.notes: list[str] = []
-        self.zero_classes: tuple = ()
-        self.boundary_zero_classes: tuple = ()
-        self.interior_root_classes: dict = {}
-
-    def fail(self, message: str) -> None:
-        self.passed = False
-        self.failures.append(message)
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def render(self) -> str:
         out = [f"# certificate report: {self.name}"]
@@ -292,7 +288,7 @@ def check_certificate(cert: Certificate) -> CertReport:
     roots) are recorded on the report.  An open end changes no verdict
     (`Signs.nonpositive`); it only drops its left-end zeros and "at" points.
     """
-    report = CertReport(name=cert.name, passed=True)
+    lines, failures, notes = [], [], []
     names, var = cert.names, cert.var
     zero = Poly.const(names, 0)
     codes = sorted(g.to_text() for g in _graph_classes(cert.k))
@@ -319,11 +315,11 @@ def check_certificate(cert: Certificate) -> CertReport:
                 want = table[code][key] if code in table else zero
                 if have != want:
                     matched = False
-                    report.fail(
+                    failures.append(
                         f"{key} mismatch class={code!r}: computed {have}, reference {want}"
                     )
         if matched and ref.note:
-            report.notes.append(ref.note)
+            notes.append(ref.note)
 
     fixed = dict(cert.fixed)
     lo, hi, include_lo = cert.interval
@@ -334,7 +330,7 @@ def check_certificate(cert: Certificate) -> CertReport:
         cs = (value - bound).univariate(var)
         if not cs:
             zero_classes.append(code)
-            report.lines.append(CertLine(code, str(value), "zero"))
+            lines.append(CertLine(code, str(value), "zero"))
             continue
         signs = sign_cells(cs, lo, hi)
         ok = signs.nonpositive()
@@ -342,13 +338,13 @@ def check_certificate(cert: Certificate) -> CertReport:
             lo_zero.append(code)
         if signs.roots:
             interior[code] = len(signs.roots)
-        report.lines.append(CertLine(code, str(value), "nonpositive" if ok else "VIOLATION"))
+        lines.append(CertLine(code, str(value), "nonpositive" if ok else "VIOLATION"))
         if not ok:
             ends = [(lo, signs.at_lo)] if include_lo else []
             ends.append((hi, signs.at_hi))  # the interval always holds hi
             where = [f"at {var}={float(x):.6f}" for x, sign in ends if sign > 0]
             where += [f"near {var}={float(a + b) / 2:.6f}" for a, b in signs.roots]
-            report.fail(
+            failures.append(
                 f"positivity violation class={code!r} on {var} in [{lo}, {hi}]"
                 + (f" ({'; '.join(where)})" if where else "")
             )
@@ -358,18 +354,17 @@ def check_certificate(cert: Certificate) -> CertReport:
             continue
         mult = mults[t.name].substitute(**fixed).univariate(var)
         if not sign_cells([-c for c in mult], lo, hi).nonpositive():
-            report.fail(
+            failures.append(
                 f"square multiplier {t.name} = {t.multiplier} is negative somewhere "
                 f"on {var} in [{lo}, {hi}]"
             )
 
-    report.zero_classes = tuple(zero_classes)
-    report.boundary_zero_classes = tuple(lo_zero)
-    report.interior_root_classes = interior
     counts = {"zero": len(zero_classes), "lo_zero": len(lo_zero), "roots": sum(interior.values())}
     fields = dict(fixed, var=var, lo=lo, hi=hi, include_lo=include_lo)
-    report.notes += [note.format(**fields, **counts) for note in cert.notes]
-    return report
+    notes += [note.format(**fields, **counts) for note in cert.notes]
+    return CertReport(
+        cert.name, lines, failures, notes, tuple(zero_classes), tuple(lo_zero), interior
+    )
 
 
 # The alternating 3-path (ap4) on the 11 4-vertex classes; x is the blue-pair
@@ -472,7 +467,7 @@ def stability_family_check() -> CertReport:
     """Check that none of the five 4-vertex graphs embeds induced into any of
     the nine 5-vertex family members except the alternating 5-cycle, and
     record which of them do embed into the 5-cycle."""
-    report = CertReport(name="stability", passed=True)
+    lines, failures = [], []
     hosts = [(d, host_from_digits(d)) for d in FAMILY_MAIN_DIGITS + FAMILY_HALF_DIGITS]
     c5_embeds = []
     for hd, host in hosts:
@@ -481,24 +476,21 @@ def stability_family_check() -> CertReport:
             embeds = is_induced_subgraph(sub, host)
             is_c5 = hd == C5_DIGITS
             status = "yes" if embeds else "no"
-            report.lines.append(
-                CertLine(f"host={hd} sub={fd}", "-", status)
-            )
+            lines.append(CertLine(f"host={hd} sub={fd}", "-", status))
             if embeds and not is_c5:
-                report.fail(f"forbidden induced embedding: {fd} inside {hd}")
+                failures.append(f"forbidden induced embedding: {fd} inside {hd}")
             if embeds and is_c5:
                 c5_embeds.append(fd)
-    report.notes.append(
+    note = (
         f"family sizes: main=5 half=4; forbidden 4-vertex list=5; "
         f"members embedding into the alternating 5-cycle: {sorted(c5_embeds)}"
     )
     if not c5_embeds:
-        report.fail(
+        failures.append(
             "expected at least one forbidden graph inside the alternating "
             "5-cycle (that is why it is excluded)"
         )
-    report.zero_classes = tuple(sorted(c5_embeds))
-    return report
+    return CertReport("stability", lines, failures, [note], tuple(sorted(c5_embeds)), (), {})
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial, perm
 from typing import NamedTuple
 
-from . import UnsupportedSizeError, UsageError, check_work
+from . import UnsupportedSizeError, UsageError, as_units, check_work
 from .graphs import (
     Circulant,
     HostGraph,
@@ -283,6 +283,7 @@ def _work(plan: _Plan, n: int, start: int, red_max: int, blue_max: int) -> float
             width = min(width, red_max if isred else blue_max)
         nodes *= max(width, 0)
         work += nodes
+    nodes, work = as_units(nodes), as_units(work)
     if len(plan.batch) != 1:
         work += nodes * _leaf_work(len(plan.batch))
     return _CALL_WORK + work * (1 + n / _WIDE_HOST)
@@ -444,7 +445,10 @@ def count_work(h: PatternGraph, g: HostGraph | PartedHost | Circulant) -> float:
     """A bound on the work of count_injections(h, g), for `check_work`: a
     blow-up of p parts has at most p^h leaves, each multiplying p falling
     factorials; other counts are bounded from the largest red and blue
-    degrees, plus the making of a circulant's masks."""
+    degrees, plus the making of a circulant's masks.  A pattern with more
+    vertices than the host has no copy, and costs only the call."""
+    if h.h > g.n:
+        return _CALL_WORK
     if isinstance(g, PartedHost):
         return len(g.sizes) ** (h.h + 1)
     if isinstance(g, Circulant):
@@ -867,7 +871,7 @@ def cmd_count(args) -> int:
             raise UsageError("--construct requires --n")
         spec = construct_from_arg(args.construct)
         g = realize(spec, args.n)  # a blow-up or a circulant, built only for a profile
-        host_desc = f"{spec.describe()}:n={args.n}"
+        host_desc = f"{spec.name}:n={args.n}"
     elif args.host:
         _reject_unread(args, ("--n",), "with --host")
         text = args.host

@@ -24,8 +24,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, perm
+from typing import NamedTuple
 
-from . import Frozen, Record, UnsupportedSizeError
+from . import UnsupportedSizeError
 from .exactalg import Poly
 from .graphs import (
     HostGraph,
@@ -45,31 +46,24 @@ class FlagTypeError(ValueError):
     pass
 
 
-class RootedFlag(Frozen):
+class _RootedFlag(NamedTuple):
+    graph: HostGraph
+    roots: tuple[int, ...]
+
+
+class RootedFlag(_RootedFlag):
     """A host graph with an ordered tuple of distinct root vertices.  Equal
     flags compare and hash equal."""
 
-    __slots__ = ("graph", "roots")
+    __slots__ = ()
 
-    def __init__(self, graph: HostGraph, roots: tuple[int, ...] = ()):
+    def __new__(cls, graph: HostGraph, roots: tuple[int, ...] = ()):
         if len(set(roots)) != len(roots):
             raise ValueError("roots must be distinct")
         for v in roots:
             if not 0 <= v < graph.n:
                 raise ValueError("root out of range")
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "roots", roots)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.roots == other.roots and self.graph == other.graph
-
-    def __hash__(self):
-        return hash((self.graph, self.roots))
-
-    def __repr__(self):
-        return f"RootedFlag(graph={self.graph!r}, roots={self.roots!r})"
+        return tuple.__new__(cls, (graph, roots))
 
     @property
     def k(self) -> int:
@@ -142,16 +136,15 @@ def _splits(F: RootedFlag, k1: int) -> dict:
     return tally
 
 
-class GraphCombo(Record):
+class GraphCombo(NamedTuple):
     """Linear combination of canonical k-vertex flags of one fixed type with
     polynomial coefficients.  r = 0 gives plain unrooted combinations."""
 
-    __slots__ = ("k", "r", "type_colors", "names", "terms")
-
-    def __init__(self, k: int, r: int, type_colors: tuple, names: tuple, terms: dict):
-        self.k, self.r, self.type_colors, self.names, self.terms = (
-            k, r, type_colors, names, terms
-        )
+    k: int
+    r: int
+    type_colors: tuple
+    names: tuple
+    terms: dict
 
     @staticmethod
     def build(k, r, type_colors, names, items) -> "GraphCombo":

@@ -34,7 +34,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
-from . import Frozen, UnsupportedSizeError, UsageError
+from . import UnsupportedSizeError, UsageError
 
 
 # Caps that no work estimate replaces.  Canonical labelling has no cost
@@ -160,46 +160,41 @@ def _relabel_masks(masks, perm) -> tuple[int, ...]:
     return tuple(out)
 
 
-class HostGraph(Frozen):
+class _HostGraph(NamedTuple):
+    n: int
+    masks: tuple[int, ...]
+
+
+class HostGraph(_HostGraph):
     """An n-vertex red/blue coloring of the complete graph.
 
     `masks[i]` has bit j set iff pair {i, j} is red.  Blue is the complement
     on off-diagonal pairs.  Equal colorings compare and hash equal.
     """
 
-    __slots__ = ("n", "masks")
+    __slots__ = ()
 
-    def __init__(self, n: int, masks: tuple[int, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "masks", masks)
+    def __new__(cls, n: int, masks: tuple[int, ...]):
+        self = tuple.__new__(cls, (n, masks))
         self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.masks == other.masks
-
-    def __hash__(self):
-        return hash((self.n, self.masks))
-
-    def __repr__(self):
-        return f"HostGraph(n={self.n!r}, masks={self.masks!r})"
+        return self
 
     def __post_init__(self):
         """The validation of every new host, kept under this name: the
         benchmark's tracer counts host builds by wrapping it."""
-        if self.n < 1:
+        n, masks = self
+        if n < 1:
             raise ValueError("host needs at least one vertex")
-        if len(self.masks) != self.n:
+        if len(masks) != n:
             raise ValueError("mask count must equal n")
-        for i, m in enumerate(self.masks):
-            if m >> self.n:
+        for i, m in enumerate(masks):
+            if m >> n:
                 raise ValueError("mask bits outside vertex range")
             if m >> i & 1:
                 raise ValueError("self-pairs are not stored")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if (self.masks[i] >> j & 1) != (self.masks[j] >> i & 1):
+        for i in range(n):
+            for j in range(i + 1, n):
+                if (masks[i] >> j & 1) != (masks[j] >> i & 1):
                     raise ValueError("red relation must be symmetric")
 
     @staticmethod
@@ -668,7 +663,7 @@ class ConstructionSpec(NamedTuple):
     construction has part `weights` summing to 1, each part one colour inside
     (`internal_red`) and each pair of parts one colour across (`cross_red`);
     a circulant has the `degree_fraction` of its near offsets, which are red
-    when `near_red`.  `name` is the `describe()` text."""
+    when `near_red`.  `name` is its text, as `count` prints it."""
 
     name: str
     weights: tuple[float, ...] = ()
@@ -676,9 +671,6 @@ class ConstructionSpec(NamedTuple):
     cross_red: tuple[tuple[bool, ...], ...] = ()
     degree_fraction: float | None = None
     near_red: bool = True
-
-    def describe(self) -> str:
-        return self.name
 
 
 def _step(kind: str, fractions, weights, internal_red, cross_red) -> ConstructionSpec:

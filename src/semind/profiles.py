@@ -51,31 +51,12 @@ def _entry(tag: str) -> _Curve:
     return entry
 
 
-class CurveId:
-    """Identifier of a closed-form profile curve plus its integer parameters."""
+class CurveId(NamedTuple):
+    """Identifier of a closed-form profile curve plus its integer parameters;
+    `curve` parses and checks one."""
 
-    __slots__ = ("tag", "params")
-
-    def __init__(self, tag: str, params: tuple[int, ...] = ()):
-        entry = _entry(tag)
-        if len(params) != len(entry.params):
-            raise CurveSpecError(f"{tag} takes {len(entry.params)} parameters")
-        if any(p < 1 for p in params):
-            raise CurveSpecError(f"{tag} needs {', '.join(entry.params)} >= 1")
-        if entry.rule and not entry.rule[1](*params):
-            raise CurveSpecError(f"{tag} expects {entry.rule[0]}")
-        self.tag, self.params = tag, params
-
-    def __eq__(self, other):
-        if not isinstance(other, CurveId):
-            return NotImplemented
-        return (self.tag, self.params) == (other.tag, other.params)
-
-    def __hash__(self):
-        return hash((self.tag, self.params))
-
-    def __repr__(self):
-        return f"CurveId({self.tag!r}, {self.params!r})"
+    tag: str
+    params: tuple[int, ...]
 
     def label(self) -> str:
         return f"{self.tag}:{','.join(map(str, self.params))}" if self.params else self.tag
@@ -90,7 +71,8 @@ class CurveId:
 def curve(text: str) -> CurveId:
     """Parse 'ap4', 'ds:2', 'ell:2,1', 'rw_star:3', ..."""
     tag, sep, rest = text.partition(":")
-    names = _entry(tag).params
+    entry = _entry(tag)
+    names = entry.params
     try:
         values = tuple(int(v) for v in rest.split(",")) if sep else ()
     except ValueError:
@@ -98,6 +80,10 @@ def curve(text: str) -> CurveId:
     if values is None or len(values) != len(names):
         with_ints = f" with integer {' and '.join(names)}" if names else ""
         raise CurveSpecError(f"bad curve {text!r}: expected {_form(tag)}{with_ints}")
+    if any(p < 1 for p in values):
+        raise CurveSpecError(f"{tag} needs {', '.join(names)} >= 1")
+    if entry.rule and not entry.rule[1](*values):
+        raise CurveSpecError(f"{tag} expects {entry.rule[0]}")
     return CurveId(tag, values)
 
 

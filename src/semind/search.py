@@ -17,7 +17,7 @@ from bisect import bisect_right
 from math import comb
 from typing import NamedTuple
 
-from . import UnsupportedSizeError, UsageError, check_work
+from . import UnsupportedSizeError, UsageError, as_units, check_work
 from .graphs import (
     MAX_CANONICAL_N,
     HostGraph,
@@ -99,7 +99,7 @@ def brute_force_profile(h: PatternGraph, n: int) -> dict:
     of the 2^C(n,2) colorings is built pair by pair and counted, and `_plan`'s
     estimate of a count is its mean over all colorings."""
     npairs = comb(n, 2)
-    check_work(2**npairs * (npairs * _PAIR_WORK + _plan(h, n).cost), "n")
+    check_work(as_units(2**npairs) * (npairs * _PAIR_WORK + _plan(h, n).cost), "n")
     prs = lex_pairs(n)
     per_m = {m: -1 for m in range(len(prs) + 1)}
     for colored in range(1 << len(prs)):
@@ -175,7 +175,9 @@ def _climb_work(h: PatternGraph, plans, n: int, starts: int, restarts: int, flip
     full = _work(_plan(h, n), n, 0, n, n)
     flip = _FLIP_WORK + sum(_work(plan, n, 2, n, n) for *_, plan in plans)
     walks = (1 + starts + restarts) * comb(n, 2) * _PAIR_WORK
-    return (starts + restarts) * full + restarts * _STEPS_PER_VERTEX * n * flips * flip + walks
+    moves = restarts * _STEPS_PER_VERTEX * n * flips
+    # no moves cost nothing, even when a flip's estimate is inf
+    return (starts + restarts) * full + (moves * flip if moves else 0) + walks
 
 
 def hill_climb(

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -544,6 +545,10 @@ def test_usage_errors_share_one_class():
         assert not issubclass(exc, semind.UsageError)
 
 
+_rng = random.Random(1)
+_RANDOM_HOST_401 = "401 " + "".join(_rng.choice("RB") for _ in range(comb(401, 2)))
+
+
 @pytest.mark.parametrize("argv,message", [
     (("verify", "ap4", "--alpha-max", "1/0"), "cannot parse exact value '1/0'"),
     (("verify", "peenn", "--B", "1/0", "--C", "1", "--interval", "0,1"),
@@ -637,6 +642,13 @@ def test_usage_errors_share_one_class():
      "clique fractions must be nonnegative"),
     (("search", "--hill", "--pattern", "ap4", "--n", "10", "--seed-construct", "cliques:nan"),
      "clique fractions must be nonnegative"),
+    # work estimates beyond a float's range
+    (("oracle", "--pattern", "2 R", "--n", "46"),
+     "estimated work inf exceeds the work budget of 5e+07; reduce n"),
+    (("count", "--pattern", "s:1100,0", "--construct", "cliques:0.5", "--n", "2000"),
+     "estimated work inf exceeds the work budget of 5e+07"),
+    (("count", "--pattern", "tree:" + ",".join(f"{i}-{i + 1}" for i in range(399)),
+      "--host", _RANDOM_HOST_401), "estimated work inf exceeds the work budget of 5e+07"),
 ])
 def test_bad_input_is_a_usage_error(capsys, cache, monkeypatch, argv, message):
     monkeypatch.chdir(cache)  # relative file names resolve inside the test directory
@@ -678,6 +690,16 @@ def test_search_and_oracle_reject_small_n_before_any_work(capsys, cache, monkeyp
     ):
         out, err = usage_error(capsys, *argv)
         assert out == "" and "--n must be at least the pattern's 4 vertices (got 3)" in err
+
+
+@pytest.mark.parametrize("host", [("--host", "3 RRR"), ("--construct", "circulant:0.5", "--n", "5"),
+                                  ("--construct", "cliques:0.5", "--n", "5")])
+def test_a_pattern_larger_than_the_host_is_never_planned(capsys, cache, monkeypatch, host):
+    # it has no copy, and planning it costs at least h^2
+    monkeypatch.setattr(counting, "_plan", lambda *args: pytest.fail("planned"))
+    code, out, err = run(capsys, "count", "--pattern", "ds:400", *host)
+    assert code == 0 and err == ""
+    assert " count=0 rho=0\n" in out
 
 
 def test_work_budget_refuses_before_any_count(capsys, cache, monkeypatch):

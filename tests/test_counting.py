@@ -486,7 +486,7 @@ def test_blowup_matches_generic():
         for h in patterns:
             want = count_injections(h, host)
             assert blowup_injections(h, parts) == count_injections(h, parts) == want, (
-                spec.describe(),
+                spec.name,
                 h.to_text(),
             )
 

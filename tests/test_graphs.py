@@ -100,8 +100,8 @@ def test_invalid_hosts_are_rejected(build, message):
 
 
 def _value_pairs():
-    """name -> (make, other, field, frozen): make() builds a fresh value,
-    other differs from it in field, frozen says whether values are immutable."""
+    """name -> (make, other, field, hashable): make() builds a fresh value,
+    other differs from it in field, hashable says whether values hash."""
     from semind.certificates import CertLine, CertReport
     from semind.counting import DegreeStats
     from semind.flags import GraphCombo, RootedFlag
@@ -125,29 +125,27 @@ def _value_pairs():
                        GraphCombo(3, 0, (), ("a",), {}), "r", False),
         "CertLine": (lambda: CertLine("3 RRR", "0", "zero"), CertLine("3 RRR", "0", "no"),
                      "status", True),
-        "CertReport": (lambda: CertReport("ap4", True), CertReport("ap4", False), "passed",
-                       False),
+        "CertReport": (lambda: CertReport("ap4", [], [], [], (), (), {}),
+                       CertReport("ap4", [], ["x"], [], (), (), {}), "failures", False),
     }
 
 
 @pytest.mark.parametrize("name", list(_value_pairs()))
 def test_value_types_compare_by_value(name):
-    make, other, field, frozen = _value_pairs()[name]
+    make, other, field, hashable = _value_pairs()[name]
     a, b = make(), make()
     assert a is not b and a == b and not a != b
     assert a != other and other != a
     assert repr(a).startswith(f"{name}(")
-    if frozen:
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(other, field))
+    assert a == b
+    if hashable:
         assert hash(a) == hash(b)
         assert len({a, b, other}) == 2
-        with pytest.raises(AttributeError):
-            setattr(a, field, getattr(other, field))
-        assert a == b
-    else:  # filled in as a check runs, so unhashable
+    else:  # holds a dict or lists, so unhashable
         with pytest.raises(TypeError):
             hash(a)
-        setattr(a, field, getattr(other, field))
-        assert a == other and a != b
 
 
 def test_host_validation_runs_once_per_build(monkeypatch):
@@ -681,7 +679,7 @@ def test_construction_errors():
         make_construction(clique_plus_isolated(0.5), 1)
 
 
-# Every construction the CLI grammar builds: its describe() text and, at
+# Every construction the CLI grammar builds: its name and, at
 # n = 2, 7, 17 and 1000, its realized value, as the part sizes with the
 # colours inside each part and the rows of colours across (the diagonal
 # included), or as a circulant's (n, near, near_red).
@@ -728,7 +726,7 @@ def test_realize_pins_every_cli_construction():
 
     for text, (name, internal, cross, values) in _PINNED_REALIZED.items():
         spec = construct_from_arg(text)
-        assert spec.describe() == name, text
+        assert spec.name == name, text
         for n, value in zip(_PINNED_SIZES, values):
             g = realize(spec, n)
             if internal is None:

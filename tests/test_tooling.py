@@ -56,19 +56,44 @@ def _functions(body, owner=None):
             yield from _functions(node.body)
 
 
+def _namedtuple_defaults(nodes):
+    """(class name, field index, field name) of each field with a default of
+    each NamedTuple class among nodes."""
+    for node in nodes:
+        if isinstance(node, ast.ClassDef) and any(
+            getattr(base, "id", None) == "NamedTuple" for base in node.bases
+        ):
+            fields = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+            for index, field in enumerate(fields):
+                if field.value is not None:
+                    yield node.name, index, field.target.id
+
+
 def test_every_parameter_default_is_overridden_by_some_call():
     # a default that every call leaves alone is a knob nothing turns: the
-    # value belongs in the body.  Calls match by name, a class's __init__ by
-    # the class name; a call with *args or **kwargs may pass anything
+    # value belongs in the body.  Calls match by name, a class's __init__ and
+    # __new__ and a NamedTuple's fields by the class name, and a field also
+    # by `_replace(field=...)`; a call with *args or **kwargs may pass
+    # anything, except to `_replace`, which may be any NamedTuple's
     calls = {}
     for path in sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 calls.setdefault(name, []).append(node)
+
+    def overridden(name, index, param):
+        return any(
+            any(kw.arg in (param, None) for kw in call.keywords)
+            or any(isinstance(arg, ast.Starred) for arg in call.args)
+            or index is not None and len(call.args) > index
+            for call in calls.get(name, ())
+        )
+
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for fn, owner in _functions(ast.parse(path.read_text()).body):
+        tree = ast.parse(path.read_text())
+        for fn, owner in _functions(tree.body):
             a = fn.args
             positional = a.posonlyargs + a.args
             # a method's first parameter is bound, not passed, unless it is static
@@ -77,15 +102,14 @@ def test_every_parameter_default_is_overridden_by_some_call():
             first_default = len(positional) - len(a.defaults)
             params = [(i - bound, p.arg) for i, p in enumerate(positional) if i >= first_default]
             params += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
-            name = owner if fn.name == "__init__" else fn.name
+            name = owner if fn.name in ("__init__", "__new__") else fn.name
             for index, param in params:
-                if not any(
-                    any(kw.arg in (param, None) for kw in call.keywords)
-                    or any(isinstance(arg, ast.Starred) for arg in call.args)
-                    or index is not None and len(call.args) > index
-                    for call in calls.get(name, ())
-                ):
+                if not overridden(name, index, param):
                     unused.append(f"{path.name}: {fn.name}({param})")
+        for owner, index, field in _namedtuple_defaults(ast.walk(tree)):
+            replaced = any(kw.arg == field for call in calls.get("_replace", ()) for kw in call.keywords)
+            if not (overridden(owner, index, field) or replaced):
+                unused.append(f"{path.name}: {owner}.{field}")
     assert not unused, f"a default that no call overrides: {unused}"
 
 
