@@ -545,8 +545,7 @@ def test_usage_errors_share_one_class():
         assert not issubclass(exc, semind.UsageError)
 
 
-_rng = random.Random(1)
-_RANDOM_HOST_401 = "401 " + "".join(_rng.choice("RB") for _ in range(comb(401, 2)))
+_RANDOM_HOST_401 = "401 " + "".join(random.Random(1).choices("RB", k=comb(401, 2)))
 
 
 @pytest.mark.parametrize("argv,message", [
