@@ -558,7 +558,7 @@ _VERIFY_READS = {
 
 
 def cmd_verify(args) -> int:
-    from .cli import _numbers, _reject_unread
+    from .cli import _numbers, _reject_unread, cache_dir
 
     reads = _VERIFY_READS[args.which]
     unread = [flag for flags in _VERIFY_READS.values() for flag in flags if flag not in reads]
@@ -590,5 +590,5 @@ def cmd_verify(args) -> int:
         reports = [check_certificate(cert) for cert in certs]
     text = "\n".join(r.render() for r in reports)
     print(text)
-    _archive_report(args.cache_dir, args.argv, f"verify-{args.which}", text)
+    _archive_report(cache_dir(args), args.argv, f"verify-{args.which}", text)
     return 0 if all(r.passed for r in reports) else 1

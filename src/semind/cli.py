@@ -4,24 +4,24 @@ Subcommands: count, enumerate, search, profile, verify, figure, oracle.
 Each run input is set by one flag, and a command refuses a flag it does not
 read.  --seed (default 0) is read by `search --hill`; --cache-dir (default:
 the SEMIND_CACHE environment variable, else .semind-cache) by `enumerate`,
-`search` and `verify`.  The cache directory holds enumerated bases (loaded
-back after validation, see `graphs`) and archived verification reports.
-Exit codes: 0 success / verification PASS, 1 verification FAIL, 2 usage
-error (a `semind.UsageError`, a malformed command line, or an unreadable or
-unwritable file the user named; one `error:` line on stderr), 3 internal
-fault (its traceback on stderr).
+exact `search` and `verify`.  The cache directory holds enumerated bases
+(loaded back after validation, see `graphs`) and archived verification
+reports.  Exit codes: 0 success / verification PASS, 1 verification FAIL,
+2 usage error (a `semind.UsageError`, a malformed command line, or an
+unreadable or unwritable file the user named; one `error:` line on
+stderr), 3 internal fault (its traceback on stderr).
 
 Import rule: this module holds only the parser, the dispatch and the
 argument helpers that several commands share.  Each command's body,
 `cmd_<name>`, lives in the module whose code it drives (`counting`, `graphs`,
-`search`, `figures` or `certificates`), with the helpers only it uses, and
-`main` imports that module when the command runs.  So a short run compiles
-and imports the modules it runs and no other command's code: `profile` and
-`figure` load no graph or counting code, and only `verify` loads the report
-archive's `shlex` and `hashlib`.  The one package module imported here is
-`profiles`: the parser's `profile --curve` help lists `known_curves()`, and
-the benchmark's traced mode reads the import time of `semind.profiles` from
-a bare `import semind.cli`.
+`search`, `figures` or `certificates`, as `_COMMANDS` lists), with the
+helpers only it uses, and `main` imports that module when the command runs.
+So a short run compiles and imports the modules it runs and no other
+command's code: `profile` and `figure` load no graph or counting code, and
+only `verify` loads the report archive's `shlex` and `hashlib`.  The one
+package module imported here is `profiles`: the parser's `profile --curve`
+help lists `known_curves()`, and the benchmark's traced mode reads the
+import time of `semind.profiles` from a bare `import semind.cli`.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from importlib import import_module
 from pathlib import Path
 
 from . import UsageError
@@ -235,39 +236,29 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _run(args) -> int:
-    """Run the command's body, importing the module that holds it."""
-    if args.cmd == "count":
-        from . import counting
-
-        return counting.cmd_count(args)
-    if args.cmd == "enumerate":
-        from . import graphs
-
-        return graphs.cmd_enumerate(args)
-    if args.cmd == "search":
-        from . import search
-
-        return search.cmd_search(args)
-    if args.cmd == "oracle":
-        from . import search
-
-        return search.cmd_oracle(args)
-    if args.cmd == "profile":
-        from . import figures
-
-        return figures.cmd_profile(args)
-    if args.cmd == "figure":
-        from . import figures
-
-        return figures.cmd_figure(args)
-    from . import certificates  # verify, the one command left
-
-    return certificates.cmd_verify(args)
+def _load(module: str):
+    return import_module(f".{module}", __package__)
 
 
-# the commands that read class lists, which a basis in the cache directory serves
-_READS_CLASSES = ("enumerate", "search", "verify")
+# command -> (its body, from the module that holds it, loaded when the command
+# runs; whether it reads --seed; whether it reads --cache-dir)
+_COMMANDS = {
+    "count": (lambda args: _load("counting").cmd_count(args), False, False),
+    "enumerate": (lambda args: _load("graphs").cmd_enumerate(args), False, True),
+    "search": (lambda args: _load("search").cmd_search(args), True, True),
+    "oracle": (lambda args: _load("search").cmd_oracle(args), False, False),
+    "profile": (lambda args: _load("figures").cmd_profile(args), False, False),
+    "figure": (lambda args: _load("figures").cmd_figure(args), False, False),
+    "verify": (lambda args: _load("certificates").cmd_verify(args), False, True),
+}
+
+
+def cache_dir(args) -> Path:
+    """The cache directory of a command that reads --cache-dir: the flag's
+    value, else SEMIND_CACHE, else .semind-cache."""
+    if args.cache_dir is not None:
+        return args.cache_dir
+    return Path(os.environ.get("SEMIND_CACHE", ".semind-cache"))
 
 
 def main(argv=None) -> int:
@@ -275,18 +266,16 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         args.argv = argv
-        if args.cmd != "search":
-            _reject_unread(args, ("--seed",), f"by {args.cmd}")
-        if args.cmd not in _READS_CLASSES:
-            _reject_unread(args, ("--cache-dir",), f"by {args.cmd}")
-            code = _run(args)
-        else:
+        run, reads_seed, reads_cache = _COMMANDS[args.cmd]
+        flags = (("--seed", reads_seed), ("--cache-dir", reads_cache))
+        _reject_unread(args, [flag for flag, reads in flags if not reads], f"by {args.cmd}")
+        if reads_cache:
             from .graphs import basis_cache
 
-            if args.cache_dir is None:
-                args.cache_dir = Path(os.environ.get("SEMIND_CACHE", ".semind-cache"))
-            with basis_cache(args.cache_dir):
-                code = _run(args)
+            with basis_cache(cache_dir(args)):
+                code = run(args)
+        else:
+            code = run(args)
         sys.stdout.flush()  # so that a closed stdout shows here, not at exit
         return code
     except SystemExit as exc:  # --help

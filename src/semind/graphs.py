@@ -762,9 +762,11 @@ def make_construction(spec: ConstructionSpec, n: int) -> HostGraph:
 
 
 def cmd_enumerate(args) -> int:
+    from .cli import cache_dir
+
     k = args.k
     classes = enumerate_colored_graphs(k)
-    out = Path(args.out) if args.out else args.cache_dir / f"basis-k{k}.txt"
+    out = Path(args.out) if args.out else cache_dir(args) / f"basis-k{k}.txt"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(basis_text(classes))
     print(f"k={k} count={len(classes)} file={out}")

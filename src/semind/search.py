@@ -1,13 +1,14 @@
 """Finite extremal search over colorings.
 
 `exact_max` and `full_profile` walk isomorphism classes (exact up to n = 8);
-`brute_force_profile` is the independent oracle that walks every raw coloring
-(n <= 6 within the work budget).  `hill_climb` generates lower-bound colorings by
-single-pair flips, or red/blue swaps when the density is pinned.  It scores
-each start in full and each move by its exact change in count (see
-`counting.flip_delta`), which counts only the copies that map a constrained
-pattern pair onto a flipped pair, once per automorphism orbit of the pinned
-ordered pair.
+`full_profile` returns the same `{m: best}` dict as `brute_force_profile`, the
+independent oracle that walks every raw coloring (n <= 6 within the work
+budget).  `hill_climb` generates lower-bound colorings from one start by
+single-pair flips, or red/blue swaps when the density is pinned.  It counts
+the start and each restart in full and each move by its exact change in
+count (see `counting.flip_delta`), which counts only the copies that map a
+constrained pattern pair onto a flipped pair, once per automorphism orbit of
+the pinned ordered pair.
 """
 
 from __future__ import annotations
@@ -42,13 +43,12 @@ from .counting import (
 _PAIR_WORK = 5
 _FLIP_WORK = 12
 
-_STEPS_PER_VERTEX = 60  # a climb from one start proposes 60n moves
+_STEPS_PER_VERTEX = 60  # each restart proposes 60n moves
 
 
 class SearchResult(NamedTuple):
     best_count: int
     witnesses: tuple[bytes, ...]
-    per_edge_count: dict | None = None
 
 
 def _best_per_m(h: PatternGraph, n: int, m: int | None = None) -> dict:
@@ -87,10 +87,11 @@ def exact_max(h: PatternGraph, n: int, m: int | None = None) -> SearchResult:
     return SearchResult(*_overall(_best_per_m(h, n, m)))
 
 
-def full_profile(h: PatternGraph, n: int) -> SearchResult:
-    """exact_max for every red-pair count m in one sweep."""
+def full_profile(h: PatternGraph, n: int) -> dict:
+    """Red-pair count m -> exact_max(h, n, m).best_count, for every m, in one
+    sweep."""
     per_m = _best_per_m(h, n)
-    return SearchResult(*_overall(per_m), {m: per_m[m][0] for m in sorted(per_m)})
+    return {m: per_m[m][0] for m in sorted(per_m)}
 
 
 def brute_force_profile(h: PatternGraph, n: int) -> dict:
@@ -165,19 +166,21 @@ def _sample_pair(red: list[int], starts: list[int], rng: random.Random, color: i
     return None
 
 
-def _climb_work(h: PatternGraph, plans, n: int, starts: int, restarts: int, flips: int) -> float:
-    """A bound on hill_climb's work: a full count of each start and restart,
-    and 60n steps per restart of `flips` flips each, every flip paying its
-    bookkeeping and one pinned count per orbit of `plans` = flip_plans(h, n)
-    (see `flip_delta`), plus the host pairs that each start and restart
-    walks.  The host changes as the climb goes, so the counts are bounded
-    with n - p candidates at prefix position p whatever the constraints."""
+def _climb_work(h: PatternGraph, plans, n: int, restarts: int, flips: int) -> float:
+    """A bound on hill_climb's work: a full count of the start and of each
+    restart, and 60n steps per restart of `flips` flips each, every flip
+    paying its bookkeeping and one pinned count per orbit of `plans` =
+    flip_plans(h, n) (see `flip_delta`), plus the host pairs that the start
+    and each restart walk.  The host changes as the climb goes, so the counts
+    are bounded with n - p candidates at prefix position p whatever the
+    constraints.  With flips=0 it is the work of the full counts and walks
+    alone, which needs no plans."""
     full = _work(_plan(h, n), n, 0, n, n)
     flip = _FLIP_WORK + sum(_work(plan, n, 2, n, n) for *_, plan in plans)
-    walks = (1 + starts + restarts) * comb(n, 2) * _PAIR_WORK
+    walks = (2 + restarts) * comb(n, 2) * _PAIR_WORK
     moves = restarts * _STEPS_PER_VERTEX * n * flips
     # no moves cost nothing, even when a flip's estimate is inf
-    return (starts + restarts) * full + (moves * flip if moves else 0) + walks
+    return (1 + restarts) * full + (moves * flip if moves else 0) + walks
 
 
 def hill_climb(
@@ -186,17 +189,19 @@ def hill_climb(
     target_density: float | None = None,
     restarts: int = 0,
     seed: int = 0,
-    seeds=(),
+    start=None,
 ) -> SearchResult:
     """Stochastic local search for high-count colorings.
 
-    Seeds are ConstructionSpec values, built on n vertices and evaluated
-    as-is (after pinning the red-pair count when target_density is given),
-    and each restart climbs from one of them by single-pair flips, or by
-    red/blue swap moves when the density is pinned.  restarts=0 just scores
-    the seeds.  Starts are counted in full, moves by their exact change in
-    count.  Deterministic for a fixed seed.  The work is checked before any
-    is done (`_climb_work`)."""
+    The start is the ConstructionSpec `start` built on n vertices, or a
+    random coloring without one, with its red-pair count pinned when
+    target_density is given.  Restart 0 climbs from the start and each later
+    restart from a perturbed copy, by single-pair flips, or by red/blue swap
+    moves when the density is pinned.  restarts=0 just scores the start.
+    The start and each restart are counted in full, moves by their exact
+    change in count.  Deterministic for a fixed seed.  The work is checked
+    before any is done (`_climb_work`), its full counts before the flip plans
+    are made, since pinned plans can cost more than the counts."""
     if n < 2:
         raise UsageError(f"hill climbing needs n >= 2 (got n={n})")
     if n < h.h:
@@ -205,9 +210,10 @@ def hill_climb(
         raise UsageError(f"target density must lie in [0, 1] (got {target_density})")
     if restarts < 0:
         raise UsageError(f"restarts must be non-negative (got {restarts})")
+    check_work(_climb_work(h, (), n, restarts, 0), "n or restarts")
     plans = flip_plans(h, n)
     flips = 1 if target_density is None else 2
-    check_work(_climb_work(h, plans, n, max(len(seeds), 1), restarts, flips), "n or restarts")
+    check_work(_climb_work(h, plans, n, restarts, flips), "n or restarts")
     rng = random.Random(seed)
     counter = _make_counter(h)
     npairs = comb(n, 2)
@@ -215,20 +221,13 @@ def hill_climb(
     if target_density is not None:
         m_target = round(target_density * npairs)
 
-    starts = [list(make_construction(s, n).masks) for s in seeds]
-    if not starts:
-        m0 = m_target if m_target is not None else npairs // 2
-        starts.append(_random_masks(n, m0, rng))
+    if start is not None:
+        masks = list(make_construction(start, n).masks)
+    else:
+        masks = _random_masks(n, npairs // 2 if m_target is None else m_target, rng)
     if m_target is not None:
-        for masks in starts:
-            _adjust_edge_count(masks, n, m_target, rng)
-
-    best = -1
-    best_masks: list[int] = []
-    for masks in starts:
-        c = counter(HostGraph(n, tuple(masks)))
-        if c > best:
-            best, best_masks = c, list(masks)
+        _adjust_edge_count(masks, n, m_target, rng)
+    best, best_masks = counter(HostGraph(n, tuple(masks))), masks
 
     if m_target in (0, npairs):
         restarts = 0  # no red/blue swap exists: the start is the only such host
@@ -236,9 +235,9 @@ def hill_climb(
     row_starts = _row_starts(n)
 
     for r in range(restarts):
-        red = list(starts[r % len(starts)])
-        if r >= len(starts):
-            # perturb repeated starts so restarts explore new basins
+        red = list(masks)
+        if r:
+            # perturb the start so that later restarts explore new basins
             for _ in range(max(1, n // 10)):
                 _flip(red, *_pair_at(row_starts, rng.randrange(npairs)))
             if m_target is not None:
@@ -289,20 +288,27 @@ def _check_n(h: PatternGraph, n: int) -> None:
         raise UsageError(f"--n must be at least the pattern's {h.h} vertices (got {n})")
 
 
+def _print_profile(per_m: dict, n: int, h: PatternGraph) -> None:
+    """The `m,best,rho` CSV of per-m maxima, as `search --profile` and
+    `oracle` print it."""
+    print("m,best,rho")
+    for m, best in sorted(per_m.items()):
+        print(f"{m},{best},{normalized_density(best, n, h.h):.12g}")
+
+
 def cmd_search(args) -> int:
     from .cli import _reject_unread, construct_from_arg, pattern_from_arg
 
     h = pattern_from_arg(args.pattern)
     if args.hill:
-        _reject_unread(args, ("--m",), "with --hill")
-        seeds = [construct_from_arg(args.seed_construct)] if args.seed_construct else []
+        _reject_unread(args, ("--m", "--profile", "--cache-dir"), "with --hill")
         res = hill_climb(
             h,
             args.n,
             target_density=args.beta,
             restarts=2 if args.restarts is None else args.restarts,
             seed=0 if args.seed is None else args.seed,
-            seeds=seeds,
+            start=construct_from_arg(args.seed_construct) if args.seed_construct else None,
         )
     else:
         _reject_unread(args, ("--seed", "--beta", "--seed-construct", "--restarts"),
@@ -310,12 +316,7 @@ def cmd_search(args) -> int:
         _check_n(h, args.n)
         if args.profile:
             _reject_unread(args, ("--m",), "with --profile")
-            res = full_profile(h, args.n)
-            print("m,best,rho")
-            for m in sorted(res.per_edge_count):
-                best = res.per_edge_count[m]
-                rho = normalized_density(best, args.n, h.h)
-                print(f"{m},{best},{rho:.12g}")
+            _print_profile(full_profile(h, args.n), args.n, h)
             return 0
         res = exact_max(h, args.n, args.m)
     rho = normalized_density(res.best_count, args.n, h.h)
@@ -329,9 +330,5 @@ def cmd_oracle(args) -> int:
 
     h = pattern_from_arg(args.pattern)
     _check_n(h, args.n)
-    per_m = brute_force_profile(h, args.n)
-    print("m,best,rho")
-    for m in sorted(per_m):
-        rho = normalized_density(per_m[m], args.n, h.h)
-        print(f"{m},{per_m[m]},{rho:.12g}")
+    _print_profile(brute_force_profile(h, args.n), args.n, h)
     return 0

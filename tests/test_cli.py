@@ -572,6 +572,10 @@ _RANDOM_HOST_401 = "401 " + "".join(random.Random(1).choices("RB", k=comb(401, 2
      "--m is not read with --hill"),
     (("search", "--pattern", "ap4", "--n", "5", "--m", "3", "--profile"),
      "--m is not read with --profile"),
+    (("search", "--hill", "--pattern", "ap4", "--n", "5", "--profile"),
+     "--profile is not read with --hill"),
+    (("--cache-dir", "x", "search", "--hill", "--pattern", "ap4", "--n", "5"),
+     "--cache-dir is not read with --hill"),
     (("search", "--pattern", "ap4", "--n", "5", "--beta", "0.5"),
      "--beta is not read without --hill"),
     (("search", "--pattern", "ap4", "--n", "5", "--seed-construct", "cliques:0.5"),
@@ -691,6 +695,15 @@ def test_search_and_oracle_reject_small_n_before_any_work(capsys, cache, monkeyp
         assert out == "" and "--n must be at least the pattern's 4 vertices (got 3)" in err
 
 
+@pytest.mark.parametrize("pattern", ["ap4", "ac4", "s:2,1"])
+@pytest.mark.parametrize("n", ["4", "5"])
+def test_search_profile_and_oracle_print_the_same_csv(capsys, cache, pattern, n):
+    printed = [run(capsys, *argv, "--pattern", pattern, "--n", n)
+               for argv in (("search", "--profile"), ("oracle",))]
+    assert printed[0] == printed[1]
+    assert printed[0][0] == 0 and printed[0][1].startswith("m,best,rho\n0,")
+
+
 @pytest.mark.parametrize("host", [("--host", "3 RRR"), ("--construct", "circulant:0.5", "--n", "5"),
                                   ("--construct", "cliques:0.5", "--n", "5")])
 def test_a_pattern_larger_than_the_host_is_never_planned(capsys, cache, monkeypatch, host):
@@ -724,6 +737,15 @@ def test_work_budget_refuses_before_any_count(capsys, cache, monkeypatch):
     ):
         out, err = usage_error(capsys, *argv)
         assert out == "" and "exceeds the work budget of 5e+07" in err
+
+
+def test_climb_budget_is_checked_before_flip_plans(capsys, cache, monkeypatch):
+    # the pinned plans of a long path cost exponential time, and the full
+    # count of its start alone exceeds the budget
+    monkeypatch.setattr(search, "flip_plans", lambda *args: pytest.fail("planned flips"))
+    path = "tree:" + ",".join(f"{i}-{i + 1}" for i in range(17))
+    out, err = usage_error(capsys, "search", "--hill", "--pattern", path, "--n", "18")
+    assert out == "" and "exceeds the work budget of 5e+07; reduce n or restarts" in err
 
 
 def test_count_and_profile_share_one_work_budget(capsys, cache, monkeypatch):

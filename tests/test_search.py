@@ -73,16 +73,16 @@ def test_exact_max_guard():
 
 def test_full_profile_endpoints_zero():
     res = full_profile(ap4_pattern(), 5)
-    assert res.per_edge_count[0] == 0
-    assert res.per_edge_count[10] == 0
-    assert set(res.per_edge_count) == set(range(11))
+    assert res[0] == 0
+    assert res[10] == 0
+    assert set(res) == set(range(11))
 
 
 def test_full_profile_complement_symmetry():
     for h in (ap4_pattern(), star_pattern(2, 1)):
         for n in (4, 5, 6):
-            left = full_profile(h, n).per_edge_count
-            right = full_profile(PatternGraph(h.h, h.blue, h.red), n).per_edge_count
+            left = full_profile(h, n)
+            right = full_profile(PatternGraph(h.h, h.blue, h.red), n)
             top = comb(n, 2)
             for m in range(top + 1):
                 assert left[m] == right[top - m], (h.to_text(), n, m)
@@ -92,7 +92,7 @@ def test_full_profile_ap4_density_band():
     # finite-size analogue of the profile value near beta = 2/3
     res = full_profile(ap4_pattern(), 7)
     m = round(2 / 3 * 21)
-    rho = normalized_density(res.per_edge_count[m], 7, 4)
+    rho = normalized_density(res[m], 7, 4)
     beta = m / 21
     assert rho <= beta**2 * (1 - beta) + 0.15
 
@@ -101,7 +101,7 @@ def test_full_profile_s21_peak_location():
     from semind.profiles import curve, eval_curve
 
     res = full_profile(star_pattern(2, 1), 7)
-    best_m = max(res.per_edge_count, key=lambda m: (res.per_edge_count[m], -m))
+    best_m = max(res, key=lambda m: (res[m], -m))
     cid = curve("s21")
     target = max(range(22), key=lambda m: eval_curve(cid, m / 21).value)
     assert abs(best_m - target) <= 1
@@ -115,10 +115,13 @@ def test_full_profile_s21_peak_location():
 def test_exact_max_agrees_with_full_profile(h):
     for n in range(h.h, 7):
         full = full_profile(h, n)
-        assert exact_max(h, n) == SearchResult(full.best_count, full.witnesses)
         counts = {g.to_text().encode(): (g.red_count(), count_injections(h, g))
                   for g in enumerate_colored_graphs(n)}
-        for m, best in full.per_edge_count.items():
+        top = max(full.values())
+        assert exact_max(h, n) == SearchResult(
+            top, tuple(sorted(code for code, (_, c) in counts.items() if c == top))
+        )
+        for m, best in full.items():
             res = exact_max(h, n, m)
             assert res.best_count == best
             assert list(res.witnesses) == sorted(
@@ -137,7 +140,7 @@ def test_witnesses_recount_and_dedup():
 def test_hill_climb_restarts_zero_scores_seed():
     spec = disjoint_cliques([1 / 3, 1 / 3, 1 / 3])
     host = make_construction(spec, 30)
-    res = hill_climb(ac4_pattern(), 30, restarts=0, seed=1, seeds=[spec])
+    res = hill_climb(ac4_pattern(), 30, restarts=0, seed=1, start=spec)
     assert res.best_count == count_injections(ac4_pattern(), host)
 
 
@@ -146,9 +149,9 @@ def test_hill_climb_never_below_seed():
     # with density pinned, the evaluated seed is the density-adjusted one,
     # which restarts=0 reports
     base = hill_climb(ac4_pattern(), 24, target_density=0.5, restarts=0, seed=3,
-                      seeds=[spec])
+                      start=spec)
     res = hill_climb(ac4_pattern(), 24, target_density=0.5, restarts=2, seed=3,
-                     seeds=[spec])
+                     start=spec)
     assert res.best_count >= base.best_count
 
 
@@ -164,7 +167,7 @@ def test_hill_climb_ac4_thirds():
         target_density=beta,
         restarts=1,
         seed=11,
-        seeds=[disjoint_cliques([1 / 3, 1 / 3, 1 / 3])],
+        start=disjoint_cliques([1 / 3, 1 / 3, 1 / 3]),
     )
     rho = normalized_density(res.best_count, n, 4)
     corr = (n - 1) * (n - 2) * (n - 3) / n**3
@@ -179,7 +182,7 @@ def test_hill_climb_ac4_two_fifths():
         target_density=0.4,
         restarts=2,
         seed=7,
-        seeds=[disjoint_cliques([u, u, w])],
+        start=disjoint_cliques([u, u, w]),
     )
     rho = normalized_density(res.best_count, 60, 4)
     assert rho >= 0.080
@@ -188,34 +191,33 @@ def test_hill_climb_ac4_two_fifths():
 def test_hill_climb_determinism():
     spec = disjoint_cliques([0.45, 0.45])
     a = hill_climb(ac4_pattern(), 26, target_density=0.4, restarts=2, seed=5,
-                   seeds=[spec])
+                   start=spec)
     b = hill_climb(ac4_pattern(), 26, target_density=0.4, restarts=2, seed=5,
-                   seeds=[spec])
+                   start=spec)
     assert a == b
 
 
 @pytest.mark.parametrize(
-    "h, n, beta, restarts, seed, seeds, best, witness_sha",
+    "h, n, beta, restarts, seed, start, best, witness_sha",
     [
-        (ac4_pattern(), 20, 0.4, 2, 5, [disjoint_cliques([0.4387, 0.4387, 0.1225])],
+        (ac4_pattern(), 20, 0.4, 2, 5, disjoint_cliques([0.4387, 0.4387, 0.1225]),
          11976, "d402197eb3725204"),
-        (star_pattern(2, 1), 24, 0.5, 1, 3, [], 33264, "99d7a8d49c13c94a"),
-        (peenn_pattern(), 17, 0.3, 1, 2, [clique_plus_isolated(0.5477)],
+        (star_pattern(2, 1), 24, 0.5, 1, 3, None, 33264, "99d7a8d49c13c94a"),
+        (peenn_pattern(), 17, 0.3, 1, 2, clique_plus_isolated(0.5477),
          61068, "e38d6f34d32d56da"),
-        (ap4_pattern(), 30, None, 1, 4, [], 104466, "3e463595573c63f1"),
-        (double_star_pattern(2), 10, 0.45, 1, 6, [], 6312, "0d0b389cf8bd5145"),
-        # free pairs, and more restarts than starts (perturbed restarts)
-        (parse_pattern("5 RBFFRFBFFR"), 9, None, 3, 8, [], 1100, "65f8b6bf29b87bf3"),
+        (ap4_pattern(), 30, None, 1, 4, None, 104466, "3e463595573c63f1"),
+        (double_star_pattern(2), 10, 0.45, 1, 6, None, 6312, "0d0b389cf8bd5145"),
+        # free pairs, and restarts from perturbed copies of the start
+        (parse_pattern("5 RBFFRFBFFR"), 9, None, 3, 8, None, 1100, "65f8b6bf29b87bf3"),
         # pinned plans with batches of two and three at the last prefix level
-        (SPIDER, 13, 0.5, 1, 7, [], 250560, "3c6cc09f8735a524"),
-        (SPIDER, 12, None, 2, 3, [], 3991680, "70c41ae486551fd0"),
+        (SPIDER, 13, 0.5, 1, 7, None, 250560, "3c6cc09f8735a524"),
+        (SPIDER, 12, None, 2, 3, None, 3991680, "70c41ae486551fd0"),
     ],
 )
-def test_hill_climb_golden(h, n, beta, restarts, seed, seeds, best, witness_sha):
+def test_hill_climb_golden(h, n, beta, restarts, seed, start, best, witness_sha):
     # results recorded from the climb that recounted every move in full
-    res = hill_climb(h, n, target_density=beta, restarts=restarts, seed=seed, seeds=seeds)
+    res = hill_climb(h, n, target_density=beta, restarts=restarts, seed=seed, start=start)
     assert res.best_count == best
-    assert res.per_edge_count is None
     assert len(res.witnesses) == 1
     assert hashlib.sha256(res.witnesses[0]).hexdigest()[:16] == witness_sha
     wit = parse_host(res.witnesses[0].decode())
@@ -241,8 +243,8 @@ def test_hill_climb_makes_no_moves_without_a_swap(monkeypatch, beta):
     monkeypatch.setattr(search, "_sample_pair", no_sampling)
     for h in (star_pattern(2, 1), ac4_pattern()):
         for n in (4, 7):
-            for seeds in ([], [disjoint_cliques([0.5, 0.5])]):
-                res = hill_climb(h, n, target_density=beta, restarts=3, seed=2, seeds=seeds)
+            for start in (None, disjoint_cliques([0.5, 0.5])):
+                res = hill_climb(h, n, target_density=beta, restarts=3, seed=2, start=start)
                 assert res.best_count == 0
                 assert hashlib.sha256(res.witnesses[0]).hexdigest()[:16] == _MONOCHROME_SHA[n, beta]
     big = hill_climb(star_pattern(2, 1), 400, target_density=beta, restarts=1)
@@ -274,21 +276,21 @@ def test_work_estimates_are_pinned():
     }
     for name, (h, g, want) in counts.items():
         assert count_work(h, g) == want, name
-    climbs = [  # pattern, n, starts, restarts, flips per move, estimate
-        (ac4_pattern(), 28, 1, 2, 2, 599514.8648),
-        (star_pattern(2, 1), 36, 1, 1, 2, 315195.08320000005),
-        (peenn_pattern(), 17, 1, 1, 2, 1343464.1314666665),
-        (ap4_pattern(), 30, 1, 1, 1, 204098.46),
+    climbs = [  # pattern, n, restarts, flips per move, estimate
+        (ac4_pattern(), 28, 2, 2, 599514.8648),
+        (star_pattern(2, 1), 36, 1, 2, 315195.08320000005),
+        (peenn_pattern(), 17, 1, 2, 1343464.1314666665),
+        (ap4_pattern(), 30, 1, 1, 204098.46),
         # the edges of the budget: ac4 is accepted up to n = 294 and peenn
         # up to 104, with one restart each; the spider is refused at 17
-        (ac4_pattern(), 294, 1, 1, 2, 25346004.6872),
-        (ac4_pattern(), 295, 1, 1, 2, 25522350.953333333),
-        (peenn_pattern(), 104, 1, 1, 2, 49995990.852266654),
-        (peenn_pattern(), 105, 1, 1, 2, 50975192.53999998),
-        (SPIDER, 17, 1, 1, 2, 61230440.05466667),
+        (ac4_pattern(), 294, 1, 2, 25346004.6872),
+        (ac4_pattern(), 295, 1, 2, 25522350.953333333),
+        (peenn_pattern(), 104, 1, 2, 49995990.852266654),
+        (peenn_pattern(), 105, 1, 2, 50975192.53999998),
+        (SPIDER, 17, 1, 2, 61230440.05466667),
     ]
-    for h, n, starts, restarts, flips, want in climbs:
-        got = search._climb_work(h, flip_plans(h, n), n, starts, restarts, flips)
+    for h, n, restarts, flips, want in climbs:
+        got = search._climb_work(h, flip_plans(h, n), n, restarts, flips)
         assert got == want, (h.to_text(), n)
     costs = {  # pattern: {n: (unpinned cost, each flip plan's cost)}
         peenn_pattern(): {
